@@ -43,7 +43,6 @@ from .pipeline import (
     ScheduleResult,
     bubble_fraction_analytic,
     compare_configs,
-    estimate_throughput,
     microbatches_from_batches,
     simulate_1f1b,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "bias_update",
     "bubble_fraction_analytic",
     "compare_configs",
-    "estimate_throughput",
     "events_from_batches",
     "events_from_samples",
     "generate_trace",

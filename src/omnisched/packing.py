@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, OversizeSampleError
+from .errors import ConfigError, InvalidSpecError, OversizeSampleError
 from .workload import WorkloadTrace
 
 
@@ -41,11 +41,17 @@ class PackedBatch:
         return sum(e.length for e in self.entries)
 
     def validate(self) -> None:
-        assert self.used <= self.capacity, "batch overfull"
+        """Raise ``InvalidSpecError`` unless the entries are non-empty, contiguous
+        from offset 0, and fit the capacity."""
+        if self.used > self.capacity:
+            raise InvalidSpecError("batch overfull", used=self.used, capacity=self.capacity)
         offset = 0
         for e in self.entries:
-            assert e.offset == offset, "entries must be contiguous prefix sums"
-            assert e.length >= 1
+            if e.offset != offset or e.length < 1:
+                raise InvalidSpecError(
+                    "entries must be non-empty and contiguous prefix sums",
+                    sample_id=e.sample_id, offset=e.offset, length=e.length,
+                )
             offset += e.length
 
 
@@ -110,20 +116,42 @@ def _report(policy: str, batches: list[PackedBatch], capacity: int) -> PackingRe
 
 def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], PackingReport]:
     """First-fit decreasing: sort by length descending (ties by ascending id),
-    place each sample into the first batch with room, else open a new one."""
+    place each sample into the first batch with room, else open a new one.
+
+    The first fit is found in O(log n) with a max-tree over the batches' free
+    room (Johnson, "Fast algorithms for bin packing", JCSS 1974): leaf ``j``
+    holds batch ``j``'s room, each inner node the max of its children, and
+    unopened batches read ``capacity``. Descending to the leftmost leaf with
+    room either finds an open batch or opens the next one.
+    """
     _check_sizes(trace, capacity)
     order = sorted(trace.samples, key=lambda s: (-s.length, s.id))
+    leaves = 1
+    while leaves < len(order):
+        leaves *= 2
+    room = [capacity] * (2 * leaves)
     bins: list[list[tuple[int, int]]] = []
-    remaining: list[int] = []
     for s in order:
-        for i, room in enumerate(remaining):
-            if s.length <= room:
-                bins[i].append((s.id, s.length))
-                remaining[i] -= s.length
-                break
+        length = s.length
+        node = 1
+        while node < leaves:
+            node *= 2
+            if room[node] < length:
+                node += 1
+        j = node - leaves
+        if j == len(bins):
+            bins.append([(s.id, length)])
         else:
-            bins.append([(s.id, s.length)])
-            remaining.append(capacity - s.length)
+            bins[j].append((s.id, length))
+        room[node] -= length
+        node //= 2
+        while node:
+            left, right = room[2 * node], room[2 * node + 1]
+            top = left if left > right else right
+            if room[node] == top:
+                break
+            room[node] = top
+            node //= 2
     batches = [_build_batch(capacity, pairs) for pairs in bins]
     return batches, _report("ffd", batches, capacity)
 

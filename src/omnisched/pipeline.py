@@ -17,10 +17,17 @@ backward cost is ``backward_ratio`` times that. An optional constant
 busiest stage. ``idle_fraction`` additionally reports the idle share across
 the whole stage grid, which is the quantity that grows when work piles onto
 one stage.
+
+The simulator keeps each stage's op start and end times as flat arrays in
+``ScheduleResult``; the per-op ``StageEvent`` timelines and the CSV rows are
+built from them only when a caller asks (``stage_timelines``,
+``timeline_rows()``), so a run that only reads the summary never pays for
+them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +81,9 @@ class StageEvent:
 
 @dataclass(frozen=True)
 class ScheduleResult:
+    """One simulated schedule. ``op_starts[s]`` and ``op_ends[s]`` hold stage
+    ``s``'s op times in ``stage_op_order``; the timelines are built from them."""
+
     makespan: float
     ideal_time: float
     bubble_fraction: float
@@ -81,20 +91,39 @@ class ScheduleResult:
     throughput: float
     total_useful_tokens: int
     stage_busy: tuple[float, ...]
-    stage_timelines: tuple[tuple[StageEvent, ...], ...]
+    op_starts: tuple[array, ...]
+    op_ends: tuple[array, ...]
+
+    def _stage_ops(self):
+        """Per stage: its ``(op code, start, end)`` triples in ``stage_op_order``."""
+        pp = len(self.op_starts)
+        m = len(self.op_starts[0]) // 2
+        for s in range(pp):
+            yield zip(stage_op_order(pp, s, m), self.op_starts[s], self.op_ends[s])
+
+    @property
+    def stage_timelines(self) -> tuple[tuple[StageEvent, ...], ...]:
+        return tuple(
+            tuple(
+                StageEvent("F", op, start, end) if op >= 0 else StageEvent("B", ~op, start, end)
+                for op, start, end in ops
+            )
+            for ops in self._stage_ops()
+        )
 
     def timeline_rows(self) -> list[tuple]:
         """CSV rows (stage, kind, start, end, microbatch), idle gaps included."""
         rows = []
-        for s, events in enumerate(self.stage_timelines):
+        append = rows.append
+        for s, ops in enumerate(self._stage_ops()):
             cursor = 0.0
-            for ev in events:
-                if ev.start > cursor:
-                    rows.append((s, "idle", cursor, ev.start, ""))
-                rows.append((s, ev.kind, ev.start, ev.end, ev.microbatch))
-                cursor = ev.end
+            for op, start, end in ops:
+                if start > cursor:
+                    append((s, "idle", cursor, start, ""))
+                append((s, "F", start, end, op) if op >= 0 else (s, "B", start, end, ~op))
+                cursor = end
             if cursor < self.makespan:
-                rows.append((s, "idle", cursor, self.makespan, ""))
+                append((s, "idle", cursor, self.makespan, ""))
         return rows
 
     def summary_dict(self) -> dict:
@@ -108,20 +137,15 @@ class ScheduleResult:
         }
 
 
-def stage_op_order(pp: int, stage: int, m: int) -> list[tuple[str, int]]:
+def stage_op_order(pp: int, stage: int, m: int) -> list[int]:
     """The fixed 1F1B op sequence for one stage: warmup forwards, then
-    alternating backward/forward, then the backward drain."""
+    alternating backward/forward, then the backward drain. Forward ``i`` is
+    coded as ``i`` and backward ``i`` as ``~i`` (that is, ``-i - 1``)."""
     warmup = min(m, pp - stage)
-    order: list[tuple[str, int]] = [("F", i) for i in range(warmup)]
-    next_f = warmup
-    next_b = 0
-    while next_b < m:
-        order.append(("B", next_b))
-        next_b += 1
-        if next_f < m:
-            order.append(("F", next_f))
-            next_f += 1
-    return order
+    steady = [0] * (2 * (m - warmup))
+    steady[0::2] = [~i for i in range(m - warmup)]
+    steady[1::2] = range(warmup, m)
+    return [*range(warmup), *steady, *(~i for i in range(m - warmup, m))]
 
 
 def simulate_1f1b(
@@ -130,7 +154,13 @@ def simulate_1f1b(
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
 ) -> ScheduleResult:
-    """Event-driven simulation of the non-interleaved 1F1B schedule."""
+    """Event-driven simulation of the non-interleaved 1F1B schedule.
+
+    Sweeps the stages, running each one's ops until an op waits on another
+    not yet run. Finish times are kept per stage in forward and backward
+    lists indexed by microbatch (``None`` until run); a stage's next op and
+    free time are the length and last entry of its own start and end lists.
+    """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
     if backward_ratio <= 0:
@@ -138,52 +168,67 @@ def simulate_1f1b(
 
     pp = plan.layout.pp
     m = len(microbatches)
-    fwd = [[plan.stage_cost[s] * mb.tokens for mb in microbatches] for s in range(pp)]
-    bwd = [[backward_ratio * c for c in row] for row in fwd]
+    tokens = [mb.tokens for mb in microbatches]
+    f_end: list[list] = [[None] * m for _ in range(pp)]
+    b_end: list[list] = [[None] * m for _ in range(pp)]
+    starts: list[list[float]] = [[] for _ in range(pp)]
+    ends: list[list[float]] = [[] for _ in range(pp)]
+    # per stage: op order, cost per token, own finish lists, the finish lists
+    # its forwards and backwards wait on, and its start and end lists
+    stages = [
+        (stage_op_order(pp, s, m), plan.stage_cost[s], f_end[s], b_end[s],
+         f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None, starts[s], ends[s])
+        for s in range(pp)
+    ]
 
-    orders = [stage_op_order(pp, s, m) for s in range(pp)]
-    pointer = [0] * pp
-    stage_free = [0.0] * pp
-    end_time: dict[tuple[str, int, int], float] = {}
-    timelines: list[list[StageEvent]] = [[] for _ in range(pp)]
-
-    remaining = sum(len(o) for o in orders)
+    remaining = sum(len(stage[0]) for stage in stages)
     while remaining:
-        progressed = False
-        for s in range(pp):
-            while pointer[s] < len(orders[s]):
-                kind, i = orders[s][pointer[s]]
-                ready = stage_free[s]
-                if kind == "F":
-                    if s > 0:
-                        dep = end_time.get(("F", s - 1, i))
+        before = remaining
+        for order, cost, fe, be, prev_fe, next_be, st, en in stages:
+            k = len(st)
+            n = len(order)
+            if k == n:
+                continue
+            free = en[-1] if k else 0.0
+            done = k
+            while k < n:
+                op = order[k]
+                ready = free
+                if op >= 0:  # forward op
+                    if prev_fe is not None:
+                        dep = prev_fe[op]
                         if dep is None:
                             break
-                        ready = max(ready, dep + comm_latency)
-                    duration = fwd[s][i]
+                        dep = dep + comm_latency
+                        if dep > ready:  # ready = max(ready, dep), bit for bit
+                            ready = dep
+                    free = ready + cost * tokens[op]
+                    fe[op] = free
                 else:
-                    dep_f = end_time.get(("F", s, i))
-                    if dep_f is None:
+                    i = ~op
+                    dep = fe[i]
+                    if dep is None:
                         break
-                    ready = max(ready, dep_f)
-                    if s < pp - 1:
-                        dep_b = end_time.get(("B", s + 1, i))
-                        if dep_b is None:
+                    if dep > ready:
+                        ready = dep
+                    if next_be is not None:
+                        dep = next_be[i]
+                        if dep is None:
                             break
-                        ready = max(ready, dep_b + comm_latency)
-                    duration = bwd[s][i]
-                finish = ready + duration
-                end_time[(kind, s, i)] = finish
-                stage_free[s] = finish
-                timelines[s].append(StageEvent(kind=kind, microbatch=i, start=ready, end=finish))
-                pointer[s] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise RuntimeError("1F1B schedule deadlocked; dependency order is inconsistent")
+                        dep = dep + comm_latency
+                        if dep > ready:
+                            ready = dep
+                    free = ready + backward_ratio * (cost * tokens[i])
+                    be[i] = free
+                st.append(ready)
+                en.append(free)
+                k += 1
+            remaining -= k - done
+        if remaining == before:
+            raise InvalidSpecError("1F1B schedule deadlocked; dependency order is inconsistent")
 
-    makespan = max(end_time.values())
-    busy = tuple(sum(ev.end - ev.start for ev in tl) for tl in timelines)
+    busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
+    makespan = max(max(en) for en in ends)
     ideal = max(busy)
     useful = sum(mb.useful_tokens for mb in microbatches)
     return ScheduleResult(
@@ -194,7 +239,8 @@ def simulate_1f1b(
         throughput=plan.layout.dp * useful / makespan,
         total_useful_tokens=useful,
         stage_busy=busy,
-        stage_timelines=tuple(tuple(tl) for tl in timelines),
+        op_starts=tuple(array("d", st) for st in starts),
+        op_ends=tuple(array("d", en) for en in ends),
     )
 
 
@@ -203,13 +249,6 @@ def bubble_fraction_analytic(pp: int, m: int) -> float:
     if pp < 1 or m < 1:
         raise InvalidSpecError(f"pp and m must be >= 1, got pp={pp}, m={m}")
     return (pp - 1) / (m + pp - 1)
-
-
-def estimate_throughput(result: ScheduleResult, total_useful_tokens: int, dp: int) -> float:
-    """Useful tokens per time unit across dp replicas; padding never counts."""
-    if result.makespan <= 0:
-        raise InvalidSpecError("makespan must be > 0")
-    return dp * total_useful_tokens / result.makespan
 
 
 PLAN_POLICIES = {
@@ -259,6 +298,7 @@ COMPARISON_CSV_FIELDS = [
 class ComparisonTable:
     cells: tuple[CompareCell, ...]
     headline_ratio: dict[str, float]  # layout label -> (ffd, balanced) ratio
+    packings: dict[str, tuple[list[PackedBatch], PackingReport]]  # policy -> pack() result
 
     def rows(self) -> list[dict]:
         return [c.to_row() for c in self.cells]
@@ -299,36 +339,33 @@ def compare_configs(
     pack_names = list(dict.fromkeys(list(packing_policies) + [BASELINE_CELL[0]]))
     plan_names = list(dict.fromkeys(list(plan_policies) + [BASELINE_CELL[1]]))
     packed = {name: pack(trace, capacity, name) for name in pack_names}
-    total_useful = trace.total_tokens
+    microbatches = {name: microbatches_from_batches(batches) for name, (batches, _) in packed.items()}
 
     cells: list[CompareCell] = []
     headline: dict[str, float] = {}
     for layout in layouts:
         plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
-        raw: dict[tuple[str, str], tuple[PackingReport, StagePlan, ScheduleResult, float]] = {}
-        for pname in pack_names:
-            batches, report = packed[pname]
-            mbs = microbatches_from_batches(batches)
-            for plname in plan_names:
-                result = simulate_1f1b(plans[plname], mbs, backward_ratio, comm_latency)
-                thr = estimate_throughput(result, total_useful, layout.dp)
-                raw[(pname, plname)] = (report, plans[plname], result, thr)
-        base_thr = raw[BASELINE_CELL][3]
+        results = {
+            (pname, plname): simulate_1f1b(plans[plname], microbatches[pname], backward_ratio, comm_latency)
+            for pname in pack_names
+            for plname in plan_names
+        }
+        base_thr = results[BASELINE_CELL].throughput
         for pname in packing_policies:
             for plname in plan_policies:
-                report, plan, result, thr = raw[(pname, plname)]
+                result = results[(pname, plname)]
                 cells.append(
                     CompareCell(
                         layout=layout,
                         packing_policy=pname,
                         plan_policy=plname,
-                        packing_report=report,
-                        plan=plan,
+                        packing_report=packed[pname][1],
+                        plan=plans[plname],
                         result=result,
-                        throughput=thr,
-                        ratio_vs_baseline=thr / base_thr,
+                        throughput=result.throughput,
+                        ratio_vs_baseline=result.throughput / base_thr,
                     )
                 )
         if "ffd" in packing_policies and "balanced" in plan_policies:
-            headline[layout.label()] = raw[("ffd", "balanced")][3] / base_thr
-    return ComparisonTable(cells=tuple(cells), headline_ratio=headline)
+            headline[layout.label()] = results[("ffd", "balanced")].throughput / base_thr
+    return ComparisonTable(cells=tuple(cells), headline_ratio=headline, packings=packed)

@@ -117,3 +117,97 @@ def onef1b_longest_path(
         return start + dur
 
     return max(finish(node) for node in preds)
+
+
+def pack_ffd_reference(samples: Sequence, capacity: int) -> list[list[tuple[int, int]]]:
+    """First-fit decreasing by a linear scan of every open bin for each
+    sample: O(n * bins). Returns each bin's ``(sample_id, length)`` pairs in
+    placement order. ``samples`` need ``id`` and ``length`` attributes."""
+    order = sorted(samples, key=lambda s: (-s.length, s.id))
+    bins: list[list[tuple[int, int]]] = []
+    remaining: list[int] = []
+    for s in order:
+        for i, room in enumerate(remaining):
+            if s.length <= room:
+                bins[i].append((s.id, s.length))
+                remaining[i] -= s.length
+                break
+        else:
+            bins.append([(s.id, s.length)])
+            remaining.append(capacity - s.length)
+    return bins
+
+
+def simulate_1f1b_reference(
+    stage_cost: Sequence[float],
+    tokens: Sequence[int],
+    backward_ratio: float = 2.0,
+    comm_latency: float = 0.0,
+) -> tuple[list[list[tuple[str, int, float, float]]], tuple[float, ...], float]:
+    """Non-interleaved 1F1B by repeated sweeps over the stages, with every
+    finish time in a dict keyed by ``(kind, stage, microbatch)``.
+
+    Returns each stage's ``(kind, microbatch, start, end)`` events in
+    execution order, each stage's busy time (the in-order sum of
+    ``end - start``) and the makespan.
+    """
+    pp = len(stage_cost)
+    m = len(tokens)
+    fwd = [[stage_cost[s] * t for t in tokens] for s in range(pp)]
+    bwd = [[backward_ratio * c for c in row] for row in fwd]
+
+    def stage_sequence(s: int) -> list[tuple[str, int]]:
+        warmup = min(m, pp - s)
+        seq = [("F", i) for i in range(warmup)]
+        nf, nb = warmup, 0
+        while nb < m:
+            seq.append(("B", nb))
+            nb += 1
+            if nf < m:
+                seq.append(("F", nf))
+                nf += 1
+        return seq
+
+    orders = [stage_sequence(s) for s in range(pp)]
+    pointer = [0] * pp
+    stage_free = [0.0] * pp
+    end_time: dict[tuple[str, int, int], float] = {}
+    timelines: list[list[tuple[str, int, float, float]]] = [[] for _ in range(pp)]
+
+    remaining = sum(len(o) for o in orders)
+    while remaining:
+        progressed = False
+        for s in range(pp):
+            while pointer[s] < len(orders[s]):
+                kind, i = orders[s][pointer[s]]
+                ready = stage_free[s]
+                if kind == "F":
+                    if s > 0:
+                        dep = end_time.get(("F", s - 1, i))
+                        if dep is None:
+                            break
+                        ready = max(ready, dep + comm_latency)
+                    duration = fwd[s][i]
+                else:
+                    dep_f = end_time.get(("F", s, i))
+                    if dep_f is None:
+                        break
+                    ready = max(ready, dep_f)
+                    if s < pp - 1:
+                        dep_b = end_time.get(("B", s + 1, i))
+                        if dep_b is None:
+                            break
+                        ready = max(ready, dep_b + comm_latency)
+                    duration = bwd[s][i]
+                finish = ready + duration
+                end_time[(kind, s, i)] = finish
+                stage_free[s] = finish
+                timelines[s].append((kind, i, ready, finish))
+                pointer[s] += 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            raise RuntimeError("1F1B schedule deadlocked")
+
+    busy = tuple(sum(end - start for _, _, start, end in tl) for tl in timelines)
+    return timelines, busy, max(end_time.values())

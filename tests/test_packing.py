@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnisched.errors import OversizeSampleError
-from omnisched.packing import pack_ffd, pack_padded, pack_stream, padding_baseline
+from omnisched.errors import InvalidSpecError, OversizeSampleError
+from omnisched.packing import PackEntry, PackedBatch, pack_ffd, pack_padded, pack_stream, padding_baseline
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
-from oracles import min_bins_exhaustive
+from oracles import min_bins_exhaustive, pack_ffd_reference
 
 
 def trace_of(lengths):
@@ -44,6 +44,71 @@ class TestFfd:
         batches, _ = pack_ffd(trace_of([4, 4, 4]), capacity=8)
         ids = [[e.sample_id for e in b.entries] for b in batches]
         assert ids == [[0, 1], [2]]
+
+
+@st.composite
+def ffd_cases(draw):
+    capacity = draw(st.integers(min_value=1, max_value=64))
+    # a small pool of lengths gives many ties; capacity itself is always a candidate
+    pool = draw(st.lists(st.integers(min_value=1, max_value=capacity), min_size=1, max_size=4))
+    lengths = draw(st.lists(st.sampled_from(pool + [capacity]), min_size=0, max_size=80))
+    return lengths, capacity
+
+
+@given(ffd_cases())
+@settings(max_examples=300)
+def test_ffd_matches_linear_scan_reference(case):
+    # the max-tree first fit must reproduce the O(n * bins) scan batch for batch
+    lengths, capacity = case
+    trace = trace_of(lengths)
+    batches, report = pack_ffd(trace, capacity)
+    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
+        trace.samples, capacity
+    )
+    for b in batches:
+        assert [e.offset for e in b.entries] == [sum(e.length for e in b.entries[:k]) for k in range(len(b.entries))]
+        assert b.capacity == capacity and not b.padded
+    assert report.batch_count == len(batches)
+
+
+@pytest.mark.parametrize(
+    "lengths, capacity",
+    [([], 8), ([5], 8), ([8], 8), ([8] * 5, 8), ([3] * 11, 8), ([1] * 64, 1), ([8, 1, 7, 2, 6, 3, 5, 4] * 3, 8)],
+)
+def test_ffd_matches_linear_scan_reference_edges(lengths, capacity):
+    trace = trace_of(lengths)
+    batches, _ = pack_ffd(trace, capacity)
+    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
+        trace.samples, capacity
+    )
+
+
+def test_ffd_matches_linear_scan_reference_large():
+    rng = np.random.default_rng(2024)
+    lengths = rng.integers(1, 4097, size=3000).tolist()
+    trace = trace_of(lengths)
+    batches, _ = pack_ffd(trace, 4096)
+    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
+        trace.samples, 4096
+    )
+
+
+class TestValidate:
+    def test_overfull_batch_raises_typed_error(self):
+        batch = PackedBatch(capacity=4, entries=(PackEntry(0, 0, 3), PackEntry(1, 3, 2)))
+        with pytest.raises(InvalidSpecError, match="overfull"):
+            batch.validate()
+
+    def test_gap_between_entries_raises_typed_error(self):
+        batch = PackedBatch(capacity=8, entries=(PackEntry(0, 0, 3), PackEntry(1, 4, 2)))
+        with pytest.raises(InvalidSpecError, match="prefix sums") as exc:
+            batch.validate()
+        assert exc.value.context["sample_id"] == 1
+
+    def test_empty_entry_raises_typed_error(self):
+        batch = PackedBatch(capacity=8, entries=(PackEntry(0, 0, 0),))
+        with pytest.raises(InvalidSpecError, match="non-empty"):
+            batch.validate()
 
 
 class TestStream:

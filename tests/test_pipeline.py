@@ -1,20 +1,25 @@
+import dataclasses
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omnisched import pipeline
 from omnisched.errors import EmptyMicrobatchError, InvalidSpecError
 from omnisched.packing import pack_ffd, pack_padded
 from omnisched.pipeline import (
     MicroBatch,
     bubble_fraction_analytic,
     compare_configs,
-    estimate_throughput,
     microbatches_from_batches,
     simulate_1f1b,
 )
 from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan, PlanUnit
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
-from oracles import onef1b_longest_path
+from oracles import onef1b_longest_path, simulate_1f1b_reference
 
 
 def plan_with_costs(costs, dp=1, tp=1):
@@ -121,6 +126,66 @@ class TestSimulate1f1b:
         assert with_comm.makespan > without.makespan
 
 
+def assert_matches_reference(costs, tokens, beta, comm):
+    mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
+    plan = plan_with_costs(costs)
+    result = simulate_1f1b(plan, mbs, backward_ratio=beta, comm_latency=comm)
+    timelines, busy, makespan = simulate_1f1b_reference(plan.stage_cost, tokens, beta, comm)
+    # exact float equality of every event, not approx
+    got = [[(ev.kind, ev.microbatch, ev.start, ev.end) for ev in tl] for tl in result.stage_timelines]
+    assert got == timelines
+    assert result.stage_busy == busy
+    assert result.makespan == makespan
+
+
+class TestMatchesDictReference:
+    @given(
+        costs=st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=9),
+        tokens=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=40),
+        beta=st.floats(min_value=0.1, max_value=4.0),
+        comm=st.sampled_from([0.0, 0.1, 0.3, 1.7]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_schedules(self, costs, tokens, beta, comm):
+        assert_matches_reference(costs, tokens, beta, comm)
+
+    @pytest.mark.parametrize("pp, m", [(1, 1), (1, 7), (5, 1), (5, 4), (4, 300), (16, 40)])
+    def test_shapes(self, pp, m):
+        rng = np.random.default_rng(pp * 1000 + m)
+        costs = rng.uniform(0.05, 3.0, size=pp).tolist()
+        tokens = rng.integers(1, 4097, size=m).tolist()
+        assert_matches_reference(costs, tokens, 1.37, 0.25)
+
+
+class TestScheduleResult:
+    def test_equality_covers_op_times(self):
+        result = simulate_1f1b(plan_with_costs([1.0, 2.0]), unit_microbatches(3))
+        starts = list(result.op_starts)
+        starts[1] = array("d", [t + 0.5 for t in starts[1]])
+        shifted = dataclasses.replace(result, op_starts=tuple(starts))
+        assert shifted.makespan == result.makespan
+        assert shifted != result
+
+    def test_timeline_rows_cover_makespan(self):
+        result = simulate_1f1b(plan_with_costs([1.0, 3.0, 2.0]), unit_microbatches(4), comm_latency=0.2)
+        rows = result.timeline_rows()
+        for s in range(3):
+            stage_rows = [r for r in rows if r[0] == s]
+            assert stage_rows[0][2] == 0.0
+            assert stage_rows[-1][3] == result.makespan
+            assert all(a[3] == b[2] for a, b in zip(stage_rows, stage_rows[1:]))
+            assert sum(r[1] != "idle" for r in stage_rows) == 8
+
+    def test_inconsistent_op_order_raises_typed_deadlock(self, monkeypatch):
+        # every stage runs its backwards first, so no op can ever start
+        def backwards_first(pp, stage, m):
+            return [~i for i in range(m)] + list(range(m))
+
+        monkeypatch.setattr(pipeline, "stage_op_order", backwards_first)
+        with pytest.raises(InvalidSpecError, match="deadlock"):
+            simulate_1f1b(plan_with_costs([1.0, 1.0]), unit_microbatches(2))
+
+
 class TestAnalyticBubble:
     def test_values(self):
         assert bubble_fraction_analytic(4, 8) == pytest.approx(3 / 11)
@@ -137,8 +202,9 @@ class TestThroughput:
         result = simulate_1f1b(plan_with_costs([1.0]), [MicroBatch(0, 50, 50)])
         # makespan = 50 * (1 + 2)
         assert result.makespan == 150.0
-        assert estimate_throughput(result, 1000, dp=1) == pytest.approx(1000 / 150)
-        assert estimate_throughput(result, 1000, dp=4) == pytest.approx(4000 / 150)
+        assert result.throughput == pytest.approx(50 / 150)
+        wide = simulate_1f1b(plan_with_costs([1.0], dp=4), [MicroBatch(0, 50, 50)])
+        assert wide.throughput == pytest.approx(4 * 50 / 150)
 
     def test_padding_halves_throughput_at_equal_makespan(self):
         plan = plan_with_costs([1.0, 1.0])
@@ -147,9 +213,7 @@ class TestThroughput:
         r_padded = simulate_1f1b(plan, padded)
         r_full = simulate_1f1b(plan, full)
         assert r_padded.makespan == r_full.makespan
-        assert estimate_throughput(r_padded, 20, 1) == pytest.approx(
-            estimate_throughput(r_full, 40, 1) / 2
-        )
+        assert r_padded.throughput == pytest.approx(r_full.throughput / 2)
 
 
 def small_trace(seed, n=40, max_len=32):
