@@ -214,6 +214,12 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
     trace = config.load_workload()
     out = _prepare_out(config, out_dir)
 
+    pack_rows = []
+    for name in config.packing_policies:
+        _, report = pack(trace, config.capacity, name)
+        pack_rows.append(report.to_dict())
+    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, pack_rows)
+
     table = compare_configs(
         trace,
         config.capacity,
@@ -225,14 +231,12 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         config.backward_ratio,
         config.comm_latency,
     )
-    pack_rows = [table.packings[name][1].to_dict() for name in config.packing_policies]
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, pack_rows)
     _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
 
     mem = config.memsim
     baseline_events = memsim_mod.events_from_samples(trace, mem.bytes_per_token, mem.round_to)
     baseline_frag = memsim_mod.simulate_allocator(baseline_events, mem.allocator)
-    ffd_batches, _ = table.packings.get("ffd") or pack(trace, config.capacity, "ffd")
+    ffd_batches, _ = pack(trace, config.capacity, "ffd")
     packed_events = memsim_mod.events_from_batches(ffd_batches, mem.bytes_per_token)
     packed_frag = memsim_mod.simulate_allocator(packed_events, mem.allocator)
     mem_rows = [

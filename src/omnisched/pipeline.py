@@ -298,7 +298,6 @@ COMPARISON_CSV_FIELDS = [
 class ComparisonTable:
     cells: tuple[CompareCell, ...]
     headline_ratio: dict[str, float]  # layout label -> (ffd, balanced) ratio
-    packings: dict[str, tuple[list[PackedBatch], PackingReport]]  # policy -> pack() result
 
     def rows(self) -> list[dict]:
         return [c.to_row() for c in self.cells]
@@ -368,4 +367,4 @@ def compare_configs(
                 )
         if "ffd" in packing_policies and "balanced" in plan_policies:
             headline[layout.label()] = results[("ffd", "balanced")].throughput / base_thr
-    return ComparisonTable(cells=tuple(cells), headline_ratio=headline, packings=packed)
+    return ComparisonTable(cells=tuple(cells), headline_ratio=headline)

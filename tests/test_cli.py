@@ -189,15 +189,3 @@ def test_reproduce_smoke(tmp_path):
     assert (out / "packing.csv").exists()
     assert (out / "memsim.csv").exists()
 
-
-def test_reproduce_packs_each_policy_once(tmp_path, monkeypatch):
-    # packing.csv, the comparison and the FFD memsim rows share one packing per policy
-    from omnisched import packing
-
-    calls = []
-    for name, fn in list(packing.POLICIES.items()):
-        monkeypatch.setitem(
-            packing.POLICIES, name, lambda trace, capacity, fn=fn, name=name: calls.append(name) or fn(trace, capacity)
-        )
-    assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
-    assert sorted(calls) == ["ffd", "padded"]

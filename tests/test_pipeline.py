@@ -271,6 +271,27 @@ class TestCompareConfigs:
             rows[dp] = table.cells[0].throughput
         assert rows[4] == pytest.approx(4 * rows[1])
 
+    def test_packs_each_policy_once_across_layouts(self, monkeypatch):
+        from omnisched import packing
+
+        packed, converted = [], []
+        for name, fn in list(packing.POLICIES.items()):
+            monkeypatch.setitem(
+                packing.POLICIES, name,
+                lambda trace, capacity, fn=fn, name=name: packed.append(name) or fn(trace, capacity),
+            )
+        to_mbs = pipeline.microbatches_from_batches
+        monkeypatch.setattr(
+            pipeline, "microbatches_from_batches", lambda batches: converted.append(1) or to_mbs(batches)
+        )
+        encoders, llm = cost_model()
+        compare_configs(
+            small_trace(1), 32, encoders, llm,
+            [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1), ParallelLayout(2, 2, 1)],
+            packing_policies=("padded", "ffd"), plan_policies=("naive", "balanced"),
+        )
+        assert sorted(packed) == ["ffd", "padded"] and len(converted) == 2
+
 
 def test_microbatches_from_batches_padded_cost():
     trace = WorkloadTrace(
