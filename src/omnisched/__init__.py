@@ -17,7 +17,6 @@ from .memsim import (
 from .moe import (
     GaussianLogitSource,
     LoadReport,
-    ModalityRouterBank,
     MoEParamSpec,
     RouterConfig,
     RouterState,
@@ -35,7 +34,6 @@ from .packing import (
     pack_ffd,
     pack_padded,
     pack_stream,
-    padding_baseline,
 )
 from .pipeline import (
     ComparisonTable,
@@ -80,7 +78,6 @@ __all__ = [
     "LogNormalLength",
     "MicroBatch",
     "Modality",
-    "ModalityRouterBank",
     "ModalitySample",
     "MoEParamSpec",
     "OmniSchedError",
@@ -110,7 +107,6 @@ __all__ = [
     "pack_ffd",
     "pack_padded",
     "pack_stream",
-    "padding_baseline",
     "plan_balanced_stages",
     "plan_imbalance",
     "route_topk",

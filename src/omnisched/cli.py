@@ -30,12 +30,9 @@ from .config import (
 )
 from .errors import ConfigError, OmniSchedError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
-from .pipeline import (
-    COMPARISON_CSV_FIELDS,
-    compare_configs,
-)
+from .pipeline import COMPARISON_CSV_FIELDS, ComparisonTable, compare_configs
 from .sharding import naive_plan, plan_balanced_stages, plan_imbalance
-from .workload import trace_stats
+from .workload import WorkloadTrace, trace_stats
 
 
 class _UsageError(Exception):
@@ -70,15 +67,60 @@ def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
     return out
 
 
+def _need_cost_model(config: ExperimentConfig, command: str) -> None:
+    if not config.encoders or not config.llm_layer_costs:
+        raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
+
+
+def _pack_rows(
+    out: Path, config: ExperimentConfig, trace: WorkloadTrace, policies: Sequence[str]
+) -> list[dict]:
+    """Pack with each policy and write one ``packing.csv`` report row per policy."""
+    rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
+    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, rows)
+    return rows
+
+
+def _comparison(out: Path, config: ExperimentConfig, trace: WorkloadTrace) -> ComparisonTable:
+    """Run every (layout, packing, plan) cell and write ``comparison.csv``."""
+    table = compare_configs(
+        trace,
+        config.capacity,
+        config.encoders,
+        config.llm_layer_costs,
+        config.layouts,
+        config.packing_policies,
+        config.plan_policies,
+        config.backward_ratio,
+        config.comm_latency,
+    )
+    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
+    return table
+
+
+def _mem_rows(out: Path, config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
+    """Allocator reports for per-sample buffers vs FFD-packed batches, written
+    to ``memsim.csv``."""
+    mem = config.memsim
+    per_sample = memsim_mod.simulate_allocator(
+        memsim_mod.events_from_samples(trace, mem.bytes_per_token, mem.round_to), mem.allocator
+    )
+    batches, _ = pack(trace, config.capacity, "ffd")
+    packed = memsim_mod.simulate_allocator(
+        memsim_mod.events_from_batches(batches, mem.bytes_per_token), mem.allocator
+    )
+    rows = [
+        {"scenario": "per-sample", **per_sample.to_dict()},
+        {"scenario": "ffd-packed", **packed.to_dict()},
+    ]
+    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)
+    return rows
+
+
 def cmd_pack(config: ExperimentConfig, policy: str, out_override: Optional[str] = None) -> dict:
     trace = config.load_workload()
     out = _prepare_out(config, out_override)
-    names = list(POLICIES) if policy == "all" else [policy]
-    rows = []
-    for name in names:
-        _, report = pack(trace, config.capacity, name)
-        rows.append(report.to_dict())
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, rows)
+    rows = _pack_rows(out, config, trace, list(POLICIES) if policy == "all" else [policy])
     summary = {
         "command": "pack",
         "trace": trace_stats(trace).to_dict(),
@@ -90,8 +132,7 @@ def cmd_pack(config: ExperimentConfig, policy: str, out_override: Optional[str] 
 
 
 def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
-    if not config.encoders or not config.llm_layer_costs:
-        raise ConfigError("plan needs a cost model (encoders + llm_layer_costs)")
+    _need_cost_model(config, "plan")
     out = _prepare_out(config, out_override)
     plans = {}
     for layout in config.layouts:
@@ -117,22 +158,10 @@ def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> di
 
 
 def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
-    if not config.encoders or not config.llm_layer_costs:
-        raise ConfigError("simulate needs a cost model (encoders + llm_layer_costs)")
+    _need_cost_model(config, "simulate")
     trace = config.load_workload()
     out = _prepare_out(config, out_override)
-    table = compare_configs(
-        trace,
-        config.capacity,
-        config.encoders,
-        config.llm_layer_costs,
-        config.layouts,
-        config.packing_policies,
-        config.plan_policies,
-        config.backward_ratio,
-        config.comm_latency,
-    )
-    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
+    table = _comparison(out, config, trace)
     for cell in table.cells:
         name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
         rows = [
@@ -181,29 +210,9 @@ def cmd_route(config: ExperimentConfig, out_override: Optional[str] = None) -> d
 def cmd_mem(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
     trace = config.load_workload()
     out = _prepare_out(config, out_override)
-    scenario = config.memsim
-    rows = []
-    per_sample = memsim_mod.events_from_samples(
-        trace, scenario.bytes_per_token, scenario.round_to
-    )
-    rows.append(
-        {"scenario": "per-sample", **_frag_row(memsim_mod.simulate_allocator(per_sample, scenario.allocator))}
-    )
-    batches, _ = pack(trace, config.capacity, "ffd")
-    packed_events = memsim_mod.events_from_batches(batches, scenario.bytes_per_token)
-    rows.append(
-        {"scenario": "ffd-packed", **_frag_row(memsim_mod.simulate_allocator(packed_events, scenario.allocator))}
-    )
-    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)
-    summary = {"command": "mem", "rows": rows}
+    summary = {"command": "mem", "rows": _mem_rows(out, config, trace)}
     _write_json(out / "summary.json", summary)
     return summary
-
-
-def _frag_row(report: memsim_mod.FragReport) -> dict:
-    doc = report.to_dict()
-    doc.pop("final_live")
-    return doc
 
 
 def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = None) -> dict:
@@ -211,39 +220,23 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
     baseline-vs-optimized contrast."""
     doc = load_config_file(scenario_path) if scenario_path else reproduce_scenario_doc()
     config = build_config(doc)
+    missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
+    missing += [p for p in ("naive", "balanced") if p not in config.plan_policies]
+    if missing:
+        raise ConfigError(
+            "reproduce contrasts (padded, naive) with (ffd, balanced); "
+            f"the scenario's policies lack {missing}",
+            missing=missing,
+        )
+    _need_cost_model(config, "reproduce")
     trace = config.load_workload()
     out = _prepare_out(config, out_dir)
 
-    pack_rows = []
-    for name in config.packing_policies:
-        _, report = pack(trace, config.capacity, name)
-        pack_rows.append(report.to_dict())
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, pack_rows)
-
-    table = compare_configs(
-        trace,
-        config.capacity,
-        config.encoders,
-        config.llm_layer_costs,
-        config.layouts,
-        config.packing_policies,
-        config.plan_policies,
-        config.backward_ratio,
-        config.comm_latency,
+    pack_rows = _pack_rows(out, config, trace, config.packing_policies)
+    table = _comparison(out, config, trace)
+    per_sample, packed = (
+        {k: v for k, v in row.items() if k != "scenario"} for row in _mem_rows(out, config, trace)
     )
-    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
-
-    mem = config.memsim
-    baseline_events = memsim_mod.events_from_samples(trace, mem.bytes_per_token, mem.round_to)
-    baseline_frag = memsim_mod.simulate_allocator(baseline_events, mem.allocator)
-    ffd_batches, _ = pack(trace, config.capacity, "ffd")
-    packed_events = memsim_mod.events_from_batches(ffd_batches, mem.bytes_per_token)
-    packed_frag = memsim_mod.simulate_allocator(packed_events, mem.allocator)
-    mem_rows = [
-        {"scenario": "per-sample", **_frag_row(baseline_frag)},
-        {"scenario": "ffd-packed", **_frag_row(packed_frag)},
-    ]
-    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows)
 
     layouts = {}
     for layout in config.layouts:
@@ -251,9 +244,9 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         base = table.cell(label, "padded", "naive")
         best = table.cell(label, "ffd", "balanced")
         layouts[label] = {
-            "throughput_baseline": base.throughput,
-            "throughput_optimized": best.throughput,
-            "throughput_ratio": best.throughput / base.throughput,
+            "throughput_baseline": base.result.throughput,
+            "throughput_optimized": best.result.throughput,
+            "throughput_ratio": best.result.throughput / base.result.throughput,
             "bubble_fraction_baseline": base.result.bubble_fraction,
             "bubble_fraction_optimized": best.result.bubble_fraction,
             "idle_fraction_baseline": base.result.idle_fraction,
@@ -271,10 +264,7 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         "packing": {row["policy"]: row for row in pack_rows},
         "layouts": layouts,
         "throughput_ratio_min": min(v["throughput_ratio"] for v in layouts.values()),
-        "fragmentation": {
-            "per_sample_baseline": _frag_row(baseline_frag),
-            "ffd_packed": _frag_row(packed_frag),
-        },
+        "fragmentation": {"per_sample_baseline": per_sample, "ffd_packed": packed},
     }
     _write_json(out / "summary.json", summary)
     return summary

@@ -8,7 +8,7 @@ as ``config.resolved`` so runs are reproducible from their outputs alone.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -16,8 +16,9 @@ from typing import Any, Optional, Union
 import yaml
 
 from .errors import ConfigError
+from .memsim import ALLOCATOR_POLICIES
 from .moe import RouterConfig
-from .sharding import EncoderSpec, ParallelLayout, parse_cost_model
+from .sharding import EncoderSpec, ParallelLayout, load_cost_model, parse_cost_model
 from .workload import (
     LogNormalLength,
     Modality,
@@ -65,7 +66,6 @@ class ExperimentConfig:
     routing: RoutingScenario
     memsim: MemsimScenario
     output_dir: Path
-    raw: dict = field(default_factory=dict, repr=False)
 
     def load_workload(self) -> WorkloadTrace:
         if self.trace_path is not None:
@@ -224,14 +224,8 @@ def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
         elif "synthetic" in trace_doc:
             synthetic = parse_synthetic_spec(trace_doc["synthetic"], seed)
 
-    cost_doc = doc.get("cost_model")
-    if "cost_model" in overrides:
-        from .sharding import load_cost_model
-
-        encoders, layers = load_cost_model(overrides["cost_model"])
-    elif isinstance(cost_doc, str):
-        from .sharding import load_cost_model
-
+    cost_doc = pick("cost_model")
+    if isinstance(cost_doc, str):
         encoders, layers = load_cost_model(cost_doc)
     elif isinstance(cost_doc, dict):
         encoders, layers = parse_cost_model(cost_doc)
@@ -287,6 +281,10 @@ def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
         round_to=int(mem_doc.get("round_to", 64)),
         allocator=str(mem_doc.get("allocator", "exact_reuse_cache")),
     )
+    if memsim.allocator not in ALLOCATOR_POLICIES:
+        raise ConfigError(
+            f"memsim.allocator must be one of {list(ALLOCATOR_POLICIES)}, got {memsim.allocator!r}"
+        )
 
     return ExperimentConfig(
         name=str(pick("name", "experiment")),
@@ -304,7 +302,6 @@ def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
         routing=routing,
         memsim=memsim,
         output_dir=Path(pick("output_dir", "runs/out")),
-        raw=doc,
     )
 
 

@@ -52,6 +52,7 @@ class FragReport:
     final_live: int
 
     def to_dict(self) -> dict:
+        """The reported statistics; ``final_live`` is a stream check, not one of them."""
         return {
             "policy": self.policy,
             "peak_reserved": self.peak_reserved,
@@ -59,7 +60,6 @@ class FragReport:
             "fragmentation_ratio": self.fragmentation_ratio,
             "reuse_hits": self.reuse_hits,
             "new_blocks": self.new_blocks,
-            "final_live": self.final_live,
         }
 
 

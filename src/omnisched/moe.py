@@ -1,9 +1,12 @@
-"""Sparse-MoE token routing with per-modality routers and hybrid balancing.
+"""Sparse-MoE token routing with hybrid balancing.
 
-Routing is top-k over bias-adjusted scores, but combination weights are the
-softmax of the original router logits restricted to the selected experts:
-the balancing bias steers *which* experts fire, never how their outputs are
-mixed. Balancing combines two mechanisms:
+Routing is top-k over bias-adjusted scores, ties to the lowest expert index,
+but combination weights are the softmax of the original router logits
+restricted to the selected experts: the balancing bias steers *which*
+experts fire, never how their outputs are mixed (Wang et al., "Auxiliary-
+Loss-Free Load Balancing Strategy for Mixture-of-Experts", arXiv 2408.15664).
+``route_topk`` (one token) and ``route_batch`` (a token batch) share one
+selection routine. Balancing combines two mechanisms:
 
 * an auxiliary load-balancing loss ``alpha * E * sum_i f_i * pbar_i``
   reported as a scalar diagnostic each step, minimized (= alpha) exactly
@@ -11,9 +14,6 @@ mixed. Balancing combines two mechanisms:
 * a per-router bias update ``b_i += u * sign(1/E - f_i)`` that nudges
   selection away from overloaded experts. This is the active controller in
   the simulation; no gradient descent is modeled.
-
-Each modality owns an independent router state; routing one modality's
-tokens never touches another router.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidSpecError, RoutingError
-from .workload import Modality
 
 
 @dataclass(frozen=True)
@@ -49,20 +48,17 @@ class RouterConfig:
 
 @dataclass(frozen=True)
 class RouterState:
-    """Per-modality balancing state: selection bias plus cumulative loads."""
+    """Router balancing state: selection bias plus cumulative loads."""
 
-    modality: Modality
     bias: np.ndarray
     load_counts: np.ndarray
     step: int = 0
 
     @classmethod
-    def fresh(cls, modality: Modality, num_experts: int) -> "RouterState":
+    def fresh(cls, num_experts: int) -> "RouterState":
         return cls(
-            modality=modality,
             bias=np.zeros(num_experts, dtype=float),
             load_counts=np.zeros(num_experts, dtype=np.int64),
-            step=0,
         )
 
     @property
@@ -78,6 +74,24 @@ class LoadReport:
     bias: np.ndarray  # bias in effect when this step was routed
     cov: float  # coefficient of variation of f
     aux: float
+
+
+def _topk_mask(adjusted: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k largest scores, ties to the lowest index.
+
+    Marks every score ``>=`` the row's k-th largest; only rows where ties at
+    that score mark more than k are re-selected by a stable sort.
+    """
+    num_experts = adjusted.shape[1]
+    kth = np.partition(adjusted, num_experts - k, axis=1)[:, num_experts - k, None]
+    mask = adjusted >= kth
+    over = np.flatnonzero(mask.sum(axis=1) > k)
+    if over.size:
+        top = np.argsort(-adjusted[over], axis=1, kind="stable")[:, :k]
+        fixed = np.zeros((over.size, num_experts), dtype=bool)
+        fixed[np.arange(over.size)[:, None], top] = True
+        mask[over] = fixed
+    return mask
 
 
 def route_topk(
@@ -106,8 +120,8 @@ def route_topk(
         raise RoutingError(f"k must satisfy 1 <= k < E, got k={k}, E={E}")
 
     adjusted = logits + bias
-    order = np.argsort(-adjusted, kind="stable")  # stable: ties keep lowest index first
-    selected = order[:k]
+    selected = np.flatnonzero(_topk_mask(adjusted[None, :], k)[0])
+    selected = selected[np.argsort(-adjusted[selected], kind="stable")]
     chosen = logits[selected]
     exp = np.exp(chosen - chosen.max())
     weights = exp / exp.sum()
@@ -181,13 +195,11 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def route_batch(state: RouterState, logits: np.ndarray, k: int) -> tuple[np.ndarray, RouterState]:
-    """Route a (tokens, E) logit batch with the state's bias; returns the
-    per-expert selection counts and the state with loads accumulated."""
+    """Route a (tokens, E) logit batch, each token as ``route_topk`` would;
+    returns the per-expert selection counts and the state with loads added."""
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
         raise RoutingError(f"logit batch must be (tokens, {state.num_experts})")
-    adjusted = logits + state.bias
-    top = np.argpartition(-adjusted, k - 1, axis=1)[:, :k]
-    counts = np.bincount(top.ravel(), minlength=state.num_experts).astype(np.int64)
+    counts = _topk_mask(logits + state.bias, k).sum(axis=0, dtype=np.int64)
     return counts, replace(state, load_counts=state.load_counts + counts)
 
 
@@ -200,7 +212,6 @@ def simulate_routing(
     source: GaussianLogitSource,
     tokens_per_step: int,
     steps: int,
-    modality: Modality = Modality.TEXT,
 ) -> list[LoadReport]:
     """Route ``tokens_per_step`` tokens per step, reporting loads and applying
     the bias update after each step. Deterministic for a given source seed."""
@@ -211,7 +222,7 @@ def simulate_routing(
     if steps < 1:
         raise InvalidSpecError("steps must be >= 1")
 
-    state = RouterState.fresh(modality, config.num_experts)
+    state = RouterState.fresh(config.num_experts)
     reports: list[LoadReport] = []
     for step in range(steps):
         logits = source.draw(tokens_per_step)
@@ -230,25 +241,6 @@ def simulate_routing(
         )
         state = bias_update(state, f, config.bias_step)
     return reports
-
-
-class ModalityRouterBank:
-    """Distinct router per modality over a shared expert pool; states are
-    fully isolated."""
-
-    def __init__(self, config: RouterConfig, modalities: Sequence[Modality] = tuple(Modality)):
-        self.config = config
-        self.states: dict[Modality, RouterState] = {
-            m: RouterState.fresh(m, config.num_experts) for m in modalities
-        }
-
-    def route(self, modality: Modality, logits: np.ndarray) -> np.ndarray:
-        counts, new_state = route_batch(self.states[modality], logits, self.config.top_k)
-        self.states[modality] = new_state
-        return counts
-
-    def update_bias(self, modality: Modality, f: np.ndarray) -> None:
-        self.states[modality] = bias_update(self.states[modality], f, self.config.bias_step)
 
 
 @dataclass(frozen=True)

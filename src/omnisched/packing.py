@@ -182,12 +182,6 @@ def pack_padded(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch],
     return batches, _report("padded", batches, capacity)
 
 
-def padding_baseline(trace: WorkloadTrace, capacity: int) -> PackingReport:
-    """Report for the no-packing baseline (one padded batch per sample)."""
-    _, report = pack_padded(trace, capacity)
-    return report
-
-
 PackFn = Callable[[WorkloadTrace, int], tuple[list[PackedBatch], PackingReport]]
 
 POLICIES: dict[str, PackFn] = {

@@ -126,16 +126,6 @@ class ScheduleResult:
                 append((s, "idle", cursor, self.makespan, ""))
         return rows
 
-    def summary_dict(self) -> dict:
-        return {
-            "makespan": self.makespan,
-            "ideal_time": self.ideal_time,
-            "bubble_fraction": self.bubble_fraction,
-            "idle_fraction": self.idle_fraction,
-            "throughput": self.throughput,
-            "total_useful_tokens": self.total_useful_tokens,
-        }
-
 
 def stage_op_order(pp: int, stage: int, m: int) -> list[int]:
     """The fixed 1F1B op sequence for one stage: warmup forwards, then
@@ -267,7 +257,6 @@ class CompareCell:
     packing_report: PackingReport
     plan: StagePlan
     result: ScheduleResult
-    throughput: float
     ratio_vs_baseline: float
 
     def to_row(self) -> dict:
@@ -282,7 +271,7 @@ class CompareCell:
             "makespan": self.result.makespan,
             "bubble_fraction": self.result.bubble_fraction,
             "idle_fraction": self.result.idle_fraction,
-            "throughput": self.throughput,
+            "throughput": self.result.throughput,
             "ratio_vs_baseline": self.ratio_vs_baseline,
         }
 
@@ -361,7 +350,6 @@ def compare_configs(
                         packing_report=packed[pname][1],
                         plan=plans[plname],
                         result=result,
-                        throughput=result.throughput,
                         ratio_vs_baseline=result.throughput / base_thr,
                     )
                 )

@@ -15,6 +15,7 @@ identical); it scales aggregate throughput downstream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -39,8 +40,10 @@ class EncoderSpec:
                 f"encoder {self.modality.value}: unit_costs and tp_divisible lengths differ"
             )
         for c in self.unit_costs:
-            if c <= 0:
-                raise InvalidSpecError(f"encoder {self.modality.value}: unit costs must be > 0")
+            if not 0 < c < math.inf:
+                raise InvalidSpecError(
+                    f"encoder {self.modality.value}: unit costs must be finite and > 0"
+                )
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float
         for i, (c, div) in enumerate(zip(enc.unit_costs, enc.tp_divisible)):
             units.append(PlanUnit("encoder", enc.modality, i, float(c), bool(div)))
     for i, c in enumerate(llm_layer_costs):
-        if c <= 0:
-            raise InvalidSpecError(f"llm layer {i}: cost must be > 0")
+        if not 0 < c < math.inf:
+            raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0")
         units.append(PlanUnit("llm", None, i, float(c), True))
     return units
 
@@ -266,4 +269,5 @@ def parse_cost_model(doc: dict) -> tuple[list[EncoderSpec], list[float]]:
     layers = [float(c) for c in doc["llm_layer_costs"]]
     if not layers:
         raise ConfigError("llm_layer_costs must not be empty")
+    build_units(encoders, layers)  # rejects bad layer costs before a run writes anything
     return encoders, layers

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,17 +48,11 @@ class ModalitySample:
     id: int
     modality: Modality
     length: int
-    cost_per_token: float = 1.0
 
     def __post_init__(self):
         if self.length < 1:
             raise InvalidSpecError(
                 f"sample {self.id}: length must be >= 1, got {self.length}",
-                sample_id=self.id,
-            )
-        if self.cost_per_token <= 0:
-            raise InvalidSpecError(
-                f"sample {self.id}: cost_per_token must be > 0",
                 sample_id=self.id,
             )
 
@@ -177,13 +171,12 @@ def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:
 
 
 _REQUIRED_FIELDS = {"id", "modality", "length"}
-_ALLOWED_FIELDS = _REQUIRED_FIELDS | {"cost_per_token"}
 
 
 def _parse_record(obj: dict, lineno: int) -> ModalitySample:
     if not isinstance(obj, dict):
         raise TraceParseError(f"line {lineno}: record must be an object", line=lineno)
-    unknown = set(obj) - _ALLOWED_FIELDS
+    unknown = set(obj) - _REQUIRED_FIELDS
     if unknown:
         raise TraceParseError(
             f"line {lineno}: unknown fields {sorted(unknown)}", line=lineno, fields=sorted(unknown)
@@ -203,10 +196,7 @@ def _parse_record(obj: dict, lineno: int) -> ModalitySample:
         ) from None
     if not isinstance(obj["length"], int) or isinstance(obj["length"], bool) or obj["length"] < 1:
         raise TraceParseError(f"line {lineno}: length must be a positive integer", line=lineno)
-    cost = obj.get("cost_per_token", 1.0)
-    if not isinstance(cost, (int, float)) or isinstance(cost, bool) or cost <= 0:
-        raise TraceParseError(f"line {lineno}: cost_per_token must be > 0", line=lineno)
-    return ModalitySample(id=obj["id"], modality=modality, length=obj["length"], cost_per_token=float(cost))
+    return ModalitySample(id=obj["id"], modality=modality, length=obj["length"])
 
 
 def load_trace(path: Union[str, Path]) -> WorkloadTrace:
@@ -248,12 +238,10 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
 
 
 def dump_trace(trace: WorkloadTrace) -> str:
-    """Canonical NDJSON serialization; default cost_per_token is omitted."""
+    """Canonical NDJSON serialization."""
     lines = []
     for s in trace.samples:
-        rec: dict = {"id": s.id, "modality": s.modality.value, "length": s.length}
-        if s.cost_per_token != 1.0:
-            rec["cost_per_token"] = s.cost_per_token
+        rec = {"id": s.id, "modality": s.modality.value, "length": s.length}
         lines.append(json.dumps(rec, separators=(", ", ": ")))
     return "\n".join(lines) + "\n"
 
@@ -315,13 +303,3 @@ def trace_stats(trace: WorkloadTrace) -> TraceStats:
         per_modality=per,
     )
 
-
-def concat_traces(traces: Iterable[WorkloadTrace], name: str = "concat") -> WorkloadTrace:
-    """Concatenate traces, reassigning ids sequentially to keep them unique."""
-    samples = []
-    next_id = 0
-    for t in traces:
-        for s in t.samples:
-            samples.append(ModalitySample(next_id, s.modality, s.length, s.cost_per_token))
-            next_id += 1
-    return WorkloadTrace(samples=tuple(samples), name=name)

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from omnisched.cli import main
+from omnisched.config import reproduce_scenario_doc
 from omnisched.workload import (
     Modality,
     ModalitySample,
@@ -189,3 +190,52 @@ def test_reproduce_smoke(tmp_path):
     assert (out / "packing.csv").exists()
     assert (out / "memsim.csv").exists()
 
+
+
+@pytest.mark.parametrize("key,policies", [
+    ("packing_policies", ["padded", "stream"]),
+    ("plan_policies", ["naive"]),
+])
+def test_reproduce_needs_both_contrast_cells(tmp_path, capsys, key, policies):
+    doc = reproduce_scenario_doc()
+    doc[key] = policies
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--scenario", str(scenario), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "invalid-config"
+    assert not out.exists()
+
+
+def test_unknown_allocator_in_config_writes_nothing(trace_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"memsim": {"allocator": "buddy"}}))
+    out = tmp_path / "out"
+    rc = main(["mem", "--config", str(cfg), "--trace", str(trace_file), "--capacity", "8",
+               "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "invalid-config"
+    assert not out.exists()
+
+
+def test_nan_cost_model_is_a_domain_error(cost_model_file, tmp_path, capsys):
+    doc = json.loads(cost_model_file.read_text())
+    doc["llm_layer_costs"][1] = float("nan")
+    cost_model_file.write_text(json.dumps(doc))  # writes the NaN literal
+    out = tmp_path / "out"
+    rc = main(["plan", "--cost-model", str(cost_model_file), "--layouts", "1x2x1",
+               "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "invalid-spec"
+    assert not out.exists()
+
+
+def test_trace_with_cost_per_token_is_rejected(tmp_path, capsys):
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text('{"id": 0, "modality": "text", "length": 5, "cost_per_token": 2.0}\n')
+    rc = main(["pack", "--trace", str(trace), "--capacity", "8", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["kind"] == "trace-parse"
+    assert err["context"]["fields"] == ["cost_per_token"]

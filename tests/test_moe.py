@@ -6,18 +6,17 @@ from hypothesis import strategies as st
 from omnisched.errors import InvalidSpecError, RoutingError
 from omnisched.moe import (
     GaussianLogitSource,
-    ModalityRouterBank,
     MoEParamSpec,
     RouterConfig,
     RouterState,
     aux_loss,
     bias_update,
     moe_param_counts,
+    route_batch,
     route_topk,
     search_param_grid,
     simulate_routing,
 )
-from omnisched.workload import Modality
 
 # dyadic rationals keep every addition exact, so a bias shift can neither
 # create nor absorb score ties the way raw floats can
@@ -117,25 +116,25 @@ class TestAuxLoss:
 
 class TestBiasUpdate:
     def test_sign_rule(self):
-        state = RouterState.fresh(Modality.TEXT, 2)
+        state = RouterState.fresh(2)
         new = bias_update(state, [0.75, 0.25], u=0.01)
         assert new.bias.tolist() == [-0.01, 0.01]
         assert new.step == 1
 
     def test_uniform_load_leaves_bias(self):
-        state = RouterState.fresh(Modality.TEXT, 4)
+        state = RouterState.fresh(4)
         new = bias_update(state, [0.25] * 4, u=0.01)
         assert new.bias.tolist() == [0.0] * 4
 
     def test_updates_accumulate(self):
-        state = RouterState.fresh(Modality.TEXT, 2)
+        state = RouterState.fresh(2)
         for _ in range(2):
             state = bias_update(state, [0.75, 0.25], u=0.01)
         assert state.bias.tolist() == pytest.approx([-0.02, 0.02])
 
     def test_dimension_mismatch(self):
         with pytest.raises(RoutingError):
-            bias_update(RouterState.fresh(Modality.TEXT, 4), [0.5, 0.5], u=0.01)
+            bias_update(RouterState.fresh(4), [0.5, 0.5], u=0.01)
 
 
 class TestSimulateRouting:
@@ -184,28 +183,52 @@ class TestSimulateRouting:
 
 def test_load_accounting():
     config = RouterConfig(num_experts=8, top_k=2)
-    bank = ModalityRouterBank(config)
+    state = RouterState.fresh(config.num_experts)
     rng = np.random.default_rng(0)
     tokens = 0
     for _ in range(5):
-        batch = rng.normal(size=(100, 8))
-        bank.route(Modality.TEXT, batch)
+        counts, state = route_batch(state, rng.normal(size=(100, 8)), config.top_k)
         tokens += 100
-        assert int(bank.states[Modality.TEXT].load_counts.sum()) == config.top_k * tokens
+        assert int(counts.sum()) == config.top_k * 100
+        assert int(state.load_counts.sum()) == config.top_k * tokens
 
 
-def test_modality_isolation():
-    config = RouterConfig(num_experts=4, top_k=1)
-    bank = ModalityRouterBank(config)
-    before = bank.states[Modality.AUDIO]
-    rng = np.random.default_rng(0)
-    bank.route(Modality.TEXT, rng.normal(size=(64, 4)))
-    bank.update_bias(Modality.TEXT, np.array([0.7, 0.1, 0.1, 0.1]))
-    after = bank.states[Modality.AUDIO]
-    assert after is before
-    assert np.all(after.bias == 0.0)
-    assert int(after.load_counts.sum()) == 0
-    assert bank.states[Modality.TEXT].step == 1
+class TestRouteBatchMatchesRouteTopk:
+    """``route_batch`` counts equal the summed one-token ``route_topk`` selections."""
+
+    @staticmethod
+    def summed_topk(logits, bias, k):
+        counts = np.zeros(logits.shape[1], dtype=np.int64)
+        for row in logits:
+            idx, _ = route_topk(row, bias, k)
+            counts[idx] += 1
+        return counts
+
+    @pytest.mark.parametrize("E,k", [(2, 1), (8, 2), (16, 5), (64, 8)])
+    def test_random_float_logits(self, E, k):
+        rng = np.random.default_rng(E * 100 + k)
+        logits = rng.normal(size=(300, E))
+        bias = rng.normal(scale=0.1, size=E)
+        counts, _ = route_batch(RouterState(bias, np.zeros(E, dtype=np.int64)), logits, k)
+        assert counts.tolist() == self.summed_topk(logits, bias, k).tolist()
+
+    @pytest.mark.parametrize("E,k", [(2, 1), (4, 2), (8, 3), (64, 8)])
+    def test_tied_integer_logits_go_to_lowest_index(self, E, k):
+        rng = np.random.default_rng(E * 100 + k)
+        logits = rng.integers(0, 3, size=(300, E)).astype(float)
+        bias = np.zeros(E)
+        counts, _ = route_batch(RouterState.fresh(E), logits, k)
+        assert counts.tolist() == self.summed_topk(logits, bias, k).tolist()
+        # lowest-index rule, spelled out: the k largest (score, -index) pairs
+        expected = np.zeros(E, dtype=np.int64)
+        for row in logits:
+            ranked = sorted(range(E), key=lambda i: (-row[i], i))
+            expected[ranked[:k]] += 1
+        assert counts.tolist() == expected.tolist()
+
+    def test_all_scores_tied(self):
+        counts, _ = route_batch(RouterState.fresh(6), np.ones((10, 6)), 2)
+        assert counts.tolist() == [10, 10, 0, 0, 0, 0]
 
 
 class TestParamCounts:

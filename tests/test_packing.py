@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnisched.errors import InvalidSpecError, OversizeSampleError
-from omnisched.packing import PackEntry, PackedBatch, pack_ffd, pack_padded, pack_stream, padding_baseline
+from omnisched.packing import PackEntry, PackedBatch, pack_ffd, pack_padded, pack_stream
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
 from oracles import min_bins_exhaustive, pack_ffd_reference
@@ -131,16 +131,16 @@ class TestStream:
 
 class TestPaddedBaseline:
     def test_reference_instance(self):
-        report = padding_baseline(trace_of([7, 5, 4, 3, 1]), capacity=8)
+        _, report = pack_padded(trace_of([7, 5, 4, 3, 1]), capacity=8)
         assert report.batch_count == 5
         assert report.fill_fraction == pytest.approx(0.5)
 
     def test_full_batches(self):
-        report = padding_baseline(trace_of([8, 8]), capacity=8)
+        _, report = pack_padded(trace_of([8, 8]), capacity=8)
         assert report.fill_fraction == 1.0
 
     def test_single_tiny_sample(self):
-        report = padding_baseline(trace_of([1]), capacity=8)
+        _, report = pack_padded(trace_of([1]), capacity=8)
         assert report.fill_fraction == pytest.approx(0.125)
 
     def test_batches_flagged_padded(self):

@@ -268,7 +268,7 @@ class TestCompareConfigs:
                 trace, 32, encoders, llm, [ParallelLayout(dp, 2, 1)],
                 packing_policies=("ffd",), plan_policies=("balanced",),
             )
-            rows[dp] = table.cells[0].throughput
+            rows[dp] = table.cells[0].result.throughput
         assert rows[4] == pytest.approx(4 * rows[1])
 
     def test_packs_each_policy_once_across_layouts(self, monkeypatch):

@@ -156,8 +156,17 @@ def test_encoder_validation():
         EncoderSpec(modality=Modality.TEXT, unit_costs=(), tp_divisible=())
     with pytest.raises(InvalidSpecError):
         EncoderSpec(modality=Modality.TEXT, unit_costs=(1.0,), tp_divisible=(True, False))
-    with pytest.raises(InvalidSpecError):
-        EncoderSpec(modality=Modality.TEXT, unit_costs=(0.0,), tp_divisible=(True,))
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpecError):
+            EncoderSpec(modality=Modality.TEXT, unit_costs=(bad,), tp_divisible=(True,))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_non_finite_layer_cost_rejected(bad):
+    # NaN passes a plain ``c <= 0`` check and would give a finite, wrong plan
+    for planner in (plan_balanced_stages, naive_plan):
+        with pytest.raises(InvalidSpecError):
+            planner([encoder([1.0])], [1.0, bad, 1.0], layout(pp=2))
 
 
 def test_cost_model_round_trip(tmp_path):

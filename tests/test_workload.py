@@ -15,7 +15,6 @@ from omnisched.workload import (
     SyntheticTraceSpec,
     UniformLength,
     WorkloadTrace,
-    concat_traces,
     dump_trace,
     generate_trace,
     load_trace,
@@ -34,15 +33,14 @@ class TestLoadTrace:
         p.write_text(
             '# comment\n'
             '{"id": 3, "modality": "text", "length": 10}\n'
-            '{"id": 1, "modality": "video", "length": 64, "cost_per_token": 2.5}\n'
+            '{"id": 1, "modality": "video", "length": 64}\n'
             '\n'
             '{"id": 2, "modality": "audio", "length": 7}\n'
         )
         trace = load_trace(p)
         assert [s.id for s in trace.samples] == [3, 1, 2]
         assert trace.samples[1].modality is Modality.VIDEO
-        assert trace.samples[1].cost_per_token == 2.5
-        assert trace.samples[0].cost_per_token == 1.0
+        assert [s.length for s in trace.samples] == [10, 64, 7]
 
     def test_duplicate_id_names_offender(self, tmp_path):
         p = tmp_path / "t.ndjson"
@@ -79,9 +77,12 @@ class TestLoadTrace:
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "t.ndjson"
-        p.write_text('{"id": 1, "modality": "text", "length": 5, "extra": 1}\n')
-        with pytest.raises(TraceParseError):
-            load_trace(p)
+        # cost_per_token is no field: no simulator read it
+        for field in ("extra", "cost_per_token"):
+            p.write_text(f'{{"id": 1, "modality": "text", "length": 5, "{field}": 1}}\n')
+            with pytest.raises(TraceParseError) as exc:
+                load_trace(p)
+            assert exc.value.context["fields"] == [field]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceNotFoundError):
@@ -197,7 +198,10 @@ class TestTraceStats:
             for _ in range(3)
         ]
         traces = [generate_trace(s) for s in specs]
-        combined = concat_traces(traces)
+        samples = [s for t in traces for s in t.samples]
+        combined = WorkloadTrace(
+            samples=tuple(ModalitySample(i, s.modality, s.length) for i, s in enumerate(samples))
+        )
         assert trace_stats(combined).total_tokens == sum(trace_stats(t).total_tokens for t in traces)
         assert trace_stats(combined).total_samples == sum(len(t) for t in traces)
 
@@ -205,7 +209,5 @@ class TestTraceStats:
 def test_sample_validation():
     with pytest.raises(InvalidSpecError):
         ModalitySample(0, Modality.TEXT, 0)
-    with pytest.raises(InvalidSpecError):
-        ModalitySample(0, Modality.TEXT, 5, cost_per_token=0.0)
     with pytest.raises(DuplicateIdError):
         WorkloadTrace(samples=(ModalitySample(1, Modality.TEXT, 5), ModalitySample(1, Modality.TEXT, 6)))
