@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,12 +51,19 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, fields: list[str], rows: list[dict]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
+def _write_csv(path: Path, fields: list[str], rows: list) -> None:
+    """Write a ``fields`` header, then ``rows``: tuples in ``fields`` order, or
+    dicts whose keys are exactly ``fields`` (anything else is a ``ValueError``)."""
+    if rows and isinstance(rows[0], dict):
+        keys = set(fields)
         for row in rows:
-            writer.writerow(row)
+            if row.keys() != keys:
+                raise ValueError(f"CSV row keys {sorted(row)} are not the fields {fields}")
+        rows = list(map(operator.itemgetter(*fields), rows))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
 
 
 def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
@@ -162,13 +170,10 @@ def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -
     trace = config.load_workload()
     out = _prepare_out(config, out_override)
     table = _comparison(out, config, trace)
+    fields = ["stage", "kind", "start", "end", "microbatch"]
     for cell in table.cells:
         name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
-        rows = [
-            {"stage": s, "kind": kind, "start": start, "end": end, "microbatch": mb}
-            for s, kind, start, end, mb in cell.result.timeline_rows()
-        ]
-        _write_csv(out / name, ["stage", "kind", "start", "end", "microbatch"], rows)
+        _write_csv(out / name, fields, cell.result.timeline_rows())
     summary = {
         "command": "simulate",
         "trace": trace_stats(trace).to_dict(),

@@ -18,6 +18,8 @@ import yaml
 from .errors import ConfigError
 from .memsim import ALLOCATOR_POLICIES
 from .moe import RouterConfig
+from .packing import POLICIES as PACKING_POLICIES
+from .pipeline import PLAN_POLICIES
 from .sharding import EncoderSpec, ParallelLayout, load_cost_model, parse_cost_model
 from .workload import (
     LogNormalLength,
@@ -194,6 +196,17 @@ def load_config_file(path: Union[str, Path]) -> dict:
     return doc
 
 
+def _capacity(raw: Any) -> int:
+    """``raw`` as a batch capacity, or ``ConfigError`` unless it is an integer >= 1."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = 0
+    if value < 1 or isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
+        raise ConfigError(f"capacity must be an integer >= 1, got {raw!r}", key="capacity")
+    return value
+
+
 def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Merge a config document with CLI overrides into an ExperimentConfig."""
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
@@ -245,6 +258,16 @@ def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
     plan_raw = pick("plan_policies", ["naive", "balanced"])
     if isinstance(plan_raw, str):
         plan_raw = [s for s in plan_raw.split(",") if s]
+    for key, names, known in (
+        ("packing_policies", packing_raw, PACKING_POLICIES),
+        ("plan_policies", plan_raw, PLAN_POLICIES),
+    ):
+        unknown = [str(n) for n in names if str(n) not in known]
+        if unknown:
+            raise ConfigError(
+                f"{key} must be drawn from {sorted(known)}, got unknown {unknown}", key=key
+            )
+    capacity = _capacity(pick("capacity", 4096))
 
     router_doc = dict(doc.get("router", {}))
     for key in ("num_experts", "top_k", "aux_coefficient", "bias_step", "tokens_per_step", "steps"):
@@ -291,7 +314,7 @@ def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfi
         seed=seed,
         trace_path=trace_path,
         synthetic=synthetic,
-        capacity=int(pick("capacity", 4096)),
+        capacity=capacity,
         backward_ratio=float(pick("backward_ratio", 2.0)),
         comm_latency=float(pick("comm_latency", 0.0)),
         encoders=tuple(encoders),

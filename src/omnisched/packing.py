@@ -43,8 +43,9 @@ class PackedBatch:
     def validate(self) -> None:
         """Raise ``InvalidSpecError`` unless the entries are non-empty, contiguous
         from offset 0, and fit the capacity."""
-        if self.used > self.capacity:
-            raise InvalidSpecError("batch overfull", used=self.used, capacity=self.capacity)
+        used = self.used
+        if used > self.capacity:
+            raise InvalidSpecError("batch overfull", used=used, capacity=self.capacity)
         offset = 0
         for e in self.entries:
             if e.offset != offset or e.length < 1:
@@ -101,7 +102,8 @@ def _build_batch(capacity: int, sample_pairs: list[tuple[int, int]], padded: boo
 
 
 def _report(policy: str, batches: list[PackedBatch], capacity: int) -> PackingReport:
-    total = sum(b.used for b in batches)
+    used = [b.used for b in batches]
+    total = sum(used)
     count = len(batches)
     fill = total / (count * capacity) if count else 0.0
     return PackingReport(
@@ -110,7 +112,7 @@ def _report(policy: str, batches: list[PackedBatch], capacity: int) -> PackingRe
         total_tokens=total,
         fill_fraction=fill,
         padding_tokens=count * capacity - total,
-        largest_batch_used=max((b.used for b in batches), default=0),
+        largest_batch_used=max(used, default=0),
     )
 
 

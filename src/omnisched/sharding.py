@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigError, InvalidSpecError, TooFewLayersError, TooFewUnitsError
 from .workload import Modality
 
@@ -153,7 +155,8 @@ def plan_balanced_stages(
 ) -> StagePlan:
     """Exact minimum-bottleneck contiguous partition into ``pp`` stages.
 
-    Dynamic program over suffixes, O(n^2 * pp); ties are broken by the
+    Dynamic program over suffixes, vectorized per stage count: O(n^2 * pp)
+    time and O(n^2) memory for ``n`` units. Ties are broken by the
     lexicographically smallest boundary vector.
     """
     units = build_units(encoders, llm_layer_costs)
@@ -172,22 +175,17 @@ def plan_balanced_stages(
     def seg(i: int, j: int) -> float:
         return prefix[j] - prefix[i]
 
-    # best[i][r]: minimal max stage cost partitioning units[i:] into r segments
-    INF = float("inf")
-    best = [[INF] * (pp + 1) for _ in range(n + 1)]
-    best[n][0] = 0.0
-    for r in range(1, pp + 1):
-        # at least r units must remain
-        for i in range(n - r, -1, -1):
-            if r == 1:
-                best[i][1] = seg(i, n)
-                continue
-            acc = INF
-            for j in range(i + 1, n - (r - 1) + 1):
-                cand = max(seg(i, j), best[j][r - 1])
-                if cand < acc:
-                    acc = cand
-            best[i][r] = acc
+    # segs[i, j] = seg(i, j) for j > i; inf where units[i:j] is empty
+    p = np.array(prefix)
+    segs = p[None, :] - p[:, None]
+    segs[np.tril_indices(n + 1)] = np.inf
+    # best[i, r]: minimal max stage cost partitioning units[i:] into r segments,
+    # inf where fewer than r units remain
+    best = np.full((n + 1, pp + 1), np.inf)
+    best[:n, 1] = segs[:n, n]
+    for r in range(2, pp + 1):
+        best[: n - r + 1, r] = np.maximum(segs[: n - r + 1], best[:, r - 1]).min(axis=1)
+    best = best.tolist()
 
     opt = best[0][pp]
     cuts: list[int] = []

@@ -64,6 +64,56 @@ def partition_optimum(costs: Sequence[float], pp: int) -> tuple[float, tuple[int
     return best_val, best_cuts
 
 
+def plan_balanced_stages_reference(
+    costs: Sequence[float], pp: int
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Minimum-bottleneck contiguous partition of per-unit ``costs`` into
+    ``pp`` stages by the suffix DP written as plain loops, O(n^2 * pp).
+
+    Returns the segment end indices (ties broken by the lexicographically
+    smallest boundary vector) and each stage's cost summed in unit order.
+    """
+    n = len(costs)
+    prefix = [0.0] * (n + 1)
+    for i, c in enumerate(costs):
+        prefix[i + 1] = prefix[i] + c
+
+    def seg(i: int, j: int) -> float:
+        return prefix[j] - prefix[i]
+
+    # best[i][r]: minimal max stage cost partitioning costs[i:] into r segments
+    INF = float("inf")
+    best = [[INF] * (pp + 1) for _ in range(n + 1)]
+    best[n][0] = 0.0
+    for r in range(1, pp + 1):
+        # at least r units must remain
+        for i in range(n - r, -1, -1):
+            if r == 1:
+                best[i][1] = seg(i, n)
+                continue
+            acc = INF
+            for j in range(i + 1, n - (r - 1) + 1):
+                cand = max(seg(i, j), best[j][r - 1])
+                if cand < acc:
+                    acc = cand
+            best[i][r] = acc
+
+    opt = best[0][pp]
+    cuts: list[int] = []
+    i = 0
+    for r in range(pp, 0, -1):
+        if r == 1:
+            cuts.append(n)
+            break
+        for j in range(i + 1, n - (r - 1) + 1):
+            if seg(i, j) <= opt and best[j][r - 1] <= opt:
+                cuts.append(j)
+                i = j
+                break
+    starts = [0, *cuts[:-1]]
+    return tuple(cuts), tuple(sum(costs[a:b]) for a, b in zip(starts, cuts))
+
+
 def onef1b_longest_path(
     pp: int,
     fwd: Sequence[Sequence[float]],

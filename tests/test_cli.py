@@ -3,6 +3,7 @@ import json
 import pytest
 import yaml
 
+from omnisched import cli
 from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
 from omnisched.workload import (
@@ -239,3 +240,69 @@ def test_trace_with_cost_per_token_is_rejected(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "trace-parse"
     assert err["context"]["fields"] == ["cost_per_token"]
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("pack", {"capacity": 0}),
+    ("pack", {"capacity": "abc"}),
+    ("simulate", {"capacity": 8, "packing_policies": ["padded", "bogus"]}),
+    ("simulate", {"capacity": 8, "plan_policies": ["naive", "bogus"]}),
+])
+def test_bad_config_values_write_nothing(command, doc, trace_file, cost_model_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--trace", str(trace_file), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--cost-model", str(cost_model_file), "--layouts", "1x2x1"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "invalid-config"
+    assert not out.exists()
+
+
+def dict_writer_bytes(path, fields, rows):
+    """What ``csv.DictWriter`` writes for ``rows`` given as dicts."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_csv_bytes_match_dict_writer(trace_file, cost_model_file, tmp_path, monkeypatch):
+    # comm_latency > 0 gives idle rows and non-integer times
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"comm_latency": 0.3, "backward_ratio": 1.7}))
+    captured = {}
+    write_csv = cli._write_csv
+
+    def spy(path, fields, rows):
+        captured[path.name] = (fields, list(rows))
+        write_csv(path, fields, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--trace", str(trace_file), "--capacity", "8",
+                 "--cost-model", str(cost_model_file), "--layouts", "1x4x1",
+                 "--out", str(out)]) == 0
+    assert main(["route", "--experts", "4", "--top-k", "2", "--tokens", "32", "--steps", "3",
+                 "--seed", "5", "--out", str(out)]) == 0
+
+    name = "timeline_1x4x1_ffd_balanced.csv"
+    fields, rows = captured[name]
+    assert any(kind == "idle" for _, kind, *_ in rows)
+    assert any(start != int(start) for _, _, start, _, _ in rows)
+    dicts = [dict(zip(fields, row)) for row in rows]
+    assert (out / name).read_bytes() == dict_writer_bytes(tmp_path / "ref.csv", fields, dicts)
+    fields, rows = captured["route.csv"]
+    assert (out / "route.csv").read_bytes() == dict_writer_bytes(tmp_path / "ref.csv", fields, rows)
+
+
+@pytest.mark.parametrize("row", [
+    {"a": 1},
+    {"a": 1, "b": 2, "c": 3},
+    {"a": 1, "c": 3},
+])
+def test_csv_dict_row_keys_must_match_fields(tmp_path, row):
+    with pytest.raises(ValueError):
+        cli._write_csv(tmp_path / "x.csv", ["a", "b"], [{"a": 0, "b": 0}, row])

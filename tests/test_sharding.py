@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnisched.errors import ConfigError, InvalidSpecError, TooFewLayersError, TooFewUnitsError
 from omnisched.sharding import (
@@ -16,7 +18,7 @@ from omnisched.sharding import (
 )
 from omnisched.workload import Modality
 
-from oracles import partition_optimum
+from oracles import partition_optimum, plan_balanced_stages_reference
 
 
 def encoder(costs, divisible=None, modality=Modality.TEXT):
@@ -77,6 +79,40 @@ class TestBalancedPlan:
         plan = plan_balanced_stages(encs, [1.0, 1.0, 1.0], layout(pp=3))
         labels = [u.label for stage in plan.stage_assignment for u in stage]
         assert labels == ["image.0", "image.1", "audio.0", "llm.0", "llm.1", "llm.2"]
+
+
+@st.composite
+def cost_models(draw):
+    """Encoders with mixed tp divisibility plus LLM layers, all costs either
+    arbitrary floats or small integers full of ties, and a tp degree."""
+    if draw(st.booleans()):
+        cost = st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False)
+    else:
+        cost = st.integers(min_value=1, max_value=3).map(float)
+    encs = []
+    for modality in draw(st.lists(st.sampled_from(list(Modality)), max_size=3)):
+        costs = draw(st.lists(cost, min_size=1, max_size=4))
+        divisible = draw(st.lists(st.booleans(), min_size=len(costs), max_size=len(costs)))
+        encs.append(encoder(costs, divisible, modality))
+    llm = draw(st.lists(cost, min_size=1, max_size=12))
+    return encs, llm, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost_models())
+def test_balanced_plan_matches_loop_reference(model):
+    # the vectorized DP must equal the plain-loop DP bit for bit, for every pp
+    encs, llm, tp = model
+    eff = [
+        c / tp if div else c
+        for e in encs
+        for c, div in zip(e.unit_costs, e.tp_divisible)
+    ] + [c / tp for c in llm]
+    for pp in range(1, len(eff) + 1):
+        plan = plan_balanced_stages(encs, llm, layout(pp=pp, tp=tp))
+        boundaries, stage_cost = plan_balanced_stages_reference(eff, pp)
+        assert plan.boundaries == boundaries
+        assert plan.stage_cost == stage_cost
 
 
 class TestNaivePlan:
