@@ -6,6 +6,7 @@ pipeline stage planning, 1F1B schedule simulation, sparse-MoE routing with
 hybrid load balancing, and allocator fragmentation modeling.
 """
 
+from .config import load_cost_model
 from .errors import OmniSchedError
 from .memsim import (
     AllocEvent,
@@ -48,7 +49,6 @@ from .sharding import (
     EncoderSpec,
     ParallelLayout,
     StagePlan,
-    load_cost_model,
     naive_plan,
     plan_balanced_stages,
     plan_imbalance,

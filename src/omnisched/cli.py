@@ -67,10 +67,12 @@ def _write_csv(path: Path, fields: list[str], rows: list) -> None:
 
 
 def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
+    """Create the run directory with its config.resolved. Commands call it once
+    they have computed everything, so a failed run leaves no directory behind."""
     out = Path(out_override) if out_override else config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("config.resolved").write_text(
-        yaml.safe_dump(config.resolved_dict(), sort_keys=True), encoding="utf-8"
+        yaml.safe_dump(config.resolved, sort_keys=True), encoding="utf-8"
     )
     return out
 
@@ -80,18 +82,9 @@ def _need_cost_model(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
 
 
-def _pack_rows(
-    out: Path, config: ExperimentConfig, trace: WorkloadTrace, policies: Sequence[str]
-) -> list[dict]:
-    """Pack with each policy and write one ``packing.csv`` report row per policy."""
-    rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, rows)
-    return rows
-
-
-def _comparison(out: Path, config: ExperimentConfig, trace: WorkloadTrace) -> ComparisonTable:
-    """Run every (layout, packing, plan) cell and write ``comparison.csv``."""
-    table = compare_configs(
+def _comparison(config: ExperimentConfig, trace: WorkloadTrace) -> ComparisonTable:
+    """Every (layout, packing, plan) cell of the config."""
+    return compare_configs(
         trace,
         config.capacity,
         config.encoders,
@@ -102,46 +95,44 @@ def _comparison(out: Path, config: ExperimentConfig, trace: WorkloadTrace) -> Co
         config.backward_ratio,
         config.comm_latency,
     )
-    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
-    return table
 
 
-def _mem_rows(out: Path, config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
-    """Allocator reports for per-sample buffers vs FFD-packed batches, written
-    to ``memsim.csv``."""
-    mem = config.memsim
+def _mem_rows(config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
+    """``memsim.csv`` rows: allocator reports for per-sample buffers vs
+    FFD-packed batches."""
+    mem = config.resolved["memsim"]
     per_sample = memsim_mod.simulate_allocator(
-        memsim_mod.events_from_samples(trace, mem.bytes_per_token, mem.round_to), mem.allocator
+        memsim_mod.events_from_samples(trace, mem["bytes_per_token"], mem["round_to"]),
+        mem["allocator"],
     )
     batches, _ = pack(trace, config.capacity, "ffd")
     packed = memsim_mod.simulate_allocator(
-        memsim_mod.events_from_batches(batches, mem.bytes_per_token), mem.allocator
+        memsim_mod.events_from_batches(batches, mem["bytes_per_token"]), mem["allocator"]
     )
-    rows = [
+    return [
         {"scenario": "per-sample", **per_sample.to_dict()},
         {"scenario": "ffd-packed", **packed.to_dict()},
     ]
-    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)
-    return rows
 
 
 def cmd_pack(config: ExperimentConfig, policy: str, out_override: Optional[str] = None) -> dict:
     trace = config.load_workload()
-    out = _prepare_out(config, out_override)
-    rows = _pack_rows(out, config, trace, list(POLICIES) if policy == "all" else [policy])
+    policies = list(POLICIES) if policy == "all" else [policy]
+    rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
     summary = {
         "command": "pack",
         "trace": trace_stats(trace).to_dict(),
         "capacity": config.capacity,
         "reports": rows,
     }
+    out = _prepare_out(config, out_override)
+    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, rows)
     _write_json(out / "summary.json", summary)
     return summary
 
 
 def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
     _need_cost_model(config, "plan")
-    out = _prepare_out(config, out_override)
     plans = {}
     for layout in config.layouts:
         balanced = plan_balanced_stages(config.encoders, config.llm_layer_costs, layout)
@@ -150,7 +141,6 @@ def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> di
             "balanced": balanced.to_dict(),
             "naive": naive.to_dict(),
         }
-    _write_json(out / "plan.json", plans)
     summary = {
         "command": "plan",
         "layouts": {
@@ -161,6 +151,8 @@ def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> di
             for label, doc in plans.items()
         },
     }
+    out = _prepare_out(config, out_override)
+    _write_json(out / "plan.json", plans)
     _write_json(out / "summary.json", summary)
     return summary
 
@@ -168,54 +160,56 @@ def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> di
 def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
-    out = _prepare_out(config, out_override)
-    table = _comparison(out, config, trace)
-    fields = ["stage", "kind", "start", "end", "microbatch"]
-    for cell in table.cells:
-        name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
-        _write_csv(out / name, fields, cell.result.timeline_rows())
+    table = _comparison(config, trace)
+    rows = table.rows()
     summary = {
         "command": "simulate",
         "trace": trace_stats(trace).to_dict(),
         "capacity": config.capacity,
         "headline_ratio": table.headline_ratio,
-        "cells": table.rows(),
+        "cells": rows,
     }
+    out = _prepare_out(config, out_override)
+    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, rows)
+    fields = ["stage", "kind", "start", "end", "microbatch"]
+    for cell in table.cells:  # timeline rows are built per cell as they are written
+        name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
+        _write_csv(out / name, fields, cell.result.timeline_rows())
     _write_json(out / "summary.json", summary)
     return summary
 
 
 def cmd_route(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
-    out = _prepare_out(config, out_override)
-    scenario = config.routing
+    scenario = config.resolved["router"]
     source = moe_mod.GaussianLogitSource(
-        mean_offsets=scenario.mean_offsets,
-        seed=scenario.seed if scenario.seed is not None else config.seed,
-        std=scenario.logit_std,
+        mean_offsets=scenario["mean_offsets"], seed=scenario["seed"], std=scenario["logit_std"]
     )
     reports = moe_mod.simulate_routing(
-        scenario.config, source, scenario.tokens_per_step, scenario.steps
+        config.router, source, scenario["tokens_per_step"], scenario["steps"]
     )
-    _write_csv(out / "route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(reports))
+    rows = moe_mod.load_report_rows(reports)
     summary = {
         "command": "route",
-        "num_experts": scenario.config.num_experts,
-        "top_k": scenario.config.top_k,
-        "steps": scenario.steps,
-        "tokens_per_step": scenario.tokens_per_step,
+        "num_experts": config.router.num_experts,
+        "top_k": config.router.top_k,
+        "steps": scenario["steps"],
+        "tokens_per_step": scenario["tokens_per_step"],
         "cov_first": reports[0].cov,
         "cov_last": reports[-1].cov,
         "aux_first": reports[0].aux,
         "aux_last": reports[-1].aux,
     }
+    out = _prepare_out(config, out_override)
+    _write_csv(out / "route.csv", moe_mod.ROUTE_CSV_FIELDS, rows)
     _write_json(out / "summary.json", summary)
     return summary
 
 
 def cmd_mem(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
     trace = config.load_workload()
+    summary = {"command": "mem", "rows": _mem_rows(config, trace)}
     out = _prepare_out(config, out_override)
-    summary = {"command": "mem", "rows": _mem_rows(out, config, trace)}
+    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, summary["rows"])
     _write_json(out / "summary.json", summary)
     return summary
 
@@ -235,13 +229,11 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         )
     _need_cost_model(config, "reproduce")
     trace = config.load_workload()
-    out = _prepare_out(config, out_dir)
 
-    pack_rows = _pack_rows(out, config, trace, config.packing_policies)
-    table = _comparison(out, config, trace)
-    per_sample, packed = (
-        {k: v for k, v in row.items() if k != "scenario"} for row in _mem_rows(out, config, trace)
-    )
+    pack_rows = [pack(trace, config.capacity, name)[1].to_dict() for name in config.packing_policies]
+    table = _comparison(config, trace)
+    mem_rows = _mem_rows(config, trace)
+    per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
     layouts = {}
     for layout in config.layouts:
@@ -262,8 +254,8 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
 
     summary = {
         "command": "reproduce",
-        "scenario": config.name,
-        "seed": config.seed,
+        "scenario": config.resolved["name"],
+        "seed": config.resolved["seed"],
         "trace": trace_stats(trace).to_dict(),
         "capacity": config.capacity,
         "packing": {row["policy"]: row for row in pack_rows},
@@ -271,8 +263,20 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         "throughput_ratio_min": min(v["throughput_ratio"] for v in layouts.values()),
         "fragmentation": {"per_sample_baseline": per_sample, "ffd_packed": packed},
     }
+    out = _prepare_out(config, out_dir)
+    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, pack_rows)
+    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
+    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows)
     _write_json(out / "summary.json", summary)
     return summary
+
+
+def _trace_flag(path: str) -> dict:
+    return {"path": path}
+
+
+def _comma_list(text: str) -> list[str]:
+    return [s for s in text.split(",") if s]
 
 
 def _build_parser() -> _Parser:
@@ -286,37 +290,39 @@ def _build_parser() -> _Parser:
 
     p_pack = sub.add_parser("pack", help="pack a trace and report fill statistics")
     common(p_pack)
-    p_pack.add_argument("--trace", help="NDJSON trace file")
+    p_pack.add_argument("--trace", type=_trace_flag, help="NDJSON trace file")
     p_pack.add_argument("--capacity", type=int, help="token budget per batch")
     p_pack.add_argument("--policy", default="all", choices=sorted(POLICIES) + ["all"])
 
     p_plan = sub.add_parser("plan", help="plan stage assignments for each layout")
     common(p_plan)
     p_plan.add_argument("--cost-model", dest="cost_model", help="JSON cost model file")
-    p_plan.add_argument("--layouts", help="comma-separated DPxPPxTP layouts")
+    p_plan.add_argument("--layouts", type=_comma_list, help="comma-separated DPxPPxTP layouts")
 
     p_sim = sub.add_parser("simulate", help="packing x planning x schedule comparison")
     common(p_sim)
-    p_sim.add_argument("--trace", help="NDJSON trace file")
+    p_sim.add_argument("--trace", type=_trace_flag, help="NDJSON trace file")
     p_sim.add_argument("--capacity", type=int)
     p_sim.add_argument("--cost-model", dest="cost_model", help="JSON cost model file")
-    p_sim.add_argument("--layouts", help="comma-separated DPxPPxTP layouts")
+    p_sim.add_argument("--layouts", type=_comma_list, help="comma-separated DPxPPxTP layouts")
 
     p_route = sub.add_parser("route", help="simulate MoE routing under balancing")
     common(p_route)
-    p_route.add_argument("--experts", dest="num_experts", type=int)
-    p_route.add_argument("--top-k", dest="top_k", type=int)
-    p_route.add_argument("--bias-step", dest="bias_step", type=float)
-    p_route.add_argument("--aux-coef", dest="aux_coefficient", type=float)
-    p_route.add_argument("--tokens", dest="tokens_per_step", type=int)
-    p_route.add_argument("--steps", dest="steps", type=int)
+    p_route.add_argument("--experts", dest="router.num_experts", type=int)
+    p_route.add_argument("--top-k", dest="router.top_k", type=int)
+    p_route.add_argument("--bias-step", dest="router.bias_step", type=float)
+    p_route.add_argument("--aux-coef", dest="router.aux_coefficient", type=float)
+    p_route.add_argument("--tokens", dest="router.tokens_per_step", type=int)
+    p_route.add_argument("--steps", dest="router.steps", type=int)
 
     p_mem = sub.add_parser("mem", help="allocator fragmentation for a trace")
     common(p_mem)
-    p_mem.add_argument("--trace", help="NDJSON trace file")
+    p_mem.add_argument("--trace", type=_trace_flag, help="NDJSON trace file")
     p_mem.add_argument("--capacity", type=int)
-    p_mem.add_argument("--bytes-per-token", dest="bytes_per_token", type=int)
-    p_mem.add_argument("--allocator", choices=list(memsim_mod.ALLOCATOR_POLICIES))
+    p_mem.add_argument("--bytes-per-token", dest="memsim.bytes_per_token", type=int)
+    p_mem.add_argument(
+        "--allocator", dest="memsim.allocator", choices=list(memsim_mod.ALLOCATOR_POLICIES)
+    )
 
     p_rep = sub.add_parser("reproduce", help="run the shipped headline scenario")
     p_rep.add_argument("--out", help="output directory")
@@ -325,17 +331,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "seed", "trace", "capacity", "cost_model", "layouts",
-    "num_experts", "top_k", "bias_step", "aux_coefficient", "tokens_per_step", "steps",
-    "bytes_per_token", "allocator",
-)
+# argparse destinations that are not config keys
+_NOT_CONFIG = ("command", "config", "out", "policy")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    doc = load_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    return build_config(doc, overrides)
+    """The config file's document, with each flag given (not None) set at the
+    config key path its destination names, read by ``build_config``."""
+    doc = load_config_file(args.config) if args.config else {}
+    for path, value in vars(args).items():
+        if value is None or path in _NOT_CONFIG:
+            continue
+        section, _, name = path.rpartition(".")
+        target = doc.setdefault(section, {}) if section else doc
+        if isinstance(target, dict):  # else build_config reports the section
+            target[name] = value
+    return build_config(doc)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,17 +1,25 @@
 """Experiment configuration: YAML file, CLI overrides, seed resolution.
 
 Precedence is CLI flag > config file > ``OMNISCHED_SEED`` env var > built-in
-default. The fully resolved config is written back to every run directory
-as ``config.resolved`` so runs are reproducible from their outputs alone.
+default. The CLI sets its flags in the config document, which
+``build_config`` reads once, mapping by mapping: each key's type and range
+are checked, the value read (defaults included) is recorded, and any key
+nothing read is rejected. Every failure is a ``ConfigError`` whose
+``context.key`` is the dotted key path, e.g. ``router.top_k``. The record,
+``ExperimentConfig.resolved``, is written to every run directory as
+``config.resolved`` so runs are reproducible from their outputs alone.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 import yaml
 
@@ -20,7 +28,7 @@ from .memsim import ALLOCATOR_POLICIES
 from .moe import RouterConfig
 from .packing import POLICIES as PACKING_POLICIES
 from .pipeline import PLAN_POLICIES
-from .sharding import EncoderSpec, ParallelLayout, load_cost_model, parse_cost_model
+from .sharding import EncoderSpec, ParallelLayout, build_units
 from .workload import (
     LogNormalLength,
     Modality,
@@ -35,26 +43,7 @@ DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
-class RoutingScenario:
-    config: RouterConfig
-    tokens_per_step: int = 4096
-    steps: int = 200
-    mean_offsets: tuple[float, ...] = ()
-    logit_std: float = 1.0
-    seed: Optional[int] = None  # falls back to the experiment seed
-
-
-@dataclass(frozen=True)
-class MemsimScenario:
-    bytes_per_token: int = 2
-    round_to: int = 64
-    allocator: str = "exact_reuse_cache"
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    name: str
-    seed: int
     trace_path: Optional[Path]
     synthetic: Optional[SyntheticTraceSpec]
     capacity: int
@@ -65,9 +54,11 @@ class ExperimentConfig:
     layouts: tuple[ParallelLayout, ...]
     packing_policies: tuple[str, ...]
     plan_policies: tuple[str, ...]
-    routing: RoutingScenario
-    memsim: MemsimScenario
+    router: RouterConfig
     output_dir: Path
+    # every value read, defaults included, as written to config.resolved; values
+    # that need no object (the name, the seeds, memsim, the rest of router) are read here
+    resolved: dict
 
     def load_workload(self) -> WorkloadTrace:
         if self.trace_path is not None:
@@ -76,255 +67,283 @@ class ExperimentConfig:
             return generate_trace(self.synthetic)
         raise ConfigError("config defines neither a trace path nor a synthetic spec")
 
-    def resolved_dict(self) -> dict:
-        """Fully explicit config for config.resolved."""
-        doc: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "backward_ratio": self.backward_ratio,
-            "comm_latency": self.comm_latency,
-            "layouts": [l.label() for l in self.layouts],
-            "packing_policies": list(self.packing_policies),
-            "plan_policies": list(self.plan_policies),
-            "cost_model": {
-                "encoders": [
-                    {
-                        "modality": e.modality.value,
-                        "unit_costs": list(e.unit_costs),
-                        "tp_divisible": list(e.tp_divisible),
-                    }
-                    for e in self.encoders
-                ],
-                "llm_layer_costs": list(self.llm_layer_costs),
-            },
-            "router": {
-                "num_experts": self.routing.config.num_experts,
-                "top_k": self.routing.config.top_k,
-                "aux_coefficient": self.routing.config.aux_coefficient,
-                "bias_step": self.routing.config.bias_step,
-                "tokens_per_step": self.routing.tokens_per_step,
-                "steps": self.routing.steps,
-                "mean_offsets": list(self.routing.mean_offsets),
-                "logit_std": self.routing.logit_std,
-                "seed": self.routing.seed if self.routing.seed is not None else self.seed,
-            },
-            "memsim": {
-                "bytes_per_token": self.memsim.bytes_per_token,
-                "round_to": self.memsim.round_to,
-                "allocator": self.memsim.allocator,
-            },
-        }
-        if self.trace_path is not None:
-            doc["trace"] = {"path": str(self.trace_path)}
-        elif self.synthetic is not None:
-            doc["trace"] = {"synthetic": _synthetic_to_dict(self.synthetic)}
-        return doc
+
+# A check turns a document value at a dotted key path into the value read, or
+# raises ConfigError. What it returns is plain YAML data: it is recorded as is.
+Check = Callable[[Any, str], Any]
+_REQUIRED = object()
 
 
-def _synthetic_to_dict(spec: SyntheticTraceSpec) -> dict:
-    lengths = {}
-    for m, dist in spec.lengths.items():
-        if isinstance(dist, UniformLength):
-            lengths[m.value] = {"kind": "uniform", "low": dist.low, "high": dist.high}
-        else:
-            lengths[m.value] = {
-                "kind": "lognormal",
-                "mu": dist.mu,
-                "sigma": dist.sigma,
-                "max_len": dist.max_len,
-            }
-    return {
-        "name": spec.name,
-        "sample_count": spec.sample_count,
-        "seed": spec.seed,
-        "mixture": {m.value: w for m, w in spec.weights.items()},
-        "lengths": lengths,
-    }
+def _fail(key: str, what: str, value: Any) -> None:
+    raise ConfigError(f"{key} must be {what}, got {value!r}", key=key)
 
 
-def _parse_length_dist(entry: dict, modality: str) -> Union[UniformLength, LogNormalLength]:
-    kind = entry.get("kind")
+class _Mapping:
+    """One mapping of the config document, read key by key."""
+
+    def __init__(self, doc: Any, path: str):
+        if not isinstance(doc, dict):
+            _fail(path, "a mapping", doc)
+        self.doc = doc
+        self.path = path
+        self.record: dict = {}
+
+    def read(self, name: str, check: Check, default: Any = _REQUIRED) -> Any:
+        """The checked value of key ``name``, or of ``default`` when absent."""
+        key = f"{self.path}.{name}" if self.path else name
+        value = self.doc.get(name, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{key} is required", key=key)
+        self.record[name] = check(value, key)
+        return self.record[name]
+
+    def close(self) -> dict:
+        """The record of what was read; a key nothing read is an error."""
+        for name in self.doc:
+            if name not in self.record:
+                key = f"{self.path}.{name}" if self.path else str(name)
+                raise ConfigError(f"unexpected key {key}", key=key)
+        return self.record
+
+
+def _typed(types: tuple, what: str, ok: Callable[[Any], bool] = lambda v: True) -> Check:
+    def check(value: Any, key: str) -> Any:
+        if type(value) not in types or not ok(value):
+            _fail(key, what, value)
+        return value
+
+    return check
+
+
+def _int(lo: int) -> Check:
+    return _typed((int,), f"an integer >= {lo}", lambda v: v >= lo)
+
+
+def _str(choices: Any = None) -> Check:
+    if choices is None:
+        return _typed((str,), "a string")
+    return _typed((str,), f"one of {sorted(choices)}", lambda v: v in choices)
+
+
+_bool = _typed((bool,), "true or false")
+
+
+def _number(lo: float = -math.inf, strict: bool = False, finite: bool = True) -> Check:
+    """An int or float, read as a float, that is finite and >= ``lo`` (> if
+    ``strict``); with ``finite=False`` (costs) any value: EncoderSpec and
+    build_units check a cost's range."""
+    what = "a finite number" + (f" > {lo}" if strict else f" >= {lo}" if lo > -math.inf else "")
+
+    def check(value: Any, key: str) -> float:
+        if type(value) not in (int, float):
+            _fail(key, what if finite else "a number", value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.inf
+        if finite and not (math.isfinite(x) and (x > lo if strict else x >= lo)):
+            _fail(key, what, value)
+        return x
+
+    return check
+
+
+def _list(item: Check, nonempty: bool = False) -> Check:
+    def check(value: Any, key: str) -> list:
+        if type(value) is not list or (nonempty and not value):
+            _fail(key, "a non-empty list" if nonempty else "a list", value)
+        return [item(x, f"{key}[{i}]") for i, x in enumerate(value)]
+
+    return check
+
+
+def _mapping(read: Callable[[_Mapping], dict]) -> Check:
+    return lambda value, key: read(_Mapping(value, key))
+
+
+def _path(value: Any, key: str) -> str:
+    return str(Path(_str()(value, key)))
+
+
+def _layout(value: Any, key: str) -> str:
     try:
-        if kind == "uniform":
-            return UniformLength(low=int(entry["low"]), high=int(entry["high"]))
-        if kind == "lognormal":
-            return LogNormalLength(
-                mu=float(entry["mu"]), sigma=float(entry["sigma"]), max_len=int(entry["max_len"])
-            )
-    except KeyError as exc:
-        raise ConfigError(f"length distribution for {modality} missing {exc}") from None
-    raise ConfigError(f"length distribution for {modality} must be uniform or lognormal, got {kind!r}")
+        return ParallelLayout.parse(_str()(value, key)).label()
+    except ConfigError as exc:
+        raise ConfigError(exc.message, key=key) from None
 
 
-def parse_synthetic_spec(doc: dict, default_seed: int) -> SyntheticTraceSpec:
-    try:
-        mixture = {Modality(m): float(w) for m, w in doc["mixture"].items()}
-        lengths = {Modality(m): _parse_length_dist(d, m) for m, d in doc["lengths"].items()}
-        count = int(doc["sample_count"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad synthetic trace spec: {exc}") from None
-    return SyntheticTraceSpec(
-        weights=mixture,
-        lengths=lengths,
-        sample_count=count,
-        seed=int(doc.get("seed", default_seed)),
-        name=str(doc.get("name", "synthetic")),
-    )
+_MODALITIES = [m.value for m in Modality]
 
 
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("OMNISCHED_SEED")
-    if raw is None:
-        return None
+def _per_modality(check: Check, m: _Mapping) -> dict:
+    for name in _MODALITIES:
+        if name in m.doc:
+            m.read(name, check)
+    return m.close()
+
+
+def _length(m: _Mapping) -> dict:
+    if m.read("kind", _str(("uniform", "lognormal"))) == "uniform":
+        m.read("low", _int(1))
+        m.read("high", _int(1))
+    else:
+        m.read("mu", _number())
+        m.read("sigma", _number(0))
+        m.read("max_len", _int(1))
+    return m.close()
+
+
+def _synthetic(m: _Mapping, seed: int) -> dict:
+    m.read("name", _str(), "synthetic")
+    m.read("sample_count", _int(1))
+    m.read("seed", _int(0), seed)
+    m.read("mixture", _mapping(partial(_per_modality, _number(0))))
+    m.read("lengths", _mapping(partial(_per_modality, _mapping(_length))))
+    return m.close()
+
+
+def _trace(m: _Mapping, seed: int) -> dict:
+    if "path" in m.doc:
+        m.read("path", _path)
+    else:
+        m.read("synthetic", _mapping(partial(_synthetic, seed=seed)))
+    return m.close()
+
+
+def _encoder(m: _Mapping) -> dict:
+    m.read("modality", _str(_MODALITIES))
+    costs = m.read("unit_costs", _list(_number(finite=False)))
+    m.read("tp_divisible", _list(_bool), [True] * len(costs))
+    return m.close()
+
+
+def _cost_model(value: Any, key: str) -> dict:
+    """A cost model given inline or as the path of a JSON file; None is none."""
+    if value is None:
+        return {"encoders": [], "llm_layer_costs": []}
+    if isinstance(value, str):
+        value = _load_file(value, json.loads, "cost model", key=key)
+    m = _Mapping(value, key)
+    m.read("encoders", _list(_mapping(_encoder)))
+    m.read("llm_layer_costs", _list(_number(finite=False), nonempty=True))
+    return m.close()
+
+
+def _cost_objects(doc: dict) -> tuple[list[EncoderSpec], list[float]]:
+    """Encoders and layer costs from a read cost model, their costs checked."""
+    encoders = [
+        EncoderSpec(Modality(e["modality"]), tuple(e["unit_costs"]), tuple(e["tp_divisible"]))
+        for e in doc["encoders"]
+    ]
+    layers = doc["llm_layer_costs"]
+    build_units(encoders, layers)  # rejects bad layer costs before a run writes anything
+    return encoders, layers
+
+
+def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[float]]:
+    """Read a JSON cost model: encoder unit costs plus LLM layer costs."""
+    return _cost_objects(_cost_model(str(path), "cost_model"))
+
+
+def _router(m: _Mapping, seed: int) -> dict:
+    experts = m.read("num_experts", _int(2), 8)
+    m.read("top_k", _int(1), 2)
+    m.read("aux_coefficient", _number(0), 0.01)
+    m.read("bias_step", _number(0), 0.01)
+    m.read("tokens_per_step", _int(1), 4096)
+    m.read("steps", _int(1), 200)
+    offsets = m.read("mean_offsets", _list(_number()), [1.0] + [0.0] * (experts - 1))
+    if len(offsets) != experts:
+        _fail(f"{m.path}.mean_offsets", f"a list of {experts} numbers, one per expert", offsets)
+    m.read("logit_std", _number(0, strict=True), 1.0)
+    m.read("seed", _int(0), seed)
+    return m.close()
+
+
+def _memsim(m: _Mapping) -> dict:
+    m.read("bytes_per_token", _int(1), 2)
+    m.read("round_to", _int(1), 64)
+    m.read("allocator", _str(ALLOCATOR_POLICIES), "exact_reuse_cache")
+    return m.close()
+
+
+def _env_seed() -> int:
+    raw = os.environ.get("OMNISCHED_SEED", str(DEFAULT_SEED))
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"OMNISCHED_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"OMNISCHED_SEED must be an integer, got {raw!r}", key="seed") from None
+
+
+def _load_file(path: Union[str, Path], parse: Callable[[str], Any], what: str, **context: Any) -> Any:
+    """The parsed text of a file, or ConfigError naming ``what`` it holds."""
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}", path=str(path), **context)
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
+        raise ConfigError(f"{what} file is not valid: {exc}", path=str(path), **context) from None
 
 
 def load_config_file(path: Union[str, Path]) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}", path=str(path))
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}", path=str(path)) from None
+    doc = _load_file(path, yaml.safe_load, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a mapping", path=str(path))
     return doc
 
 
-def _capacity(raw: Any) -> int:
-    """``raw`` as a batch capacity, or ``ConfigError`` unless it is an integer >= 1."""
-    try:
-        value = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = 0
-    if value < 1 or isinstance(raw, bool) or (isinstance(raw, float) and raw != value):
-        raise ConfigError(f"capacity must be an integer >= 1, got {raw!r}", key="capacity")
-    return value
+def build_config(doc: dict) -> ExperimentConfig:
+    """Read a config document into an ExperimentConfig."""
+    r = _Mapping(doc, "")
+    seed = r.read("seed", _int(0), _env_seed())
+    r.read("name", _str(), "experiment")
+    trace = r.read("trace", _mapping(partial(_trace, seed=seed))) if "trace" in r.doc else {}
+    r.read("capacity", _int(1), 4096)
+    r.read("backward_ratio", _number(0, strict=True), 2.0)
+    r.read("comm_latency", _number(0), 0.0)
+    cost = r.read("cost_model", _cost_model, None)
+    r.read("layouts", _list(_layout, nonempty=True), ["1x1x1"])
+    r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True), ["padded", "stream", "ffd"])
+    r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True), ["naive", "balanced"])
+    router = r.read("router", _mapping(partial(_router, seed=seed)), {})
+    r.read("memsim", _mapping(_memsim), {})
+    r.read("output_dir", _str(), "runs/out")
+    resolved = r.close()
+    output_dir = Path(resolved.pop("output_dir"))  # --out may override it: not recorded
 
-
-def build_config(doc: dict, overrides: Optional[dict] = None) -> ExperimentConfig:
-    """Merge a config document with CLI overrides into an ExperimentConfig."""
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-
-    def pick(key: str, default: Any = None) -> Any:
-        if key in overrides:
-            return overrides[key]
-        return doc.get(key, default)
-
-    env = _env_seed()
-    if "seed" in overrides:
-        seed = int(overrides["seed"])
-    elif "seed" in doc:
-        seed = int(doc["seed"])
-    elif env is not None:
-        seed = env
-    else:
-        seed = DEFAULT_SEED
-
-    trace_path: Optional[Path] = None
-    synthetic: Optional[SyntheticTraceSpec] = None
-    if "trace" in overrides:
-        trace_path = Path(overrides["trace"])
-    else:
-        trace_doc = doc.get("trace", {})
-        if "path" in trace_doc:
-            trace_path = Path(trace_doc["path"])
-        elif "synthetic" in trace_doc:
-            synthetic = parse_synthetic_spec(trace_doc["synthetic"], seed)
-
-    cost_doc = pick("cost_model")
-    if isinstance(cost_doc, str):
-        encoders, layers = load_cost_model(cost_doc)
-    elif isinstance(cost_doc, dict):
-        encoders, layers = parse_cost_model(cost_doc)
-    else:
-        encoders, layers = [], []
-
-    layouts_raw = pick("layouts", ["1x1x1"])
-    if isinstance(layouts_raw, str):
-        layouts_raw = [s for s in layouts_raw.split(",") if s]
-    layouts = tuple(ParallelLayout.parse(str(l)) for l in layouts_raw)
-    if not layouts:
-        raise ConfigError("layouts must not be empty")
-
-    packing_raw = pick("packing_policies", ["padded", "stream", "ffd"])
-    if isinstance(packing_raw, str):
-        packing_raw = [s for s in packing_raw.split(",") if s]
-    plan_raw = pick("plan_policies", ["naive", "balanced"])
-    if isinstance(plan_raw, str):
-        plan_raw = [s for s in plan_raw.split(",") if s]
-    for key, names, known in (
-        ("packing_policies", packing_raw, PACKING_POLICIES),
-        ("plan_policies", plan_raw, PLAN_POLICIES),
-    ):
-        unknown = [str(n) for n in names if str(n) not in known]
-        if unknown:
-            raise ConfigError(
-                f"{key} must be drawn from {sorted(known)}, got unknown {unknown}", key=key
-            )
-    capacity = _capacity(pick("capacity", 4096))
-
-    router_doc = dict(doc.get("router", {}))
-    for key in ("num_experts", "top_k", "aux_coefficient", "bias_step", "tokens_per_step", "steps"):
-        if key in overrides:
-            router_doc[key] = overrides[key]
-    num_experts = int(router_doc.get("num_experts", 8))
-    offsets = router_doc.get("mean_offsets")
-    if offsets is None:
-        offsets = [1.0] + [0.0] * (num_experts - 1)
-    routing = RoutingScenario(
-        config=RouterConfig(
-            num_experts=num_experts,
-            top_k=int(router_doc.get("top_k", 2)),
-            aux_coefficient=float(router_doc.get("aux_coefficient", 0.01)),
-            bias_step=float(router_doc.get("bias_step", 0.01)),
-        ),
-        tokens_per_step=int(router_doc.get("tokens_per_step", 4096)),
-        steps=int(router_doc.get("steps", 200)),
-        mean_offsets=tuple(float(x) for x in offsets),
-        logit_std=float(router_doc.get("logit_std", 1.0)),
-        seed=int(router_doc["seed"]) if "seed" in router_doc else None,
-    )
-    if len(routing.mean_offsets) != num_experts:
-        raise ConfigError(
-            f"mean_offsets has {len(routing.mean_offsets)} entries for {num_experts} experts"
+    synthetic = None
+    if "synthetic" in trace:
+        spec = trace["synthetic"]
+        synthetic = SyntheticTraceSpec(
+            weights={Modality(m): w for m, w in spec["mixture"].items()},
+            lengths={
+                Modality(m): UniformLength(d["low"], d["high"])
+                if d["kind"] == "uniform"
+                else LogNormalLength(d["mu"], d["sigma"], d["max_len"])
+                for m, d in spec["lengths"].items()
+            },
+            sample_count=spec["sample_count"],
+            seed=spec["seed"],
+            name=spec["name"],
         )
-
-    mem_doc = dict(doc.get("memsim", {}))
-    for key in ("bytes_per_token", "round_to", "allocator"):
-        if key in overrides:
-            mem_doc[key] = overrides[key]
-    memsim = MemsimScenario(
-        bytes_per_token=int(mem_doc.get("bytes_per_token", 2)),
-        round_to=int(mem_doc.get("round_to", 64)),
-        allocator=str(mem_doc.get("allocator", "exact_reuse_cache")),
-    )
-    if memsim.allocator not in ALLOCATOR_POLICIES:
-        raise ConfigError(
-            f"memsim.allocator must be one of {list(ALLOCATOR_POLICIES)}, got {memsim.allocator!r}"
-        )
-
+    encoders, layers = _cost_objects(cost)
     return ExperimentConfig(
-        name=str(pick("name", "experiment")),
-        seed=seed,
-        trace_path=trace_path,
+        trace_path=Path(trace["path"]) if "path" in trace else None,
         synthetic=synthetic,
-        capacity=capacity,
-        backward_ratio=float(pick("backward_ratio", 2.0)),
-        comm_latency=float(pick("comm_latency", 0.0)),
+        capacity=resolved["capacity"],
+        backward_ratio=resolved["backward_ratio"],
+        comm_latency=resolved["comm_latency"],
         encoders=tuple(encoders),
         llm_layer_costs=tuple(layers),
-        layouts=layouts,
-        packing_policies=tuple(str(p) for p in packing_raw),
-        plan_policies=tuple(str(p) for p in plan_raw),
-        routing=routing,
-        memsim=memsim,
-        output_dir=Path(pick("output_dir", "runs/out")),
+        layouts=tuple(ParallelLayout.parse(label) for label in resolved["layouts"]),
+        packing_policies=tuple(resolved["packing_policies"]),
+        plan_policies=tuple(resolved["plan_policies"]),
+        router=RouterConfig(
+            router["num_experts"], router["top_k"], router["aux_coefficient"], router["bias_step"]
+        ),
+        output_dir=output_dir,
+        resolved=resolved,
     )
 
 

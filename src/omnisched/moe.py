@@ -40,10 +40,10 @@ class RouterConfig:
             raise InvalidSpecError(
                 f"top_k must satisfy 1 <= k < num_experts, got k={self.top_k}, E={self.num_experts}"
             )
-        if self.aux_coefficient < 0:
-            raise InvalidSpecError("aux_coefficient must be >= 0")
-        if self.bias_step < 0:
-            raise InvalidSpecError("bias_step must be >= 0")
+        if not 0 <= self.aux_coefficient < np.inf:
+            raise InvalidSpecError("aux_coefficient must be finite and >= 0")
+        if not 0 <= self.bias_step < np.inf:
+            raise InvalidSpecError("bias_step must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,10 @@ class GaussianLogitSource:
         self.mean_offsets = np.asarray(mean_offsets, dtype=float)
         if self.mean_offsets.ndim != 1:
             raise InvalidSpecError("mean_offsets must be a vector")
-        if std <= 0:
-            raise InvalidSpecError(f"std must be > 0, got {std}")
+        if not np.all(np.isfinite(self.mean_offsets)):
+            raise InvalidSpecError("mean_offsets must be finite")
+        if not 0 < std < np.inf:
+            raise InvalidSpecError(f"std must be finite and > 0, got {std}")
         self.std = std
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))

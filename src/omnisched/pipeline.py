@@ -27,6 +27,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,8 +154,10 @@ def simulate_1f1b(
     """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
-    if backward_ratio <= 0:
-        raise InvalidSpecError(f"backward_ratio must be > 0, got {backward_ratio}")
+    if not 0 < backward_ratio < math.inf:
+        raise InvalidSpecError(f"backward_ratio must be finite and > 0, got {backward_ratio}")
+    if not 0 <= comm_latency < math.inf:
+        raise InvalidSpecError(f"comm_latency must be finite and >= 0, got {comm_latency}")
 
     pp = plan.layout.pp
     m = len(microbatches)

@@ -14,10 +14,8 @@ identical); it scales aggregate throughput downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
@@ -231,41 +229,3 @@ def plan_imbalance(plan: StagePlan) -> float:
     costs = plan.stage_cost
     return max(costs) / (sum(costs) / len(costs))
 
-
-def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[float]]:
-    """Read a JSON cost model: encoder unit costs plus LLM layer costs."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"cost model file not found: {path}", path=str(path))
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cost model is not valid JSON: {exc.msg}", path=str(path)) from None
-    return parse_cost_model(doc)
-
-
-def parse_cost_model(doc: dict) -> tuple[list[EncoderSpec], list[float]]:
-    if not isinstance(doc, dict) or "encoders" not in doc or "llm_layer_costs" not in doc:
-        raise ConfigError("cost model needs 'encoders' and 'llm_layer_costs'")
-    encoders = []
-    for entry in doc["encoders"]:
-        try:
-            modality = Modality(entry["modality"])
-        except (KeyError, ValueError):
-            raise ConfigError(f"bad encoder modality in cost model: {entry!r}") from None
-        costs = entry.get("unit_costs")
-        if not costs:
-            raise ConfigError(f"encoder {modality.value}: unit_costs missing or empty")
-        divisible = entry.get("tp_divisible", [True] * len(costs))
-        encoders.append(
-            EncoderSpec(
-                modality=modality,
-                unit_costs=tuple(float(c) for c in costs),
-                tp_divisible=tuple(bool(d) for d in divisible),
-            )
-        )
-    layers = [float(c) for c in doc["llm_layer_costs"]]
-    if not layers:
-        raise ConfigError("llm_layer_costs must not be empty")
-    build_units(encoders, layers)  # rejects bad layer costs before a run writes anything
-    return encoders, layers

@@ -87,9 +87,9 @@ class UniformLength:
     high: int
 
     def __post_init__(self):
-        if not (1 <= self.low <= self.high):
+        if not (1 <= self.low <= self.high < 2**63):  # numpy draws int64
             raise InvalidSpecError(
-                f"uniform bounds must satisfy 1 <= low <= high, got [{self.low}, {self.high}]"
+                f"uniform bounds must satisfy 1 <= low <= high < 2**63, got [{self.low}, {self.high}]"
             )
 
     def draw(self, rng: np.random.Generator) -> int:
@@ -105,13 +105,16 @@ class LogNormalLength:
     max_len: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise InvalidSpecError(f"sigma must be >= 0, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise InvalidSpecError(f"mu must be finite, got {self.mu}")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidSpecError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.max_len < 1:
             raise InvalidSpecError(f"max_len must be >= 1, got {self.max_len}")
 
     def draw(self, rng: np.random.Generator) -> int:
-        raw = int(round(math.exp(rng.normal(self.mu, self.sigma))))
+        # exp overflows a float past about 709.78; any draw there is clamped anyway
+        raw = int(round(math.exp(min(rng.normal(self.mu, self.sigma), 709.0))))
         return min(max(raw, 1), self.max_len)
 
 
@@ -140,11 +143,11 @@ class SyntheticTraceSpec:
             raise InvalidSpecError("mixture weights must not be empty")
         total = 0.0
         for m, w in self.weights.items():
-            if w < 0:
-                raise InvalidSpecError(f"negative mixture weight for {m.value}: {w}")
+            if not 0 <= w < math.inf:
+                raise InvalidSpecError(f"mixture weight for {m.value} must be finite and >= 0: {w}")
             total += w
-        if total <= 0:
-            raise InvalidSpecError("mixture weights must sum to a positive value")
+        if not 0 < total < math.inf:
+            raise InvalidSpecError("mixture weights must sum to a positive finite value")
         for m, w in self.weights.items():
             if w > 0 and m not in self.lengths:
                 raise InvalidSpecError(f"no length distribution for modality {m.value}")
@@ -207,12 +210,13 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
     when no records are present.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise TraceNotFoundError(f"trace file not found: {path}", path=str(path))
 
     samples: list[ModalitySample] = []
     seen: dict[int, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes U+FFFD, so its line fails as a record
+    with path.open("r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

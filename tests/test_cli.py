@@ -97,13 +97,20 @@ class TestSimulate:
         assert set(rows[0]) == {"stage", "kind", "start", "end", "microbatch"}
         assert {r["kind"] for r in rows} <= {"F", "B", "idle"}
 
-    def test_too_few_units_surfaced(self, trace_file, cost_model_file, tmp_path, capsys):
-        rc = main(["simulate", "--trace", str(trace_file), "--capacity", "8",
-                   "--cost-model", str(cost_model_file), "--layouts", "1x16x1",
-                   "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("argv,kind", [
+        ("simulate --trace {trace} --capacity 8 --cost-model {cost} --layouts 1x16x1",
+         "too-few-layers"),
+        ("plan --cost-model {cost} --layouts 1x64x1", "too-few-units"),
+        ("pack --trace {trace} --capacity 5", "oversize-sample"),
+    ], ids=["simulate", "plan", "pack"])
+    def test_too_few_units_surfaced(self, argv, kind, trace_file, cost_model_file, tmp_path, capsys):
+        # a run that fails after reading its config leaves no run directory
+        out = tmp_path / "out"
+        rc = main(argv.format(trace=trace_file, cost=cost_model_file).split() + ["--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["kind"] in ("too-few-units", "too-few-layers")
+        assert err["kind"] == kind
+        assert not out.exists()
 
 
 class TestRoute:

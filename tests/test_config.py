@@ -1,0 +1,306 @@
+"""The config reader: golden ``config.resolved`` bytes, key-path errors,
+and a fuzz test of the CLI's input boundary."""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omnisched import cli
+
+DATA = Path(__file__).parent / "data"
+
+# Cost model file with integer costs and one encoder without tp_divisible:
+# config.resolved records floats and the default flags.
+COST_MODEL = {
+    "encoders": [
+        {"modality": "image", "unit_costs": [1, 2.5], "tp_divisible": [False, True]},
+        {"modality": "text", "unit_costs": [0.5]},
+    ],
+    "llm_layer_costs": [1, 1.5, 1.0, 2],
+}
+
+# A config whose values are overridden by flags in places, and whose
+# integer-valued numbers are recorded as floats.
+FLAGGED_CONFIG = """\
+name: flagged
+seed: 11
+trace: {path: ./trace.ndjson}
+cost_model: cost.json
+capacity: 64
+backward_ratio: 3
+comm_latency: 0.25
+layouts: [1x8x1]
+packing_policies: [ffd, padded]
+plan_policies: [balanced]
+router:
+  num_experts: 8
+  top_k: 2
+  mean_offsets: [0.5, 0, 0, -0.5]
+  logit_std: 2
+  seed: 5
+memsim:
+  bytes_per_token: 2
+  round_to: 16
+output_dir: somewhere
+"""
+
+# Flags of three subcommands, parsed as each would be: together they set the
+# layouts and values in the router and memsim sections.
+FLAG_ARGVS = [
+    ["simulate", "--layouts", "1x2x1,1x4x1"],
+    ["route", "--experts", "4", "--top-k", "1", "--aux-coef", "0.5", "--bias-step", "0.125",
+     "--tokens", "64", "--steps", "3"],
+    ["mem", "--bytes-per-token", "4", "--allocator", "no_cache"],
+]
+
+
+def flagged_resolved(tmp_path, monkeypatch) -> bytes:
+    """config.resolved for FLAGGED_CONFIG and the FLAG_ARGVS flags, run in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cost.json").write_text(json.dumps(COST_MODEL))
+    (tmp_path / "cfg.yaml").write_text(FLAGGED_CONFIG)
+    flags = {}
+    for argv in FLAG_ARGVS:
+        flags.update(vars(cli._build_parser().parse_args(argv + ["--config", "cfg.yaml"])))
+    config = cli._config_from_args(argparse.Namespace(**flags))
+    cli._prepare_out(config, "out")
+    return (tmp_path / "out" / "config.resolved").read_bytes()
+
+
+# Only a synthetic trace: every other value, and the synthetic name and
+# seed, come from the defaults.
+DEFAULTS_CONFIG = """\
+trace:
+  synthetic:
+    sample_count: 8
+    mixture: {text: 1, image: 0}
+    lengths:
+      text: {kind: uniform, low: 1, high: 9}
+"""
+
+
+def defaults_resolved(tmp_path, monkeypatch) -> bytes:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OMNISCHED_SEED", raising=False)
+    (tmp_path / "cfg.yaml").write_text(DEFAULTS_CONFIG)
+    cli._prepare_out(cli._config_from_args(argparse.Namespace(config="cfg.yaml")), "out")
+    return (tmp_path / "out" / "config.resolved").read_bytes()
+
+
+def test_shipped_scenario_resolved_bytes(tmp_path):
+    out = tmp_path / "rep"
+    assert cli.main(["reproduce", "--out", str(out)]) == 0
+    assert (out / "config.resolved").read_bytes() == (DATA / "reproduce.resolved").read_bytes()
+
+
+def test_flagged_config_resolved_bytes(tmp_path, monkeypatch):
+    assert flagged_resolved(tmp_path, monkeypatch) == (DATA / "flagged.resolved").read_bytes()
+
+
+def test_defaults_resolved_bytes(tmp_path, monkeypatch):
+    assert defaults_resolved(tmp_path, monkeypatch) == (DATA / "defaults.resolved").read_bytes()
+
+
+SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: {text: %s}}}"
+
+
+@pytest.mark.parametrize("text,key", [
+    ("capacty: 10", "capacty"),
+    ("layouts: 5", "layouts"),
+    ("packing_policies: 5", "packing_policies"),
+    ("backward_ratio: abc", "backward_ratio"),
+    ("backward_ratio: .nan", "backward_ratio"),
+    ("backward_ratio: .inf", "backward_ratio"),
+    ("comm_latency: -1", "comm_latency"),
+    ("seed: 1.5", "seed"),
+    ("output_dir: 5", "output_dir"),
+    ("router: 5", "router"),
+    ("router: {top_k: 2.7}", "router.top_k"),
+    ("router: {num_exprts: 4}", "router.num_exprts"),
+    ("router: {logit_std: .nan}", "router.logit_std"),
+    ("router: {steps: 0}", "router.steps"),
+    ("router: {num_experts: 2, mean_offsets: [0, -.inf]}", "router.mean_offsets[1]"),
+    ("memsim: {round_to: 0}", "memsim.round_to"),
+    ("memsim: {bytes_per_token: abc}", "memsim.bytes_per_token"),
+    ("cost_model: {encoders: 5, llm_layer_costs: [1]}", "cost_model.encoders"),
+    ("cost_model: {encoders: [{modality: text, unit_costs: [1], tp_divsible: [true]}],"
+     " llm_layer_costs: [1]}", "cost_model.encoders[0].tp_divsible"),
+    (SYNTHETIC % (".nan", "{kind: uniform, low: 1, high: 4}"), "trace.synthetic.mixture.text"),
+    (SYNTHETIC % ("1", "{kind: lognormal, mu: .nan, sigma: 1, max_len: 8}"),
+     "trace.synthetic.lengths.text.mu"),
+])
+def test_bad_value_names_its_key(text, key, tmp_path, capsys):
+    (tmp_path / "cfg.yaml").write_text(text + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["route", "--config", str(tmp_path / "cfg.yaml"), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["kind"], err["context"]["key"]) == ("invalid-config", key)
+    assert not out.exists()
+
+
+def test_cost_model_file_is_read_like_an_inline_one(tmp_path, capsys):
+    doc = {"encoders": [{"modality": "text", "unit_costs": [1], "tp_divsible": [True]}],
+           "llm_layer_costs": [1, 1]}
+    (tmp_path / "cost.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["plan", "--cost-model", str(tmp_path / "cost.json"), "--layouts", "1x2x1"]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["context"]["key"] == "cost_model.encoders[0].tp_divsible"
+    assert not out.exists()
+
+
+def test_flags_merge_into_the_document(tmp_path):
+    (tmp_path / "cfg.yaml").write_text("router: {num_experts: 4, mean_offsets: [0, 0, 0, 0]}\n")
+    out = tmp_path / "out"
+    assert cli.main(["route", "--config", str(tmp_path / "cfg.yaml"), "--top-k", "3",
+                     "--tokens", "16", "--steps", "2", "--out", str(out)]) == 0
+    router = yaml.safe_load((out / "config.resolved").read_text())["router"]
+    assert (router["num_experts"], router["top_k"], router["steps"]) == (4, 3, 2)
+
+
+# Fuzz: random config documents and NDJSON traces either run, or exit 2 with a
+# one-line JSON error and no output directory.
+
+def rarely(other, strategy):
+    """``strategy``, or about one time in sixteen ``other``."""
+    # hypothesis favours the ends of a range, so ``other`` takes a middle value
+    return st.integers(0, 15).flatmap(lambda i: other if i == 7 else strategy)
+
+
+NUMBERS = rarely(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5]), st.one_of(st.floats(0, 1e2), st.integers(0, 5))
+)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), NUMBERS, st.text(max_size=4),
+    st.lists(st.integers(-1, 3), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+MODALITY_NAMES = rarely(st.just("smell"), st.sampled_from(["text", "image", "audio", "video"]))
+
+
+def maybe(strategy):
+    """``strategy``, or rarely a value of the wrong type or range."""
+    return rarely(JUNK, strategy)
+
+
+def mapping(required=None, **optional):
+    """A dict with the ``required`` keys and some of the ``optional`` ones,
+    rarely with an unknown key, rarely not a dict at all."""
+    required = required or {}
+    return maybe(rarely(
+        st.fixed_dictionaries({**required, "bogus": JUNK}, optional=optional),
+        st.fixed_dictionaries(required, optional=optional),
+    ))
+
+
+LENGTH = st.one_of(
+    mapping({"kind": st.just("uniform"), "low": maybe(st.integers(1, 8)), "high": maybe(st.integers(1, 8))}),
+    mapping({"kind": maybe(st.just("lognormal")), "mu": maybe(NUMBERS), "sigma": maybe(NUMBERS),
+             "max_len": maybe(st.integers(1, 10))}),
+)
+SYNTHETIC_TRACE = mapping(
+    {
+        "sample_count": maybe(st.integers(1, 8)),
+        "mixture": maybe(st.dictionaries(MODALITY_NAMES, maybe(NUMBERS), max_size=3)),
+        "lengths": maybe(st.dictionaries(MODALITY_NAMES, LENGTH, max_size=3)),
+    },
+    name=maybe(st.text(max_size=3)),
+    seed=maybe(st.integers(0, 2**40)),
+)
+ENCODER = mapping(
+    {"modality": maybe(MODALITY_NAMES),
+     "unit_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=3))},
+    tp_divisible=maybe(st.lists(maybe(st.booleans()), max_size=3)),
+)
+COST_MODELS = st.one_of(
+    rarely(st.just("missing.json"), st.just("cost.json")),
+    mapping({"encoders": maybe(st.lists(ENCODER, max_size=2)),
+             "llm_layer_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=4))}),
+)
+LAYOUTS = st.sampled_from(["1x1x1", "1x2x1", "2x1x2", "1x0x1", "1x64x1", "1x2", "ax1x1"])
+CONFIG = mapping(
+    {
+        "trace": st.one_of(
+            mapping({"path": maybe(rarely(st.just("missing.ndjson"), st.just("trace.ndjson")))}),
+            mapping({"synthetic": SYNTHETIC_TRACE}),
+        ),
+        "cost_model": maybe(COST_MODELS),
+        # required, so that no run routes the default 4096 tokens x 200 steps
+        "router": mapping(
+            {"tokens_per_step": maybe(st.integers(1, 64)), "steps": maybe(st.integers(1, 3))},
+            num_experts=maybe(st.integers(2, 6)), top_k=maybe(st.integers(1, 5)),
+            aux_coefficient=maybe(NUMBERS), bias_step=maybe(NUMBERS),
+            mean_offsets=maybe(st.lists(maybe(NUMBERS), max_size=6)), logit_std=maybe(NUMBERS),
+            seed=maybe(st.integers(0, 2**40)),
+        ),
+    },
+    name=maybe(st.text(max_size=3)),
+    seed=maybe(st.integers(0, 2**40)),
+    capacity=maybe(st.integers(1, 16)),
+    backward_ratio=maybe(NUMBERS),
+    comm_latency=maybe(NUMBERS),
+    layouts=maybe(st.lists(maybe(LAYOUTS), min_size=1, max_size=2)),
+    packing_policies=maybe(st.lists(st.sampled_from(["padded", "stream", "ffd", "bogus"]), min_size=1, max_size=3)),
+    plan_policies=maybe(st.lists(st.sampled_from(["naive", "balanced", "bogus"]), min_size=1, max_size=2)),
+    memsim=mapping(
+        bytes_per_token=maybe(st.integers(1, 4)), round_to=maybe(st.integers(1, 64)),
+        allocator=maybe(st.sampled_from(["exact_reuse_cache", "no_cache", "buddy"])),
+    ),
+    output_dir=maybe(st.just("elsewhere")),
+)
+RECORD = mapping(
+    id=maybe(st.integers(0, 8)),
+    modality=maybe(MODALITY_NAMES),
+    length=maybe(st.integers(1, 20)),
+)
+TRACE_LINE = st.one_of(RECORD.map(json.dumps), st.sampled_from(["", "# comment", "{", "[1,"]))
+
+
+def run_ok_or_exit_2(argv, out):
+    """Run ``argv``: exit 0, or exit 2 with one JSON line on stderr and no ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv + ["--out", str(out)])
+    if rc == 0:
+        assert out.is_dir()
+        shutil.rmtree(out)
+    else:
+        assert rc == 2, err.getvalue()
+        line, = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"kind", "message", "context"}
+        assert not out.exists()
+
+
+TRACE = "".join(
+    json.dumps({"id": i, "modality": "text", "length": n}) + "\n"
+    for i, n in enumerate([7, 5, 4, 3, 1, 8, 2, 6])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=CONFIG)
+def test_fuzz_config_documents(doc, tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "trace.ndjson").write_text(TRACE)
+    (work / "cost.json").write_text(json.dumps(COST_MODEL))
+    (work / "cfg.yaml").write_text(yaml.safe_dump(doc))
+    with contextlib.chdir(work):
+        for command in ("pack", "plan", "simulate", "route", "mem"):
+            run_ok_or_exit_2([command, "--config", "cfg.yaml"], work / "out")
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(TRACE_LINE, max_size=8))
+def test_fuzz_trace_lines(lines, tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "trace.ndjson").write_text("\n".join(lines) + "\n")
+    run_ok_or_exit_2(["pack", "--trace", str(work / "trace.ndjson"), "--capacity", "8"], work / "out")

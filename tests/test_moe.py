@@ -265,3 +265,21 @@ def test_router_config_validation():
         RouterConfig(num_experts=4, top_k=4)
     with pytest.raises(InvalidSpecError):
         RouterConfig(num_experts=4, top_k=2, aux_coefficient=-0.1)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RouterConfig(num_experts=4, top_k=2, aux_coefficient=NAN),
+    lambda: RouterConfig(num_experts=4, top_k=2, aux_coefficient=INF),
+    lambda: RouterConfig(num_experts=4, top_k=2, bias_step=NAN),
+    lambda: RouterConfig(num_experts=4, top_k=2, bias_step=INF),
+    lambda: GaussianLogitSource([0.0, 0.0], seed=1, std=NAN),
+    lambda: GaussianLogitSource([0.0, 0.0], seed=1, std=INF),
+    lambda: GaussianLogitSource([0.0, NAN], seed=1),
+    lambda: GaussianLogitSource([-INF, 0.0], seed=1),
+])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(InvalidSpecError):
+        make()

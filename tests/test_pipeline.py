@@ -303,3 +303,16 @@ def test_microbatches_from_batches_padded_cost():
     packed, _ = pack_ffd(trace, 8)
     mbs = microbatches_from_batches(packed)
     assert all(mb.tokens == mb.useful_tokens for mb in mbs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"backward_ratio": float("nan")},
+    {"backward_ratio": float("inf")},
+    {"comm_latency": float("nan")},
+    {"comm_latency": float("inf")},
+    {"comm_latency": -0.5},
+])
+def test_non_finite_or_negative_timing_rejected(kwargs):
+    # NaN passes a plain ``<= 0`` check and gives NaN makespans and bubble fractions
+    with pytest.raises(InvalidSpecError):
+        simulate_1f1b(plan_with_costs([1.0, 1.0]), unit_microbatches(2), **kwargs)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnisched.config import load_cost_model
 from omnisched.errors import ConfigError, InvalidSpecError, TooFewLayersError, TooFewUnitsError
 from omnisched.sharding import (
     EncoderSpec,
     ParallelLayout,
     StagePlan,
     build_units,
-    load_cost_model,
     naive_plan,
     plan_balanced_stages,
     plan_imbalance,

@@ -28,6 +28,13 @@ def make_spec(weights, lengths, count, seed, name="t"):
 
 
 class TestLoadTrace:
+    def test_bytes_that_are_not_utf8_fail_their_line(self, tmp_path):
+        p = tmp_path / "t.ndjson"
+        p.write_bytes(b'{"id": 0, "modality": "text", "length": 5}\n\xff{"id": 1}\n')
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(p)
+        assert exc.value.context["line"] == 2
+
     def test_three_records_in_order(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text(
@@ -211,3 +218,28 @@ def test_sample_validation():
         ModalitySample(0, Modality.TEXT, 0)
     with pytest.raises(DuplicateIdError):
         WorkloadTrace(samples=(ModalitySample(1, Modality.TEXT, 5), ModalitySample(1, Modality.TEXT, 6)))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LogNormalLength(NAN, 1.0, 10),
+    lambda: LogNormalLength(INF, 1.0, 10),
+    lambda: LogNormalLength(3.0, NAN, 10),
+    lambda: LogNormalLength(3.0, INF, 10),
+    lambda: make_spec({Modality.TEXT: NAN}, {Modality.TEXT: UniformLength(1, 2)}, 4, 0),
+    lambda: make_spec({Modality.TEXT: INF}, {Modality.TEXT: UniformLength(1, 2)}, 4, 0),
+    lambda: make_spec({Modality.TEXT: 1e308, Modality.IMAGE: 1e308},
+                      {Modality.TEXT: UniformLength(1, 2), Modality.IMAGE: UniformLength(1, 2)}, 4, 0),
+    lambda: UniformLength(1, 2**63),  # past numpy's int64 draws
+])
+def test_out_of_range_parameters_rejected(make):
+    with pytest.raises(InvalidSpecError):
+        make()
+
+
+def test_huge_lognormal_draw_clamps_to_max_len():
+    # exp of a draw past ~709.78 overflows a float
+    spec = make_spec({Modality.TEXT: 1.0}, {Modality.TEXT: LogNormalLength(1e4, 1.0, 64)}, 3, 0)
+    assert [s.length for s in generate_trace(spec).samples] == [64, 64, 64]
