@@ -29,7 +29,7 @@ from .config import (
     load_config_file,
     reproduce_scenario_doc,
 )
-from .errors import ConfigError, OmniSchedError
+from .errors import ConfigError, OmniSchedError, OutputError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
 from .pipeline import COMPARISON_CSV_FIELDS, ComparisonTable, compare_configs
 from .sharding import naive_plan, plan_balanced_stages, plan_imbalance
@@ -52,8 +52,10 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _write_csv(path: Path, fields: list[str], rows: list) -> None:
-    """Write a ``fields`` header, then ``rows``: tuples in ``fields`` order, or
-    dicts whose keys are exactly ``fields`` (anything else is a ``ValueError``)."""
+    """Write a ``fields`` header, then ``rows``: tuples in ``fields`` order,
+    dicts whose keys are exactly ``fields`` (anything else is a ``ValueError``),
+    or data lines already formatted as CSV text (``str``, ``"\\r\\n"``-terminated),
+    which are written as they are."""
     if rows and isinstance(rows[0], dict):
         keys = set(fields)
         for row in rows:
@@ -63,14 +65,22 @@ def _write_csv(path: Path, fields: list[str], rows: list) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        writer.writerows(rows)
+        if rows and isinstance(rows[0], str):
+            fh.writelines(rows)
+        else:
+            writer.writerows(rows)
 
 
 def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
     """Create the run directory with its config.resolved. Commands call it once
     they have computed everything, so a failed run leaves no directory behind."""
     out = Path(out_override) if out_override else config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where a directory should be, no permission, ...
+        raise OutputError(
+            f"cannot create output directory {out}: {exc.strerror or exc}", path=str(out)
+        ) from None
     out.joinpath("config.resolved").write_text(
         yaml.safe_dump(config.resolved, sort_keys=True), encoding="utf-8"
     )
@@ -172,7 +182,7 @@ def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -
     out = _prepare_out(config, out_override)
     _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, rows)
     fields = ["stage", "kind", "start", "end", "microbatch"]
-    for cell in table.cells:  # timeline rows are built per cell as they are written
+    for cell in table.cells:  # timeline lines are formatted per cell as they are written
         name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
         _write_csv(out / name, fields, cell.result.timeline_rows())
     _write_json(out / "summary.json", summary)

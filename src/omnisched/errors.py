@@ -77,3 +77,7 @@ class DoubleFreeError(AllocatorError):
 
 class ConfigError(OmniSchedError):
     kind = "invalid-config"
+
+
+class OutputError(OmniSchedError):
+    kind = "output"

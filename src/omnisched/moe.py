@@ -76,15 +76,24 @@ class LoadReport:
     aux: float
 
 
-def _topk_mask(adjusted: np.ndarray, k: int) -> np.ndarray:
+def _topk_mask(adjusted: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of each row's k largest scores, ties to the lowest index.
 
-    Marks every score ``>=`` the row's k-th largest; only rows where ties at
-    that score mark more than k are re-selected by a stable sort.
+    Marks every score ``>=`` the row's k-th largest, found by partitioning
+    ``scratch`` (a float array shaped like ``adjusted``, overwritten) or a
+    copy. Every row marks at least k, so rows are recounted only when the
+    total is over; rows where ties at the k-th score mark more than k are
+    re-selected by a stable sort.
     """
     num_experts = adjusted.shape[1]
-    kth = np.partition(adjusted, num_experts - k, axis=1)[:, num_experts - k, None]
-    mask = adjusted >= kth
+    if scratch is None:
+        scratch = adjusted.copy()
+    else:
+        np.copyto(scratch, adjusted)
+    scratch.partition(num_experts - k, axis=1)
+    mask = adjusted >= scratch[:, num_experts - k, None]
+    if np.count_nonzero(mask) == adjusted.shape[0] * k:
+        return mask
     over = np.flatnonzero(mask.sum(axis=1) > k)
     if over.size:
         top = np.argsort(-adjusted[over], axis=1, kind="stable")[:, :k]
@@ -186,22 +195,30 @@ class GaussianLogitSource:
     def num_experts(self) -> int:
         return self.mean_offsets.shape[0]
 
-    def draw(self, tokens: int) -> np.ndarray:
-        return self._rng.normal(0.0, self.std, size=(tokens, self.num_experts)) + self.mean_offsets
+    def draw(self, tokens: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``tokens`` logit vectors, written into ``out`` (a ``(tokens, E)``
+        float array) when given. ``std * z + offset`` is what
+        ``normal(0, std) + offset`` computes from the same stream."""
+        if out is None:
+            out = np.empty((tokens, self.num_experts))
+        self._rng.standard_normal(out=out)
+        out *= self.std
+        out += self.mean_offsets
+        return out
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def route_batch(state: RouterState, logits: np.ndarray, k: int) -> tuple[np.ndarray, RouterState]:
+def route_batch(
+    state: RouterState, logits: np.ndarray, k: int, work: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, RouterState]:
     """Route a (tokens, E) logit batch, each token as ``route_topk`` would;
-    returns the per-expert selection counts and the state with loads added."""
+    returns the per-expert selection counts and the state with loads added.
+    ``work``, when given, is two float arrays shaped like ``logits`` that are
+    overwritten instead of allocated: the adjusted scores and a sort scratch."""
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
         raise RoutingError(f"logit batch must be (tokens, {state.num_experts})")
-    counts = _topk_mask(logits + state.bias, k).sum(axis=0, dtype=np.int64)
+    adjusted, scratch = work if work is not None else (np.empty_like(logits), None)
+    np.add(logits, state.bias, out=adjusted)
+    counts = _topk_mask(adjusted, k, scratch).sum(axis=0, dtype=np.int64)
     return counts, replace(state, load_counts=state.load_counts + counts)
 
 
@@ -226,11 +243,20 @@ def simulate_routing(
 
     state = RouterState.fresh(config.num_experts)
     reports: list[LoadReport] = []
+    # (tokens, E) buffers reused every step: logits (softmaxed in place once
+    # routed), adjusted scores and the top-k sort scratch
+    logits, adjusted, scratch = np.empty((3, tokens_per_step, config.num_experts))
+    row_max = np.empty((tokens_per_step, 1))
     for step in range(steps):
-        logits = source.draw(tokens_per_step)
-        counts, state = route_batch(state, logits, config.top_k)
+        source.draw(tokens_per_step, out=logits)
+        counts, state = route_batch(state, logits, config.top_k, (adjusted, scratch))
         f = counts / (config.top_k * tokens_per_step)
-        pbar = _softmax_rows(logits).mean(axis=0)
+        np.max(logits, axis=1, keepdims=True, out=row_max)
+        logits -= row_max
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=1, keepdims=True, out=row_max)
+        logits /= row_max
+        pbar = logits.mean(axis=0)
         reports.append(
             LoadReport(
                 step=step,

@@ -19,10 +19,9 @@ the whole stage grid, which is the quantity that grows when work piles onto
 one stage.
 
 The simulator keeps each stage's op start and end times as flat arrays in
-``ScheduleResult``; the per-op ``StageEvent`` timelines and the CSV rows are
-built from them only when a caller asks (``stage_timelines``,
-``timeline_rows()``), so a run that only reads the summary never pays for
-them.
+``ScheduleResult``; the timeline CSV lines are formatted from them only when a
+caller asks (``timeline_rows()``), so a run that only reads the summary never
+pays for them.
 """
 
 from __future__ import annotations
@@ -73,14 +72,6 @@ def microbatches_from_batches(batches: Sequence[PackedBatch]) -> list[MicroBatch
 
 
 @dataclass(frozen=True)
-class StageEvent:
-    kind: str  # "F" | "B"
-    microbatch: int
-    start: float
-    end: float
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     """One simulated schedule. ``op_starts[s]`` and ``op_ends[s]`` hold stage
     ``s``'s op times in ``stage_op_order``; the timelines are built from them."""
@@ -95,36 +86,32 @@ class ScheduleResult:
     op_starts: tuple[array, ...]
     op_ends: tuple[array, ...]
 
-    def _stage_ops(self):
-        """Per stage: its ``(op code, start, end)`` triples in ``stage_op_order``."""
+    def timeline_rows(self) -> list[str]:
+        """The timeline CSV's data lines (stage, kind, start, end, microbatch),
+        idle gaps included, each ending in ``"\\r\\n"``: the bytes ``csv.writer``
+        writes for those rows. Each op boundary is formatted once: an op's end
+        text is also the start of the idle row or op that follows it."""
         pp = len(self.op_starts)
         m = len(self.op_starts[0]) // 2
-        for s in range(pp):
-            yield zip(stage_op_order(pp, s, m), self.op_starts[s], self.op_ends[s])
-
-    @property
-    def stage_timelines(self) -> tuple[tuple[StageEvent, ...], ...]:
-        return tuple(
-            tuple(
-                StageEvent("F", op, start, end) if op >= 0 else StageEvent("B", ~op, start, end)
-                for op, start, end in ops
-            )
-            for ops in self._stage_ops()
-        )
-
-    def timeline_rows(self) -> list[tuple]:
-        """CSV rows (stage, kind, start, end, microbatch), idle gaps included."""
-        rows = []
+        makespan = self.makespan
+        rows: list[str] = []
         append = rows.append
-        for s, ops in enumerate(self._stage_ops()):
-            cursor = 0.0
-            for op, start, end in ops:
-                if start > cursor:
-                    append((s, "idle", cursor, start, ""))
-                append((s, "F", start, end, op) if op >= 0 else (s, "B", start, end, ~op))
-                cursor = end
-            if cursor < self.makespan:
-                append((s, "idle", cursor, self.makespan, ""))
+        for s, starts, ends in zip(range(pp), self.op_starts, self.op_ends):
+            cursor, cursor_text = 0.0, "0.0"
+            for op, start, end, end_text in zip(stage_op_order(pp, s, m), starts, ends, map(repr, ends)):
+                if start == cursor:
+                    start_text = cursor_text
+                else:
+                    start_text = repr(start)
+                    if start > cursor:
+                        append(f"{s},idle,{cursor_text},{start_text},\r\n")
+                if op >= 0:
+                    append(f"{s},F,{start_text},{end_text},{op}\r\n")
+                else:
+                    append(f"{s},B,{start_text},{end_text},{~op}\r\n")
+                cursor, cursor_text = end, end_text
+            if cursor < makespan:
+                append(f"{s},idle,{cursor_text},{makespan!r},\r\n")
         return rows
 
 

@@ -223,10 +223,9 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
                 continue
             try:
                 obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(
-                    f"line {lineno}: invalid record: {exc.msg}", line=lineno
-                ) from None
+            except (ValueError, RecursionError) as exc:  # also: int past the digit limit, deep nesting
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise TraceParseError(f"line {lineno}: invalid record: {msg}", line=lineno) from None
             sample = _parse_record(obj, lineno)
             if sample.id in seen:
                 raise DuplicateIdError(

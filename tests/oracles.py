@@ -1,14 +1,19 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
-Each oracle recomputes an answer from first principles (exhaustive search or
-explicit dependency graphs) without touching the implementation under test.
+Each oracle recomputes an answer from first principles (exhaustive search,
+explicit dependency graphs, or the plain code a fast path replaced) without
+touching the implementation under test.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 
 def min_bins_exhaustive(lengths: Sequence[int], capacity: int) -> int:
@@ -114,6 +119,22 @@ def plan_balanced_stages_reference(
     return tuple(cuts), tuple(sum(costs[a:b]) for a, b in zip(starts, cuts))
 
 
+def stage_sequence(pp: int, s: int, m: int) -> list[tuple[str, int]]:
+    """Stage ``s``'s non-interleaved 1F1B op order as ``(kind, microbatch)``
+    pairs: warmup forwards, then alternating backward/forward, then the
+    backward drain."""
+    warmup = min(m, pp - s)
+    seq = [("F", i) for i in range(warmup)]
+    nf, nb = warmup, 0
+    while nb < m:
+        seq.append(("B", nb))
+        nb += 1
+        if nf < m:
+            seq.append(("F", nf))
+            nf += 1
+    return seq
+
+
 def onef1b_longest_path(
     pp: int,
     fwd: Sequence[Sequence[float]],
@@ -128,21 +149,9 @@ def onef1b_longest_path(
     """
     m = len(fwd[0])
 
-    def stage_sequence(s: int) -> list[tuple[str, int]]:
-        warmup = min(m, pp - s)
-        seq = [("F", i) for i in range(warmup)]
-        nf, nb = warmup, 0
-        while nb < m:
-            seq.append(("B", nb))
-            nb += 1
-            if nf < m:
-                seq.append(("F", nf))
-                nf += 1
-        return seq
-
     preds: dict[tuple[str, int, int], list[tuple[tuple[str, int, int], float]]] = {}
     for s in range(pp):
-        seq = stage_sequence(s)
+        seq = stage_sequence(pp, s, m)
         for idx, (kind, i) in enumerate(seq):
             node = (kind, s, i)
             edges = []
@@ -206,19 +215,7 @@ def simulate_1f1b_reference(
     fwd = [[stage_cost[s] * t for t in tokens] for s in range(pp)]
     bwd = [[backward_ratio * c for c in row] for row in fwd]
 
-    def stage_sequence(s: int) -> list[tuple[str, int]]:
-        warmup = min(m, pp - s)
-        seq = [("F", i) for i in range(warmup)]
-        nf, nb = warmup, 0
-        while nb < m:
-            seq.append(("B", nb))
-            nb += 1
-            if nf < m:
-                seq.append(("F", nf))
-                nf += 1
-        return seq
-
-    orders = [stage_sequence(s) for s in range(pp)]
+    orders = [stage_sequence(pp, s, m) for s in range(pp)]
     pointer = [0] * pp
     stage_free = [0.0] * pp
     end_time: dict[tuple[str, int, int], float] = {}
@@ -261,3 +258,83 @@ def simulate_1f1b_reference(
 
     busy = tuple(sum(end - start for _, _, start, end in tl) for tl in timelines)
     return timelines, busy, max(end_time.values())
+
+
+def timeline_rows_reference(result) -> list[tuple]:
+    """A schedule's timeline CSV rows as ``(stage, kind, start, end,
+    microbatch)`` tuples, idle gaps included, from its ``op_starts``,
+    ``op_ends`` and ``makespan``: an idle row fills each gap before an op and
+    the gap from a stage's last op to the makespan."""
+    pp = len(result.op_starts)
+    m = len(result.op_starts[0]) // 2
+    rows = []
+    for s in range(pp):
+        cursor = 0.0
+        for (kind, i), start, end in zip(stage_sequence(pp, s, m), result.op_starts[s], result.op_ends[s]):
+            if start > cursor:
+                rows.append((s, "idle", cursor, start, ""))
+            rows.append((s, kind, start, end, i))
+            cursor = end
+        if cursor < result.makespan:
+            rows.append((s, "idle", cursor, result.makespan, ""))
+    return rows
+
+
+def csv_bytes_reference(fields: Sequence[str], rows: Sequence[tuple]) -> bytes:
+    """The UTF-8 bytes ``csv.writer`` writes for a ``fields`` header and ``rows``."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(fields)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def topk_mask_reference(adjusted: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k largest scores, ties to the lowest index: every score
+    ``>=`` the row's k-th largest, with each row that marks more than k
+    re-selected by a stable sort."""
+    num_experts = adjusted.shape[1]
+    kth = np.partition(adjusted, num_experts - k, axis=1)[:, num_experts - k, None]
+    mask = adjusted >= kth
+    over = np.flatnonzero(mask.sum(axis=1) > k)
+    if over.size:
+        top = np.argsort(-adjusted[over], axis=1, kind="stable")[:, :k]
+        fixed = np.zeros((over.size, num_experts), dtype=bool)
+        fixed[np.arange(over.size)[:, None], top] = True
+        mask[over] = fixed
+    return mask
+
+
+def simulate_routing_reference(
+    top_k: int,
+    aux_coefficient: float,
+    bias_step: float,
+    mean_offsets: Sequence[float],
+    seed: int,
+    std: float,
+    tokens: int,
+    steps: int,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float, float]]:
+    """The routing loop with a fresh array for every intermediate: per step,
+    draw ``normal(0, std) + mean_offsets`` logits from PCG64(seed), select the
+    top k of ``logits + bias``, and apply the sign rule to the bias.
+
+    Returns each step's ``(f, pbar, bias routed with, cov, aux)``.
+    """
+    offsets = np.asarray(mean_offsets, dtype=float)
+    num_experts = offsets.shape[0]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bias = np.zeros(num_experts)
+    out = []
+    for _ in range(steps):
+        logits = rng.normal(0.0, std, size=(tokens, num_experts)) + offsets
+        counts = topk_mask_reference(logits + bias, top_k).sum(axis=0, dtype=np.int64)
+        f = counts / (top_k * tokens)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        pbar = (e / e.sum(axis=1, keepdims=True)).mean(axis=0)
+        cov = float(np.std(f) / np.mean(f))
+        aux = float(aux_coefficient * num_experts * np.dot(f, pbar))
+        out.append((f, pbar, bias, cov, aux))
+        bias = bias + bias_step * np.sign(1.0 / num_experts - f)
+    return out

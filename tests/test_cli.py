@@ -3,7 +3,7 @@ import json
 import pytest
 import yaml
 
-from omnisched import cli
+from omnisched import cli, pipeline
 from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
 from omnisched.workload import (
@@ -12,6 +12,8 @@ from omnisched.workload import (
     WorkloadTrace,
     save_trace,
 )
+
+from oracles import timeline_rows_reference
 
 
 @pytest.fixture
@@ -267,6 +269,33 @@ def test_bad_config_values_write_nothing(command, doc, trace_file, cost_model_fi
     assert not out.exists()
 
 
+def test_huge_integer_in_trace_is_a_parse_error(tmp_path, capsys):
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text('{"id": 0, "modality": "text", "length": 1' + "0" * 4999 + "}\n")
+    out = tmp_path / "out"
+    assert main(["pack", "--trace", str(trace), "--capacity", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["kind"] == "trace-parse"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, tmp_path, capsys):
+    (tmp_path / "afile").write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / target
+    argv = ["pack", "--trace", str(trace_file), "--capacity", "8", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["kind"] == "output"
+    assert doc["context"]["path"] == str(out)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
 def dict_writer_bytes(path, fields, rows):
     """What ``csv.DictWriter`` writes for ``rows`` given as dicts."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -280,14 +309,20 @@ def test_csv_bytes_match_dict_writer(trace_file, cost_model_file, tmp_path, monk
     # comm_latency > 0 gives idle rows and non-integer times
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump({"comm_latency": 0.3, "backward_ratio": 1.7}))
-    captured = {}
+    captured, results = {}, []
     write_csv = cli._write_csv
+    timeline_rows = pipeline.ScheduleResult.timeline_rows
 
     def spy(path, fields, rows):
         captured[path.name] = (fields, list(rows))
         write_csv(path, fields, rows)
 
+    def timeline_spy(result):
+        results.append(result)
+        return timeline_rows(result)
+
     monkeypatch.setattr(cli, "_write_csv", spy)
+    monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", timeline_spy)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--trace", str(trace_file), "--capacity", "8",
                  "--cost-model", str(cost_model_file), "--layouts", "1x4x1",
@@ -295,8 +330,14 @@ def test_csv_bytes_match_dict_writer(trace_file, cost_model_file, tmp_path, monk
     assert main(["route", "--experts", "4", "--top-k", "2", "--tokens", "32", "--steps", "3",
                  "--seed", "5", "--out", str(out)]) == 0
 
+    # timeline lines reach the writer as text; the reference rows are tuples
+    timeline_names = [name for name in captured if name.startswith("timeline_")]
+    assert len(timeline_names) == len(results)
     name = "timeline_1x4x1_ffd_balanced.csv"
-    fields, rows = captured[name]
+    fields, lines = captured[name]
+    assert all(isinstance(line, str) for line in lines)
+    rows = timeline_rows_reference(results[timeline_names.index(name)])
+    assert len(rows) == len(lines)
     assert any(kind == "idle" for _, kind, *_ in rows)
     assert any(start != int(start) for _, _, start, _, _ in rows)
     dicts = [dict(zip(fields, row)) for row in rows]

@@ -18,6 +18,8 @@ from omnisched.moe import (
     simulate_routing,
 )
 
+from oracles import simulate_routing_reference
+
 # dyadic rationals keep every addition exact, so a bias shift can neither
 # create nor absorb score ties the way raw floats can
 dyadic = st.integers(min_value=-5120, max_value=5120).map(lambda n: n / 1024)
@@ -179,6 +181,58 @@ class TestSimulateRouting:
             assert float(r.load_fractions.sum()) == pytest.approx(1.0, abs=1e-9)
             assert float(r.mean_router_prob.sum()) == pytest.approx(1.0, abs=1e-9)
             assert r.cov >= 0
+
+
+class TestSimulateRoutingMatchesReference:
+    """``simulate_routing`` with reused buffers gives, bit for bit, what the
+    loop with a fresh array per intermediate gives."""
+
+    @staticmethod
+    def assert_matches(num_experts, k, offsets, seed, std, tokens, steps):
+        config = RouterConfig(num_experts=num_experts, top_k=k, aux_coefficient=0.02, bias_step=0.03)
+        source = GaussianLogitSource(offsets, seed=seed, std=std)
+        reports = simulate_routing(config, source, tokens, steps)
+        expected = simulate_routing_reference(k, 0.02, 0.03, offsets, seed, std, tokens, steps)
+        assert len(reports) == len(expected) == steps
+        for r, (f, pbar, bias, cov, aux) in zip(reports, expected):
+            assert np.array_equal(r.load_fractions, f)
+            assert np.array_equal(r.mean_router_prob, pbar)
+            assert np.array_equal(r.bias, bias)
+            assert r.cov == cov and r.aux == aux
+
+    @pytest.mark.parametrize("E,k,std", [(8, 2, 0.7), (16, 5, 2.5), (64, 8, 1.3)])
+    def test_gaussian_logits(self, E, k, std):
+        offsets = np.random.default_rng(E).normal(scale=0.5, size=E)
+        self.assert_matches(E, k, offsets, seed=E + k, std=std, tokens=257, steps=6)
+
+    @pytest.mark.parametrize("E,k", [(4, 2), (8, 3), (12, 5)])
+    def test_tied_logits(self, E, k):
+        # noise far below the offsets' spacing leaves logits == offsets, so
+        # experts sharing an offset tie in every row
+        offsets = [float(i % 3) for i in range(E)]
+        self.assert_matches(E, k, offsets, seed=k, std=1e-300, tokens=64, steps=5)
+
+    @given(
+        shape=st.integers(min_value=2, max_value=12).flatmap(
+            lambda E: st.tuples(st.just(E), st.integers(min_value=1, max_value=E - 1))
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+        std=st.sampled_from([0.3, 1.0, 2.5, 1e-300]),
+        offset_scale=st.sampled_from([0.0, 0.5, 1.0]),
+        tokens=st.integers(min_value=1, max_value=40),
+        steps=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_scenarios(self, shape, seed, std, offset_scale, tokens, steps):
+        E, k = shape
+        offsets = [offset_scale * (i % 4) for i in range(E)]
+        self.assert_matches(E, k, offsets, seed, std, tokens, steps)
+
+    def test_draw_without_buffer_matches_normal(self):
+        offsets = np.linspace(-1.0, 2.0, 6)
+        drawn = GaussianLogitSource(offsets, seed=4, std=1.7).draw(50)
+        rng = np.random.Generator(np.random.PCG64(4))
+        assert np.array_equal(drawn, rng.normal(0.0, 1.7, size=(50, 6)) + offsets)
 
 
 def test_load_accounting():

@@ -1,12 +1,14 @@
 import dataclasses
+import tempfile
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from omnisched import pipeline
+from omnisched import cli, pipeline
 from omnisched.errors import EmptyMicrobatchError, InvalidSpecError
 from omnisched.packing import pack_ffd, pack_padded
 from omnisched.pipeline import (
@@ -15,11 +17,17 @@ from omnisched.pipeline import (
     compare_configs,
     microbatches_from_batches,
     simulate_1f1b,
+    stage_op_order,
 )
 from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan, PlanUnit
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
-from oracles import onef1b_longest_path, simulate_1f1b_reference
+from oracles import (
+    csv_bytes_reference,
+    onef1b_longest_path,
+    simulate_1f1b_reference,
+    timeline_rows_reference,
+)
 
 
 def plan_with_costs(costs, dp=1, tp=1):
@@ -107,12 +115,12 @@ class TestSimulate1f1b:
         costs = rng.uniform(0.2, 3.0, size=4)
         mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(rng.integers(1, 9, size=7))]
         result = simulate_1f1b(plan_with_costs(costs), mbs)
-        for timeline in result.stage_timelines:
+        for starts, ends in zip(result.op_starts, result.op_ends):
             cursor = 0.0
-            for ev in timeline:
-                assert ev.start >= cursor
-                assert ev.end > ev.start
-                cursor = ev.end
+            for start, end in zip(starts, ends):
+                assert start >= cursor
+                assert end > start
+                cursor = end
 
     def test_empty_microbatch_error(self):
         with pytest.raises(EmptyMicrobatchError):
@@ -132,7 +140,12 @@ def assert_matches_reference(costs, tokens, beta, comm):
     result = simulate_1f1b(plan, mbs, backward_ratio=beta, comm_latency=comm)
     timelines, busy, makespan = simulate_1f1b_reference(plan.stage_cost, tokens, beta, comm)
     # exact float equality of every event, not approx
-    got = [[(ev.kind, ev.microbatch, ev.start, ev.end) for ev in tl] for tl in result.stage_timelines]
+    pp, m = len(costs), len(tokens)
+    got = [
+        [("F", op, start, end) if op >= 0 else ("B", ~op, start, end)
+         for op, start, end in zip(stage_op_order(pp, s, m), result.op_starts[s], result.op_ends[s])]
+        for s in range(pp)
+    ]
     assert got == timelines
     assert result.stage_busy == busy
     assert result.makespan == makespan
@@ -168,7 +181,10 @@ class TestScheduleResult:
 
     def test_timeline_rows_cover_makespan(self):
         result = simulate_1f1b(plan_with_costs([1.0, 3.0, 2.0]), unit_microbatches(4), comm_latency=0.2)
-        rows = result.timeline_rows()
+        lines = result.timeline_rows()
+        assert all(line.endswith("\r\n") for line in lines)
+        rows = [line[:-2].split(",") for line in lines]
+        rows = [(int(s), kind, float(start), float(end), mb) for s, kind, start, end, mb in rows]
         for s in range(3):
             stage_rows = [r for r in rows if r[0] == s]
             assert stage_rows[0][2] == 0.0
@@ -184,6 +200,48 @@ class TestScheduleResult:
         monkeypatch.setattr(pipeline, "stage_op_order", backwards_first)
         with pytest.raises(InvalidSpecError, match="deadlock"):
             simulate_1f1b(plan_with_costs([1.0, 1.0]), unit_microbatches(2))
+
+
+TIMELINE_FIELDS = ["stage", "kind", "start", "end", "microbatch"]
+
+
+def timeline_file_bytes(result):
+    """The timeline CSV ``cli`` writes for ``result``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "timeline.csv"
+        cli._write_csv(path, TIMELINE_FIELDS, result.timeline_rows())
+        return path.read_bytes()
+
+
+class TestTimelineText:
+    """Timeline CSV bytes equal ``csv.writer`` over the reference tuple rows."""
+
+    @given(
+        costs=st.lists(
+            st.one_of(st.floats(min_value=0.01, max_value=10.0), st.floats(min_value=1e-8, max_value=1e-4)),
+            min_size=1, max_size=6,
+        ),
+        tokens=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=20),
+        beta=st.floats(min_value=0.1, max_value=4.0),
+        comm=st.sampled_from([0.0, 0.1, 0.3, 1.7]),
+    )
+    @example(costs=[1e-05], tokens=[1], beta=2.0, comm=0.0)  # pp = m = 1, exponent reprs
+    @example(costs=[1e-05, 3e-06, 2.5e-05], tokens=[1, 3], beta=1.37, comm=0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_file_bytes_match_csv_writer(self, costs, tokens, beta, comm):
+        mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
+        result = simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta, comm_latency=comm)
+        expected = csv_bytes_reference(TIMELINE_FIELDS, timeline_rows_reference(result))
+        assert timeline_file_bytes(result) == expected
+
+    def test_idle_rows_and_exponent_reprs_are_covered(self):
+        mbs = [MicroBatch(i, t, t) for i, t in enumerate([1, 3, 2])]
+        result = simulate_1f1b(plan_with_costs([1e-05, 3e-06]), mbs, backward_ratio=1.37, comm_latency=0.3)
+        text = timeline_file_bytes(result).decode()
+        assert ",idle," in text and "e-05" in text
+        rows = timeline_rows_reference(result)
+        assert text == csv_bytes_reference(TIMELINE_FIELDS, rows).decode()
+        assert text.count("\r\n") == len(rows) + 1
 
 
 class TestAnalyticBubble:

@@ -35,6 +35,17 @@ class TestLoadTrace:
             load_trace(p)
         assert exc.value.context["line"] == 2
 
+    @pytest.mark.parametrize("line", [
+        '{"id": 0, "modality": "text", "length": 1' + "0" * 4999 + "}",  # 5,000 digits
+        "[" * 100_000 + "]" * 100_000,
+    ], ids=["5000-digit-length", "deep-nesting"])
+    def test_json_past_python_limits_fails_its_line(self, tmp_path, line):
+        p = tmp_path / "t.ndjson"
+        p.write_text('{"id": 0, "modality": "text", "length": 5}\n' + line + "\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(p)
+        assert exc.value.context["line"] == 2
+
     def test_three_records_in_order(self, tmp_path):
         p = tmp_path / "t.ndjson"
         p.write_text(
