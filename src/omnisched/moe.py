@@ -76,22 +76,16 @@ class LoadReport:
     aux: float
 
 
-def _topk_mask(adjusted: np.ndarray, k: int, scratch: np.ndarray | None = None) -> np.ndarray:
+def _topk_mask(adjusted: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of each row's k largest scores, ties to the lowest index.
 
-    Marks every score ``>=`` the row's k-th largest, found by partitioning
-    ``scratch`` (a float array shaped like ``adjusted``, overwritten) or a
-    copy. Every row marks at least k, so rows are recounted only when the
-    total is over; rows where ties at the k-th score mark more than k are
-    re-selected by a stable sort.
+    Marks every score ``>=`` the row's k-th largest. Every row marks at least
+    k, so rows are recounted only when the total is over; rows where ties at
+    the k-th score mark more than k are re-selected by a stable sort.
     """
     num_experts = adjusted.shape[1]
-    if scratch is None:
-        scratch = adjusted.copy()
-    else:
-        np.copyto(scratch, adjusted)
-    scratch.partition(num_experts - k, axis=1)
-    mask = adjusted >= scratch[:, num_experts - k, None]
+    kth = np.partition(adjusted, num_experts - k, axis=1)[:, num_experts - k, None]
+    mask = adjusted >= kth
     if np.count_nonzero(mask) == adjusted.shape[0] * k:
         return mask
     over = np.flatnonzero(mask.sum(axis=1) > k)
@@ -195,30 +189,21 @@ class GaussianLogitSource:
     def num_experts(self) -> int:
         return self.mean_offsets.shape[0]
 
-    def draw(self, tokens: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``tokens`` logit vectors, written into ``out`` (a ``(tokens, E)``
-        float array) when given. ``std * z + offset`` is what
+    def draw(self, tokens: int) -> np.ndarray:
+        """``tokens`` logit vectors. ``std * z + offset`` is what
         ``normal(0, std) + offset`` computes from the same stream."""
-        if out is None:
-            out = np.empty((tokens, self.num_experts))
-        self._rng.standard_normal(out=out)
-        out *= self.std
-        out += self.mean_offsets
-        return out
+        z = self._rng.standard_normal((tokens, self.num_experts))
+        z *= self.std
+        z += self.mean_offsets
+        return z
 
 
-def route_batch(
-    state: RouterState, logits: np.ndarray, k: int, work: tuple[np.ndarray, np.ndarray] | None = None
-) -> tuple[np.ndarray, RouterState]:
+def route_batch(state: RouterState, logits: np.ndarray, k: int) -> tuple[np.ndarray, RouterState]:
     """Route a (tokens, E) logit batch, each token as ``route_topk`` would;
-    returns the per-expert selection counts and the state with loads added.
-    ``work``, when given, is two float arrays shaped like ``logits`` that are
-    overwritten instead of allocated: the adjusted scores and a sort scratch."""
+    returns the per-expert selection counts and the state with loads added."""
     if logits.ndim != 2 or logits.shape[1] != state.num_experts:
         raise RoutingError(f"logit batch must be (tokens, {state.num_experts})")
-    adjusted, scratch = work if work is not None else (np.empty_like(logits), None)
-    np.add(logits, state.bias, out=adjusted)
-    counts = _topk_mask(adjusted, k, scratch).sum(axis=0, dtype=np.int64)
+    counts = _topk_mask(logits + state.bias, k).sum(axis=0, dtype=np.int64)
     return counts, replace(state, load_counts=state.load_counts + counts)
 
 
@@ -243,19 +228,14 @@ def simulate_routing(
 
     state = RouterState.fresh(config.num_experts)
     reports: list[LoadReport] = []
-    # (tokens, E) buffers reused every step: logits (softmaxed in place once
-    # routed), adjusted scores and the top-k sort scratch
-    logits, adjusted, scratch = np.empty((3, tokens_per_step, config.num_experts))
-    row_max = np.empty((tokens_per_step, 1))
     for step in range(steps):
-        source.draw(tokens_per_step, out=logits)
-        counts, state = route_batch(state, logits, config.top_k, (adjusted, scratch))
+        logits = source.draw(tokens_per_step)
+        counts, state = route_batch(state, logits, config.top_k)
         f = counts / (config.top_k * tokens_per_step)
-        np.max(logits, axis=1, keepdims=True, out=row_max)
-        logits -= row_max
+        # pbar: the row softmax of the routed logits, computed in place
+        logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
-        np.sum(logits, axis=1, keepdims=True, out=row_max)
-        logits /= row_max
+        logits /= logits.sum(axis=1, keepdims=True)
         pbar = logits.mean(axis=0)
         reports.append(
             LoadReport(

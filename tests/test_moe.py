@@ -184,8 +184,9 @@ class TestSimulateRouting:
 
 
 class TestSimulateRoutingMatchesReference:
-    """``simulate_routing`` with reused buffers gives, bit for bit, what the
-    loop with a fresh array per intermediate gives."""
+    """``simulate_routing`` (in-place scaling and softmax, the tie recount
+    skipped when no row is over k) gives, bit for bit, what the loop with a
+    fresh array per intermediate gives."""
 
     @staticmethod
     def assert_matches(num_experts, k, offsets, seed, std, tokens, steps):
@@ -228,7 +229,7 @@ class TestSimulateRoutingMatchesReference:
         offsets = [offset_scale * (i % 4) for i in range(E)]
         self.assert_matches(E, k, offsets, seed, std, tokens, steps)
 
-    def test_draw_without_buffer_matches_normal(self):
+    def test_draw_matches_normal(self):
         offsets = np.linspace(-1.0, 2.0, 6)
         drawn = GaussianLogitSource(offsets, seed=4, std=1.7).draw(50)
         rng = np.random.Generator(np.random.PCG64(4))

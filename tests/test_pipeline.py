@@ -213,6 +213,15 @@ def timeline_file_bytes(result):
         return path.read_bytes()
 
 
+def simulate_case(costs, tokens, beta, comm):
+    mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
+    return simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta, comm_latency=comm)
+
+
+# tiny costs with comm_latency > 0: idle rows and exponent reprs such as 1e-05
+IDLE_AND_EXPONENT_CASE = dict(costs=[1e-05, 3e-06, 2.5e-05], tokens=[1, 3], beta=1.37, comm=0.3)
+
+
 class TestTimelineText:
     """Timeline CSV bytes equal ``csv.writer`` over the reference tuple rows."""
 
@@ -226,22 +235,16 @@ class TestTimelineText:
         comm=st.sampled_from([0.0, 0.1, 0.3, 1.7]),
     )
     @example(costs=[1e-05], tokens=[1], beta=2.0, comm=0.0)  # pp = m = 1, exponent reprs
-    @example(costs=[1e-05, 3e-06, 2.5e-05], tokens=[1, 3], beta=1.37, comm=0.3)
+    @example(**IDLE_AND_EXPONENT_CASE)
     @settings(max_examples=200, deadline=None)
     def test_file_bytes_match_csv_writer(self, costs, tokens, beta, comm):
-        mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
-        result = simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta, comm_latency=comm)
+        result = simulate_case(costs, tokens, beta, comm)
         expected = csv_bytes_reference(TIMELINE_FIELDS, timeline_rows_reference(result))
         assert timeline_file_bytes(result) == expected
 
-    def test_idle_rows_and_exponent_reprs_are_covered(self):
-        mbs = [MicroBatch(i, t, t) for i, t in enumerate([1, 3, 2])]
-        result = simulate_1f1b(plan_with_costs([1e-05, 3e-06]), mbs, backward_ratio=1.37, comm_latency=0.3)
-        text = timeline_file_bytes(result).decode()
+    def test_idle_and_exponent_case_has_both(self):
+        text = timeline_file_bytes(simulate_case(**IDLE_AND_EXPONENT_CASE)).decode()
         assert ",idle," in text and "e-05" in text
-        rows = timeline_rows_reference(result)
-        assert text == csv_bytes_reference(TIMELINE_FIELDS, rows).decode()
-        assert text.count("\r\n") == len(rows) + 1
 
 
 class TestAnalyticBubble:
