@@ -1,12 +1,16 @@
 """Experiment runner: pack / plan / simulate / route / mem / reproduce.
 
-Every subcommand resolves its config (flags > config file > OMNISCHED_SEED >
-defaults), runs the scenario, and writes a run directory containing
-``config.resolved``, ``summary.json``, and the scenario's CSVs. Outputs
-carry no timestamps, so a run is byte-reproducible from (config, seed).
+Every subcommand runs the same way. Its config is resolved (flags > config
+file > OMNISCHED_SEED > defaults; ``reproduce``'s config file is
+``--scenario``, the shipped scenario when none is given) and the command
+computes all of its results. Only then is the run directory created and
+``config.resolved``, the command's CSV/JSON files and ``summary.json``
+written, so a run that fails before writing leaves no directory behind.
+Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
-one-line JSON object ``{"kind", "message", "context"}`` on stderr.
+one-line JSON object ``{"kind", "message", "context"}`` on stderr; a failed
+write is kind ``output`` with the path in ``context.path``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import json
 import operator
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -71,19 +76,23 @@ def _write_csv(path: Path, fields: list[str], rows: list) -> None:
             writer.writerows(rows)
 
 
-def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
-    """Create the run directory with its config.resolved. Commands call it once
-    they have computed everything, so a failed run leaves no directory behind."""
-    out = Path(out_override) if out_override else config.output_dir
+@contextmanager
+def _writing(path: Path, what: str = "write"):
+    """Turn an ``OSError`` while making ``path`` into the ``output`` error."""
     try:
+        yield
+    except OSError as exc:  # a file or directory in the way, no permission, a full disk, ...
+        raise OutputError(f"cannot {what} {path}: {exc.strerror or exc}", path=str(path)) from None
+
+
+def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
+    """Create the run directory with its config.resolved."""
+    out = Path(out_override) if out_override else config.output_dir
+    with _writing(out, "create output directory"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file where a directory should be, no permission, ...
-        raise OutputError(
-            f"cannot create output directory {out}: {exc.strerror or exc}", path=str(out)
-        ) from None
-    out.joinpath("config.resolved").write_text(
-        yaml.safe_dump(config.resolved, sort_keys=True), encoding="utf-8"
-    )
+    resolved = out / "config.resolved"
+    with _writing(resolved):
+        resolved.write_text(yaml.safe_dump(config.resolved, sort_keys=True), encoding="utf-8")
     return out
 
 
@@ -125,9 +134,9 @@ def _mem_rows(config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
     ]
 
 
-def cmd_pack(config: ExperimentConfig, policy: str, out_override: Optional[str] = None) -> dict:
+def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     trace = config.load_workload()
-    policies = list(POLICIES) if policy == "all" else [policy]
+    policies = list(POLICIES) if args.policy == "all" else [args.policy]
     rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
     summary = {
         "command": "pack",
@@ -135,13 +144,10 @@ def cmd_pack(config: ExperimentConfig, policy: str, out_override: Optional[str] 
         "capacity": config.capacity,
         "reports": rows,
     }
-    out = _prepare_out(config, out_override)
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, rows)
-    _write_json(out / "summary.json", summary)
-    return summary
+    return summary, [("packing.csv", REPORT_CSV_FIELDS, rows)]
 
 
-def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
+def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     _need_cost_model(config, "plan")
     plans = {}
     for layout in config.layouts:
@@ -161,13 +167,10 @@ def cmd_plan(config: ExperimentConfig, out_override: Optional[str] = None) -> di
             for label, doc in plans.items()
         },
     }
-    out = _prepare_out(config, out_override)
-    _write_json(out / "plan.json", plans)
-    _write_json(out / "summary.json", summary)
-    return summary
+    return summary, [("plan.json", None, plans)]
 
 
-def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
+def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
     table = _comparison(config, trace)
@@ -179,17 +182,15 @@ def cmd_simulate(config: ExperimentConfig, out_override: Optional[str] = None) -
         "headline_ratio": table.headline_ratio,
         "cells": rows,
     }
-    out = _prepare_out(config, out_override)
-    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, rows)
+    files = [("comparison.csv", COMPARISON_CSV_FIELDS, rows)]
     fields = ["stage", "kind", "start", "end", "microbatch"]
     for cell in table.cells:  # timeline lines are formatted per cell as they are written
         name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
-        _write_csv(out / name, fields, cell.result.timeline_rows())
-    _write_json(out / "summary.json", summary)
-    return summary
+        files.append((name, fields, cell.result.timeline_rows))
+    return summary, files
 
 
-def cmd_route(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
+def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     scenario = config.resolved["router"]
     source = moe_mod.GaussianLogitSource(
         mean_offsets=scenario["mean_offsets"], seed=scenario["seed"], std=scenario["logit_std"]
@@ -197,7 +198,6 @@ def cmd_route(config: ExperimentConfig, out_override: Optional[str] = None) -> d
     reports = moe_mod.simulate_routing(
         config.router, source, scenario["tokens_per_step"], scenario["steps"]
     )
-    rows = moe_mod.load_report_rows(reports)
     summary = {
         "command": "route",
         "num_experts": config.router.num_experts,
@@ -209,26 +209,16 @@ def cmd_route(config: ExperimentConfig, out_override: Optional[str] = None) -> d
         "aux_first": reports[0].aux,
         "aux_last": reports[-1].aux,
     }
-    out = _prepare_out(config, out_override)
-    _write_csv(out / "route.csv", moe_mod.ROUTE_CSV_FIELDS, rows)
-    _write_json(out / "summary.json", summary)
-    return summary
+    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(reports))]
 
 
-def cmd_mem(config: ExperimentConfig, out_override: Optional[str] = None) -> dict:
-    trace = config.load_workload()
-    summary = {"command": "mem", "rows": _mem_rows(config, trace)}
-    out = _prepare_out(config, out_override)
-    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, summary["rows"])
-    _write_json(out / "summary.json", summary)
-    return summary
+def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+    rows = _mem_rows(config, config.load_workload())
+    return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)]
 
 
-def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = None) -> dict:
-    """Run the shipped heterogeneous scenario end to end and summarize the
-    baseline-vs-optimized contrast."""
-    doc = load_config_file(scenario_path) if scenario_path else reproduce_scenario_doc()
-    config = build_config(doc)
+def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+    """The scenario end to end, and its baseline-vs-optimized contrast."""
     missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
     missing += [p for p in ("naive", "balanced") if p not in config.plan_policies]
     if missing:
@@ -273,12 +263,42 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
         "throughput_ratio_min": min(v["throughput_ratio"] for v in layouts.values()),
         "fragmentation": {"per_sample_baseline": per_sample, "ffd_packed": packed},
     }
-    out = _prepare_out(config, out_dir)
-    _write_csv(out / "packing.csv", REPORT_CSV_FIELDS, pack_rows)
-    _write_csv(out / "comparison.csv", COMPARISON_CSV_FIELDS, table.rows())
-    _write_csv(out / "memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows)
-    _write_json(out / "summary.json", summary)
+    return summary, [
+        ("packing.csv", REPORT_CSV_FIELDS, pack_rows),
+        ("comparison.csv", COMPARISON_CSV_FIELDS, table.rows()),
+        ("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows),
+    ]
+
+
+# Each command maps (config, args) to (summary, files) and writes nothing.
+_COMMANDS = {"pack": _pack, "plan": _plan, "simulate": _simulate, "route": _route, "mem": _mem,
+             "reproduce": _reproduce}
+
+
+def _run(args: argparse.Namespace) -> dict:
+    """Resolve the config and compute the command's results; only then create
+    the run directory and write config.resolved, the command's files in order,
+    and summary.json. Returns the summary.
+
+    A file is (name, CSV fields or None for JSON, rows or the JSON object); rows
+    may also be a function that returns them, called when the file is written."""
+    config = _config_from_args(args)
+    summary, files = _COMMANDS[args.command](config, args)
+    out = _prepare_out(config, args.out)
+    for name, fields, rows in files + [("summary.json", None, summary)]:
+        path = out / name
+        with _writing(path):
+            if fields is None:
+                _write_json(path, rows)
+            else:
+                _write_csv(path, fields, rows() if callable(rows) else rows)
     return summary
+
+
+def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = None) -> dict:
+    """Run the shipped heterogeneous scenario, or the one at ``scenario_path``,
+    into its run directory and return its summary."""
+    return _run(argparse.Namespace(command="reproduce", config=scenario_path, out=out_dir))
 
 
 def _trace_flag(path: str) -> dict:
@@ -336,7 +356,9 @@ def _build_parser() -> _Parser:
 
     p_rep = sub.add_parser("reproduce", help="run the shipped headline scenario")
     p_rep.add_argument("--out", help="output directory")
-    p_rep.add_argument("--scenario", help="override the shipped scenario file")
+    p_rep.add_argument(
+        "--scenario", dest="config", metavar="SCENARIO", help="override the shipped scenario file"
+    )
 
     return parser
 
@@ -348,7 +370,10 @@ _NOT_CONFIG = ("command", "config", "out", "policy")
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The config file's document, with each flag given (not None) set at the
     config key path its destination names, read by ``build_config``."""
-    doc = load_config_file(args.config) if args.config else {}
+    if args.config:
+        doc = load_config_file(args.config)
+    else:  # reproduce runs the shipped scenario unless --scenario names a file
+        doc = reproduce_scenario_doc() if args.command == "reproduce" else {}
     for path, value in vars(args).items():
         if value is None or path in _NOT_CONFIG:
             continue
@@ -370,20 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "pack":
-            cmd_pack(_config_from_args(args), args.policy, args.out)
-        elif args.command == "plan":
-            cmd_plan(_config_from_args(args), args.out)
-        elif args.command == "simulate":
-            cmd_simulate(_config_from_args(args), args.out)
-        elif args.command == "route":
-            cmd_route(_config_from_args(args), args.out)
-        elif args.command == "mem":
-            cmd_mem(_config_from_args(args), args.out)
-        elif args.command == "reproduce":
-            cmd_reproduce(args.out, args.scenario)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        _run(args)
     except OmniSchedError as exc:
         print(json.dumps(exc.to_dict(), default=str), file=sys.stderr)
         return 2

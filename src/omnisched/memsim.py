@@ -16,7 +16,7 @@ sample at its own size (the dynamic-shape regime packing replaces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
 from .errors import AllocatorError, DoubleFreeError, UnknownTagError
@@ -53,17 +53,12 @@ class FragReport:
 
     def to_dict(self) -> dict:
         """The reported statistics; ``final_live`` is a stream check, not one of them."""
-        return {
-            "policy": self.policy,
-            "peak_reserved": self.peak_reserved,
-            "peak_live": self.peak_live,
-            "fragmentation_ratio": self.fragmentation_ratio,
-            "reuse_hits": self.reuse_hits,
-            "new_blocks": self.new_blocks,
-        }
+        doc = asdict(self)
+        del doc["final_live"]
+        return doc
 
 
-MEMSIM_CSV_FIELDS = ["scenario", "policy", "peak_reserved", "peak_live", "fragmentation_ratio", "reuse_hits", "new_blocks"]
+MEMSIM_CSV_FIELDS = ["scenario"] + [f.name for f in fields(FragReport) if f.name != "final_live"]
 
 
 def events_from_batches(batches: Sequence[PackedBatch], bytes_per_token: int) -> list[AllocEvent]:

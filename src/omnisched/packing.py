@@ -13,7 +13,7 @@ downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 from .errors import ConfigError, InvalidSpecError, OversizeSampleError
@@ -66,17 +66,10 @@ class PackingReport:
     largest_batch_used: int
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "batch_count": self.batch_count,
-            "total_tokens": self.total_tokens,
-            "fill_fraction": self.fill_fraction,
-            "padding_tokens": self.padding_tokens,
-            "largest_batch_used": self.largest_batch_used,
-        }
+        return asdict(self)
 
 
-REPORT_CSV_FIELDS = ["policy", "batch_count", "total_tokens", "fill_fraction", "padding_tokens", "largest_batch_used"]
+REPORT_CSV_FIELDS = [f.name for f in fields(PackingReport)]
 
 
 def _check_sizes(trace: WorkloadTrace, capacity: int) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Union
@@ -269,20 +269,7 @@ class TraceStats:
     per_modality: dict[str, ModalityStats] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "total_samples": self.total_samples,
-            "total_tokens": self.total_tokens,
-            "per_modality": {
-                m: {
-                    "count": st.count,
-                    "min_length": st.min_length,
-                    "max_length": st.max_length,
-                    "mean_length": st.mean_length,
-                    "total_tokens": st.total_tokens,
-                }
-                for m, st in sorted(self.per_modality.items())
-            },
-        }
+        return asdict(self)
 
 
 def trace_stats(trace: WorkloadTrace) -> TraceStats:

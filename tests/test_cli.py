@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -354,3 +357,50 @@ def test_csv_bytes_match_dict_writer(trace_file, cost_model_file, tmp_path, monk
 def test_csv_dict_row_keys_must_match_fields(tmp_path, row):
     with pytest.raises(ValueError):
         cli._write_csv(tmp_path / "x.csv", ["a", "b"], [{"a": 0, "b": 0}, row])
+
+
+# One small run per command, with relative paths so that config.resolved names
+# no machine path. comm_latency > 0 gives the timelines idle rows and
+# non-integer times.
+RUN_ARGVS = {
+    "pack": ["pack", "--trace", "trace.ndjson", "--capacity", "8", "--policy", "all"],
+    "plan": ["plan", "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1"],
+    "simulate": ["simulate", "--config", "sim.yaml", "--trace", "trace.ndjson", "--capacity", "8",
+                 "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1"],
+    "route": ["route", "--experts", "8", "--top-k", "2", "--tokens", "64", "--steps", "4",
+              "--seed", "3"],
+    "mem": ["mem", "--trace", "trace.ndjson", "--capacity", "8"],
+    "reproduce": ["reproduce"],
+}
+
+
+def run_digests(command, directory):
+    """sha256 of every file the command's run writes, run in ``directory``."""
+    (directory / "sim.yaml").write_text(yaml.safe_dump({"comm_latency": 0.3, "backward_ratio": 1.7}))
+    assert main(RUN_ARGVS[command] + ["--out", "out"]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted((directory / "out").iterdir())}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ARGVS))
+def test_run_directory_bytes(command, trace_file, cost_model_file, tmp_path, monkeypatch):
+    # tests/data/run_digests.json pins every output byte of every command
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OMNISCHED_SEED", raising=False)
+    golden = json.loads((Path(__file__).parent / "data" / "run_digests.json").read_text())
+    assert run_digests(command, tmp_path) == golden[command]
+
+
+@pytest.mark.parametrize("name", ["config.resolved", "packing.csv"])
+def test_output_file_that_is_a_directory_is_an_output_error(name, trace_file, tmp_path, capsys):
+    # Files written before the failing one stay behind: writing through a
+    # temporary directory, so that a failed run leaves none, is ROADMAP item 5.
+    out = tmp_path / "od"
+    (out / name).mkdir(parents=True)
+    argv = ["pack", "--trace", str(trace_file), "--capacity", "8", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["kind"] == "output"
+    assert doc["context"]["path"] == str(out / name)
