@@ -3,9 +3,10 @@
 Every subcommand runs the same way. Its config is resolved (flags > config
 file > OMNISCHED_SEED > defaults; ``reproduce``'s config file is
 ``--scenario``, the shipped scenario when none is given) and the command
-computes all of its results. Only then is the run directory created and
-``config.resolved``, the command's CSV/JSON files and ``summary.json``
-written, so a run that fails before writing leaves no directory behind.
+computes all of its results. Only then are ``config.resolved``, the command's
+CSV/JSON files and ``summary.json`` written, into a temporary directory beside
+the run directory, and moved into the run directory once every write has
+succeeded. A failed run leaves no new or changed file under the run directory.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
@@ -19,7 +20,10 @@ import argparse
 import csv
 import json
 import operator
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence
@@ -85,15 +89,36 @@ def _writing(path: Path, what: str = "write"):
         raise OutputError(f"cannot {what} {path}: {exc.strerror or exc}", path=str(path)) from None
 
 
-def _prepare_out(config: ExperimentConfig, out_override: Optional[str]) -> Path:
-    """Create the run directory with its config.resolved."""
-    out = Path(out_override) if out_override else config.output_dir
+def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
+    """Write config.resolved and ``files`` (see ``_run``) into a temporary
+    directory beside ``out``, then move them into ``out``. Nothing moves until
+    every file is written and no target name has a directory in the way, so a
+    failed write leaves ``out`` as it was; a missing parent of ``out`` is
+    still created."""
     with _writing(out, "create output directory"):
-        out.mkdir(parents=True, exist_ok=True)
-    resolved = out / "config.resolved"
-    with _writing(resolved):
-        resolved.write_text(yaml.safe_dump(config.resolved, sort_keys=True), encoding="utf-8")
-    return out
+        out.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+    try:
+        resolved = yaml.safe_dump(config.resolved, sort_keys=True)
+        with _writing(out / "config.resolved"):
+            (stage / "config.resolved").write_text(resolved, encoding="utf-8")
+        for name, fields, rows in files:
+            with _writing(out / name):
+                if fields is None:
+                    _write_json(stage / name, rows)
+                else:
+                    _write_csv(stage / name, fields, rows() if callable(rows) else rows)
+        with _writing(out, "create output directory"):
+            out.mkdir(exist_ok=True)
+        names = sorted(os.listdir(stage))
+        for target in (out / name for name in names):
+            if target.is_dir():
+                raise OutputError(f"cannot write {target}: it is a directory", path=str(target))
+        for name in names:
+            with _writing(out / name):
+                os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:
@@ -276,22 +301,16 @@ _COMMANDS = {"pack": _pack, "plan": _plan, "simulate": _simulate, "route": _rout
 
 
 def _run(args: argparse.Namespace) -> dict:
-    """Resolve the config and compute the command's results; only then create
-    the run directory and write config.resolved, the command's files in order,
-    and summary.json. Returns the summary.
+    """Resolve the config and compute the command's results; only then write
+    the run directory: config.resolved, the command's files in order, and
+    summary.json. Returns the summary.
 
     A file is (name, CSV fields or None for JSON, rows or the JSON object); rows
     may also be a function that returns them, called when the file is written."""
     config = _config_from_args(args)
     summary, files = _COMMANDS[args.command](config, args)
-    out = _prepare_out(config, args.out)
-    for name, fields, rows in files + [("summary.json", None, summary)]:
-        path = out / name
-        with _writing(path):
-            if fields is None:
-                _write_json(path, rows)
-            else:
-                _write_csv(path, fields, rows() if callable(rows) else rows)
+    out = Path(args.out) if args.out else config.output_dir
+    _write_run(config, out, files + [("summary.json", None, summary)])
     return summary
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
 from .errors import AllocatorError, DoubleFreeError, UnknownTagError
-from .packing import PackedBatch
+from .packing import Packing, PackedBatch
 from .workload import WorkloadTrace
 
 AllocatorPolicy = Literal["exact_reuse_cache", "no_cache"]
@@ -61,8 +61,9 @@ class FragReport:
 MEMSIM_CSV_FIELDS = ["scenario"] + [f.name for f in fields(FragReport) if f.name != "final_live"]
 
 
-def events_from_batches(batches: Sequence[PackedBatch], bytes_per_token: int) -> list[AllocEvent]:
-    """One capacity-sized buffer per batch, freed before the next batch.
+def events_from_batches(batches: Packing | Sequence[PackedBatch], bytes_per_token: int) -> list[AllocEvent]:
+    """One capacity-sized buffer per batch, freed before the next batch. A
+    ``Packing`` is read from its capacity and batch count, without views.
 
     Fixed-capacity batches are physically capacity-shaped regardless of how
     full they are, which is exactly why packing to a fixed capacity gives
@@ -70,10 +71,14 @@ def events_from_batches(batches: Sequence[PackedBatch], bytes_per_token: int) ->
     """
     if bytes_per_token < 1:
         raise AllocatorError(f"bytes_per_token must be >= 1, got {bytes_per_token}")
+    if isinstance(batches, Packing):
+        capacities = [batches.capacity] * len(batches)
+    else:
+        capacities = [b.capacity for b in batches]
     events = []
-    for i, b in enumerate(batches):
+    for i, capacity in enumerate(capacities):
         tag = f"batch{i}"
-        events.append(AllocEvent("alloc", tag, b.capacity * bytes_per_token))
+        events.append(AllocEvent("alloc", tag, capacity * bytes_per_token))
         events.append(AllocEvent("free", tag))
     return events
 

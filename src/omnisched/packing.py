@@ -6,15 +6,21 @@ Three policies:
 * ``stream`` - next-fit in arrival order, an online baseline.
 * ``padded`` - no packing: one sample per batch, padded to capacity.
 
-A sample is never split across batches; entry offsets record where each
-sample starts inside its batch so attention isolation can be reconstructed
-downstream.
+A sample is never split across batches. Each policy returns a ``Packing`` of
+columns: sample ids and lengths in placement order, CSR batch starts, and each
+batch's ``used`` tokens. Indexing it builds ``PackedBatch`` views, whose entry
+offsets record where each sample starts inside its batch so attention
+isolation can be reconstructed downstream.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConfigError, InvalidSpecError, OversizeSampleError
 from .workload import WorkloadTrace
@@ -29,8 +35,8 @@ class PackEntry:
 
 @dataclass(frozen=True)
 class PackedBatch:
-    """Fixed-capacity container; ``padded`` marks one-sample padded batches
-    whose physical footprint is the full capacity."""
+    """Fixed-capacity container, or a view of a ``Packing``; ``padded`` marks
+    one-sample padded batches whose physical footprint is the full capacity."""
 
     capacity: int
     entries: tuple[PackEntry, ...]
@@ -56,6 +62,36 @@ class PackedBatch:
             offset += e.length
 
 
+@dataclass(frozen=True, eq=False)
+class Packing(Sequence):
+    """One policy's batches as columns. Batch ``j`` holds the samples at
+    positions ``starts[j]:starts[j + 1]`` of ``sample_ids`` and ``lengths``,
+    which are in placement order, and ``used[j]`` tokens.
+
+    ``len()`` is the batch count. Indexing or iterating builds ``PackedBatch``
+    views, and a packing equals a list of the same batches."""
+
+    capacity: int
+    padded: bool
+    sample_ids: Sequence[int]
+    lengths: Sequence[int]
+    starts: Sequence[int]
+    used: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.used)
+
+    def __getitem__(self, j: int) -> PackedBatch:
+        j = range(len(self.used))[j]
+        lo, hi = self.starts[j], self.starts[j + 1]
+        lengths = self.lengths[lo:hi]
+        entries = map(PackEntry, self.sample_ids[lo:hi], accumulate(lengths, initial=0), lengths)
+        return PackedBatch(self.capacity, tuple(entries), self.padded)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Packing, list)) else NotImplemented
+
+
 @dataclass(frozen=True)
 class PackingReport:
     policy: str
@@ -72,32 +108,27 @@ class PackingReport:
 REPORT_CSV_FIELDS = [f.name for f in fields(PackingReport)]
 
 
-def _check_sizes(trace: WorkloadTrace, capacity: int) -> None:
+def _columns(trace: WorkloadTrace, capacity: int) -> tuple[list[int], list[int]]:
+    """The trace's sample ids and lengths, once every sample fits ``capacity``."""
     if capacity < 1:
         raise OversizeSampleError(f"capacity must be >= 1, got {capacity}", capacity=capacity)
-    for s in trace.samples:
-        if s.length > capacity:
-            raise OversizeSampleError(
-                f"sample {s.id} has length {s.length} > capacity {capacity}",
-                sample_id=s.id,
-                length=s.length,
-                capacity=capacity,
-            )
+    lengths = [s.length for s in trace.samples]
+    if lengths and max(lengths) > capacity:
+        s = next(s for s in trace.samples if s.length > capacity)
+        raise OversizeSampleError(
+            f"sample {s.id} has length {s.length} > capacity {capacity}",
+            sample_id=s.id,
+            length=s.length,
+            capacity=capacity,
+        )
+    return [s.id for s in trace.samples], lengths
 
 
-def _build_batch(capacity: int, sample_pairs: list[tuple[int, int]], padded: bool = False) -> PackedBatch:
-    entries = []
-    offset = 0
-    for sid, length in sample_pairs:
-        entries.append(PackEntry(sample_id=sid, offset=offset, length=length))
-        offset += length
-    return PackedBatch(capacity=capacity, entries=tuple(entries), padded=padded)
-
-
-def _report(policy: str, batches: list[PackedBatch], capacity: int) -> PackingReport:
-    used = [b.used for b in batches]
+def _report(policy: str, packing: Packing) -> PackingReport:
+    used = packing.used
     total = sum(used)
-    count = len(batches)
+    count = len(used)
+    capacity = packing.capacity
     fill = total / (count * capacity) if count else 0.0
     return PackingReport(
         policy=policy,
@@ -109,7 +140,7 @@ def _report(policy: str, batches: list[PackedBatch], capacity: int) -> PackingRe
     )
 
 
-def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], PackingReport]:
+def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[Packing, PackingReport]:
     """First-fit decreasing: sort by length descending (ties by ascending id),
     place each sample into the first batch with room, else open a new one.
 
@@ -117,27 +148,25 @@ def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], Pa
     room (Johnson, "Fast algorithms for bin packing", JCSS 1974): leaf ``j``
     holds batch ``j``'s room, each inner node the max of its children, and
     unopened batches read ``capacity``. Descending to the leftmost leaf with
-    room either finds an open batch or opens the next one.
+    room either finds an open batch or opens the next one. A stable sort by
+    each sample's batch then groups the samples, in placement order.
     """
-    _check_sizes(trace, capacity)
-    order = sorted(trace.samples, key=lambda s: (-s.length, s.id))
+    ids, lengths = _columns(trace, capacity)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    order.sort(key=lengths.__getitem__, reverse=True)  # stable: equal lengths stay in id order
     leaves = 1
     while leaves < len(order):
         leaves *= 2
     room = [capacity] * (2 * leaves)
-    bins: list[list[tuple[int, int]]] = []
-    for s in order:
-        length = s.length
+    bin_of = []
+    for k in order:
+        length = lengths[k]
         node = 1
         while node < leaves:
             node *= 2
             if room[node] < length:
                 node += 1
-        j = node - leaves
-        if j == len(bins):
-            bins.append([(s.id, length)])
-        else:
-            bins[j].append((s.id, length))
+        bin_of.append(node - leaves)
         room[node] -= length
         node //= 2
         while node:
@@ -147,37 +176,41 @@ def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], Pa
                 break
             room[node] = top
             node //= 2
-    batches = [_build_batch(capacity, pairs) for pairs in bins]
-    return batches, _report("ffd", batches, capacity)
+    bins = np.asarray(bin_of, dtype=np.intp)
+    placed = np.asarray(order, dtype=np.intp)[np.argsort(bins, kind="stable")].tolist()
+    starts = [0, *np.cumsum(np.bincount(bins)).tolist()]
+    used = [capacity - r for r in room[leaves:leaves + len(starts) - 1]]
+    packing = Packing(capacity, False, [ids[k] for k in placed], [lengths[k] for k in placed], starts, used)
+    return packing, _report("ffd", packing)
 
 
-def pack_stream(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], PackingReport]:
+def pack_stream(trace: WorkloadTrace, capacity: int) -> tuple[Packing, PackingReport]:
     """Next-fit in arrival order: a sample that does not fit the open batch
     closes it and opens a new one."""
-    _check_sizes(trace, capacity)
-    batches: list[PackedBatch] = []
-    open_pairs: list[tuple[int, int]] = []
+    ids, lengths = _columns(trace, capacity)
+    starts, used = [0], []
     room = capacity
-    for s in trace.samples:
-        if s.length > room:
-            batches.append(_build_batch(capacity, open_pairs))
-            open_pairs = []
+    for k, length in enumerate(lengths):
+        if length > room:
+            starts.append(k)
+            used.append(capacity - room)
             room = capacity
-        open_pairs.append((s.id, s.length))
-        room -= s.length
-    if open_pairs:
-        batches.append(_build_batch(capacity, open_pairs))
-    return batches, _report("stream", batches, capacity)
+        room -= length
+    if lengths:
+        starts.append(len(lengths))
+        used.append(capacity - room)
+    packing = Packing(capacity, False, ids, lengths, starts, used)
+    return packing, _report("stream", packing)
 
 
-def pack_padded(trace: WorkloadTrace, capacity: int) -> tuple[list[PackedBatch], PackingReport]:
+def pack_padded(trace: WorkloadTrace, capacity: int) -> tuple[Packing, PackingReport]:
     """No packing: one sample per batch, padded up to capacity."""
-    _check_sizes(trace, capacity)
-    batches = [_build_batch(capacity, [(s.id, s.length)], padded=True) for s in trace.samples]
-    return batches, _report("padded", batches, capacity)
+    ids, lengths = _columns(trace, capacity)
+    packing = Packing(capacity, True, ids, lengths, range(len(lengths) + 1), lengths)
+    return packing, _report("padded", packing)
 
 
-PackFn = Callable[[WorkloadTrace, int], tuple[list[PackedBatch], PackingReport]]
+PackFn = Callable[[WorkloadTrace, int], tuple[Packing, PackingReport]]
 
 POLICIES: dict[str, PackFn] = {
     "ffd": pack_ffd,
@@ -186,7 +219,7 @@ POLICIES: dict[str, PackFn] = {
 }
 
 
-def pack(trace: WorkloadTrace, capacity: int, policy: str) -> tuple[list[PackedBatch], PackingReport]:
+def pack(trace: WorkloadTrace, capacity: int, policy: str) -> tuple[Packing, PackingReport]:
     try:
         fn = POLICIES[policy]
     except KeyError:

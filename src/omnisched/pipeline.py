@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
-from .packing import PackedBatch, PackingReport, pack
+from .packing import Packing, PackingReport, pack
 from .sharding import EncoderSpec, ParallelLayout, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
 from .workload import WorkloadTrace
 
@@ -59,16 +59,34 @@ class MicroBatch:
             )
 
 
-def microbatches_from_batches(batches: Sequence[PackedBatch]) -> list[MicroBatch]:
+@dataclass(frozen=True, eq=False)
+class MicroBatches(Sequence):
+    """Pipeline work items as columns: item ``i`` costs ``tokens[i]`` and
+    counts ``useful_tokens[i]``. ``len()`` is the item count, and indexing or
+    iterating builds ``MicroBatch`` views."""
+
+    tokens: Sequence[int]
+    useful_tokens: Sequence[int]
+
+    def __post_init__(self):
+        if len(self.tokens) != len(self.useful_tokens):
+            raise InvalidSpecError("tokens and useful_tokens must have one entry per microbatch")
+        for i, (tokens, useful) in enumerate(zip(self.tokens, self.useful_tokens)):
+            if tokens < 1 or not 0 <= useful <= tokens:
+                self[i]  # the view raises the item's error
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, i: int) -> MicroBatch:
+        i = range(len(self.tokens))[i]
+        return MicroBatch(i, self.tokens[i], self.useful_tokens[i])
+
+
+def microbatches_from_batches(packing: Packing) -> MicroBatches:
     """Padded batches cost their full capacity; packed batches cost what they hold."""
-    return [
-        MicroBatch(
-            index=i,
-            tokens=b.capacity if b.padded else b.used,
-            useful_tokens=b.used,
-        )
-        for i, b in enumerate(batches)
-    ]
+    used = packing.used
+    return MicroBatches([packing.capacity] * len(used) if packing.padded else used, used)
 
 
 @dataclass(frozen=True)
@@ -134,13 +152,19 @@ def simulate_1f1b(
 ) -> ScheduleResult:
     """Event-driven simulation of the non-interleaved 1F1B schedule.
 
-    Sweeps the stages, running each one's ops until an op waits on another
-    not yet run. Finish times are kept per stage in forward and backward
-    lists indexed by microbatch (``None`` until run); a stage's next op and
-    free time are the length and last entry of its own start and end lists.
+    A sequence of ``MicroBatch`` that is not ``MicroBatches`` is turned into
+    columns first. Sweeps the stages, running each one's ops until an op
+    waits on another not yet run. Finish times are kept per stage in forward
+    and backward lists indexed by microbatch (``None`` until run); a stage's
+    next op and free time are the length and last entry of its own start and
+    end lists.
     """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
+    if not isinstance(microbatches, MicroBatches):
+        microbatches = MicroBatches(
+            [mb.tokens for mb in microbatches], [mb.useful_tokens for mb in microbatches]
+        )
     if not 0 < backward_ratio < math.inf:
         raise InvalidSpecError(f"backward_ratio must be finite and > 0, got {backward_ratio}")
     if not 0 <= comm_latency < math.inf:
@@ -148,7 +172,7 @@ def simulate_1f1b(
 
     pp = plan.layout.pp
     m = len(microbatches)
-    tokens = [mb.tokens for mb in microbatches]
+    tokens = microbatches.tokens
     f_end: list[list] = [[None] * m for _ in range(pp)]
     b_end: list[list] = [[None] * m for _ in range(pp)]
     starts: list[list[float]] = [[] for _ in range(pp)]
@@ -210,7 +234,7 @@ def simulate_1f1b(
     busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
     makespan = max(max(en) for en in ends)
     ideal = max(busy)
-    useful = sum(mb.useful_tokens for mb in microbatches)
+    useful = sum(microbatches.useful_tokens)
     return ScheduleResult(
         makespan=makespan,
         ideal_time=ideal,

@@ -15,6 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+from omnisched.packing import PackEntry, PackedBatch, PackingReport
+from omnisched.pipeline import MicroBatch
+
 
 def min_bins_exhaustive(lengths: Sequence[int], capacity: int) -> int:
     """Exact bin-packing optimum by branch and bound over placements."""
@@ -195,6 +198,64 @@ def pack_ffd_reference(samples: Sequence, capacity: int) -> list[list[tuple[int,
             bins.append([(s.id, s.length)])
             remaining.append(capacity - s.length)
     return bins
+
+
+def batch_from_pairs(capacity: int, pairs: Sequence[tuple[int, int]], padded: bool = False) -> PackedBatch:
+    """One ``PackedBatch`` holding the ``(sample_id, length)`` pairs in order,
+    each entry's offset the sum of the lengths before it."""
+    entries = []
+    offset = 0
+    for sid, length in pairs:
+        entries.append(PackEntry(sample_id=sid, offset=offset, length=length))
+        offset += length
+    return PackedBatch(capacity=capacity, entries=tuple(entries), padded=padded)
+
+
+def packing_report_reference(policy: str, batches: Sequence[PackedBatch], capacity: int) -> PackingReport:
+    """The ``PackingReport`` of a list of ``PackedBatch``, from each batch's ``used``."""
+    used = [b.used for b in batches]
+    total = sum(used)
+    count = len(batches)
+    return PackingReport(
+        policy=policy,
+        batch_count=count,
+        total_tokens=total,
+        fill_fraction=total / (count * capacity) if count else 0.0,
+        padding_tokens=count * capacity - total,
+        largest_batch_used=max(used, default=0),
+    )
+
+
+def pack_stream_reference(samples: Sequence, capacity: int) -> list[PackedBatch]:
+    """Next-fit in arrival order as a list of ``PackedBatch``: a sample that
+    does not fit the open batch closes it and opens a new one."""
+    batches = []
+    open_pairs: list[tuple[int, int]] = []
+    room = capacity
+    for s in samples:
+        if s.length > room:
+            batches.append(batch_from_pairs(capacity, open_pairs))
+            open_pairs = []
+            room = capacity
+        open_pairs.append((s.id, s.length))
+        room -= s.length
+    if open_pairs:
+        batches.append(batch_from_pairs(capacity, open_pairs))
+    return batches
+
+
+def pack_padded_reference(samples: Sequence, capacity: int) -> list[PackedBatch]:
+    """One padded ``PackedBatch`` per sample."""
+    return [batch_from_pairs(capacity, [(s.id, s.length)], padded=True) for s in samples]
+
+
+def microbatches_from_batches_reference(batches: Sequence[PackedBatch]) -> list[MicroBatch]:
+    """One ``MicroBatch`` per ``PackedBatch``: padded batches cost their full
+    capacity, packed batches what they hold."""
+    return [
+        MicroBatch(index=i, tokens=b.capacity if b.padded else b.used, useful_tokens=b.used)
+        for i, b in enumerate(batches)
+    ]
 
 
 def simulate_1f1b_reference(

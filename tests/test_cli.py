@@ -393,10 +393,9 @@ def test_run_directory_bytes(command, trace_file, cost_model_file, tmp_path, mon
 
 @pytest.mark.parametrize("name", ["config.resolved", "packing.csv"])
 def test_output_file_that_is_a_directory_is_an_output_error(name, trace_file, tmp_path, capsys):
-    # Files written before the failing one stay behind: writing through a
-    # temporary directory, so that a failed run leaves none, is ROADMAP item 5.
     out = tmp_path / "od"
     (out / name).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     argv = ["pack", "--trace", str(trace_file), "--capacity", "8", "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
@@ -404,3 +403,4 @@ def test_output_file_that_is_a_directory_is_an_output_error(name, trace_file, tm
     doc = json.loads(err[0])
     assert doc["kind"] == "output"
     assert doc["context"]["path"] == str(out / name)
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written, no temporary directory left

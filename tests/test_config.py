@@ -72,7 +72,7 @@ def flagged_resolved(tmp_path, monkeypatch) -> bytes:
     for argv in FLAG_ARGVS:
         flags.update(vars(cli._build_parser().parse_args(argv + ["--config", "cfg.yaml"])))
     config = cli._config_from_args(argparse.Namespace(**flags))
-    cli._prepare_out(config, "out")
+    cli._write_run(config, Path("out"), [])
     return (tmp_path / "out" / "config.resolved").read_bytes()
 
 
@@ -92,7 +92,7 @@ def defaults_resolved(tmp_path, monkeypatch) -> bytes:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("OMNISCHED_SEED", raising=False)
     (tmp_path / "cfg.yaml").write_text(DEFAULTS_CONFIG)
-    cli._prepare_out(cli._config_from_args(argparse.Namespace(config="cfg.yaml")), "out")
+    cli._write_run(cli._config_from_args(argparse.Namespace(config="cfg.yaml")), Path("out"), [])
     return (tmp_path / "out" / "config.resolved").read_bytes()
 
 
@@ -262,22 +262,43 @@ RECORD = mapping(
     modality=maybe(MODALITY_NAMES),
     length=maybe(st.integers(1, 20)),
 )
-TRACE_LINE = st.one_of(RECORD.map(json.dumps), st.sampled_from(["", "# comment", "{", "[1,"]))
+# a length past Python's 4,300-digit limit on int conversion
+HUGE_LENGTH = '{"id": 9, "modality": "text", "length": 1' + "0" * 4999 + "}"
+TRACE_LINE = st.one_of(RECORD.map(json.dumps), st.sampled_from(["", "# comment", "{", "[1,", HUGE_LENGTH]))
 
 
-def run_ok_or_exit_2(argv, out):
-    """Run ``argv``: exit 0, or exit 2 with one JSON line on stderr and no ``out``."""
+# --out targets: new, nested and new, an existing file, a path through a file,
+# and a directory that holds a directory named like an output file
+OUT_TARGETS = ["out", "new/a/out", "afile", "afile/out", "od"]
+
+
+def make_out_targets(work):
+    (work / "afile").write_text("keep\n")
+    (work / "od" / "summary.json").mkdir(parents=True)
+    (work / "od" / "keep").write_text("keep\n")
+
+
+def tree(root):
+    """Every path under ``root``, with its bytes (None for a directory)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def run_ok_or_exit_2(argv, work, target):
+    """Run ``argv`` with ``--out work/target``: exit 0, or exit 2 with one JSON
+    line on stderr and no new or changed file under ``work``."""
+    out = work / target
+    before = tree(work)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main(argv + ["--out", str(out)])
     if rc == 0:
         assert out.is_dir()
-        shutil.rmtree(out)
+        shutil.rmtree(work / Path(target).parts[0])
     else:
         assert rc == 2, err.getvalue()
         line, = err.getvalue().splitlines()
         assert set(json.loads(line)) == {"kind", "message", "context"}
-        assert not out.exists()
+    assert tree(work) == before
 
 
 TRACE = "".join(
@@ -287,20 +308,22 @@ TRACE = "".join(
 
 
 @settings(max_examples=50, deadline=None)
-@given(doc=CONFIG)
-def test_fuzz_config_documents(doc, tmp_path_factory):
+@given(doc=CONFIG, target=st.sampled_from(OUT_TARGETS))
+def test_fuzz_config_documents(doc, target, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
+    make_out_targets(work)
     (work / "trace.ndjson").write_text(TRACE)
     (work / "cost.json").write_text(json.dumps(COST_MODEL))
     (work / "cfg.yaml").write_text(yaml.safe_dump(doc))
     with contextlib.chdir(work):
         for command in ("pack", "plan", "simulate", "route", "mem"):
-            run_ok_or_exit_2([command, "--config", "cfg.yaml"], work / "out")
+            run_ok_or_exit_2([command, "--config", "cfg.yaml"], work, target)
 
 
 @settings(max_examples=50, deadline=None)
-@given(lines=st.lists(TRACE_LINE, max_size=8))
-def test_fuzz_trace_lines(lines, tmp_path_factory):
+@given(lines=st.lists(TRACE_LINE, max_size=8), target=st.sampled_from(OUT_TARGETS))
+def test_fuzz_trace_lines(lines, target, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
+    make_out_targets(work)
     (work / "trace.ndjson").write_text("\n".join(lines) + "\n")
-    run_ok_or_exit_2(["pack", "--trace", str(work / "trace.ndjson"), "--capacity", "8"], work / "out")
+    run_ok_or_exit_2(["pack", "--trace", str(work / "trace.ndjson"), "--capacity", "8"], work, target)
