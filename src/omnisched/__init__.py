@@ -9,7 +9,6 @@ hybrid load balancing, and allocator fragmentation modeling.
 from .config import load_cost_model
 from .errors import OmniSchedError
 from .memsim import (
-    AllocEvent,
     FragReport,
     events_from_batches,
     events_from_samples,
@@ -29,7 +28,6 @@ from .moe import (
     simulate_routing,
 )
 from .packing import (
-    PackedBatch,
     PackingReport,
     pack,
     pack_ffd,
@@ -38,7 +36,6 @@ from .packing import (
 )
 from .pipeline import (
     ComparisonTable,
-    MicroBatch,
     ScheduleResult,
     bubble_fraction_analytic,
     compare_configs,
@@ -69,19 +66,16 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocEvent",
     "ComparisonTable",
     "EncoderSpec",
     "FragReport",
     "GaussianLogitSource",
     "LoadReport",
     "LogNormalLength",
-    "MicroBatch",
     "Modality",
     "ModalitySample",
     "MoEParamSpec",
     "OmniSchedError",
-    "PackedBatch",
     "PackingReport",
     "ParallelLayout",
     "RouterConfig",

@@ -12,6 +12,9 @@ Two policies bracket real caching allocators at this abstraction level:
 Fixed-capacity batch streams allocate one capacity-sized buffer per batch
 (constant shape, the packed regime); per-sample streams allocate each
 sample at its own size (the dynamic-shape regime packing replaces).
+
+An event is a plain ``(kind, tag, size)`` tuple: ``("alloc", tag, size)``
+with a positive integer ``size``, or ``("free", tag, 0)``.
 """
 
 from __future__ import annotations
@@ -20,25 +23,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
 from .errors import AllocatorError, DoubleFreeError, UnknownTagError
-from .packing import Packing, PackedBatch
+from .packing import Packing
 from .workload import WorkloadTrace
 
 AllocatorPolicy = Literal["exact_reuse_cache", "no_cache"]
 
 ALLOCATOR_POLICIES = ("exact_reuse_cache", "no_cache")
-
-
-@dataclass(frozen=True)
-class AllocEvent:
-    kind: str  # "alloc" | "free"
-    tag: str
-    size: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("alloc", "free"):
-            raise AllocatorError(f"event kind must be alloc or free, got {self.kind!r}")
-        if self.kind == "alloc" and self.size < 1:
-            raise AllocatorError(f"alloc {self.tag!r}: size must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -61,9 +51,8 @@ class FragReport:
 MEMSIM_CSV_FIELDS = ["scenario"] + [f.name for f in fields(FragReport) if f.name != "final_live"]
 
 
-def events_from_batches(batches: Packing | Sequence[PackedBatch], bytes_per_token: int) -> list[AllocEvent]:
-    """One capacity-sized buffer per batch, freed before the next batch. A
-    ``Packing`` is read from its capacity and batch count, without views.
+def events_from_batches(packing: Packing, bytes_per_token: int) -> list[tuple[str, str, int]]:
+    """One capacity-sized buffer per batch, freed before the next batch.
 
     Fixed-capacity batches are physically capacity-shaped regardless of how
     full they are, which is exactly why packing to a fixed capacity gives
@@ -71,21 +60,18 @@ def events_from_batches(batches: Packing | Sequence[PackedBatch], bytes_per_toke
     """
     if bytes_per_token < 1:
         raise AllocatorError(f"bytes_per_token must be >= 1, got {bytes_per_token}")
-    if isinstance(batches, Packing):
-        capacities = [batches.capacity] * len(batches)
-    else:
-        capacities = [b.capacity for b in batches]
+    size = packing.capacity * bytes_per_token
     events = []
-    for i, capacity in enumerate(capacities):
+    for i in range(len(packing)):
         tag = f"batch{i}"
-        events.append(AllocEvent("alloc", tag, capacity * bytes_per_token))
-        events.append(AllocEvent("free", tag))
+        events.append(("alloc", tag, size))
+        events.append(("free", tag, 0))
     return events
 
 
 def events_from_samples(
     trace: WorkloadTrace, bytes_per_token: int, round_to: int = 1
-) -> list[AllocEvent]:
+) -> list[tuple[str, str, int]]:
     """The no-packing regime: one buffer per sample at its own (optionally
     bucket-rounded) size, freed before the next sample."""
     if bytes_per_token < 1:
@@ -96,13 +82,14 @@ def events_from_samples(
     for s in trace.samples:
         tag = f"sample{s.id}"
         tokens = -(-s.length // round_to) * round_to
-        events.append(AllocEvent("alloc", tag, tokens * bytes_per_token))
-        events.append(AllocEvent("free", tag))
+        events.append(("alloc", tag, tokens * bytes_per_token))
+        events.append(("free", tag, 0))
     return events
 
 
-def simulate_allocator(events: Sequence[AllocEvent], policy: AllocatorPolicy) -> FragReport:
-    """Replay an event stream and report fragmentation statistics.
+def simulate_allocator(events: Sequence[tuple[str, str, int]], policy: AllocatorPolicy) -> FragReport:
+    """Replay an event stream and report fragmentation statistics. Each
+    event's kind and size are checked as it enters the replay.
 
     ``fragmentation_ratio`` is the share of reserved memory not backing live
     allocations at the first instant reserved memory peaks.
@@ -122,37 +109,39 @@ def simulate_allocator(events: Sequence[AllocEvent], policy: AllocatorPolicy) ->
     reuse_hits = 0
     new_blocks = 0
 
-    for ev in events:
-        if ev.kind == "alloc":
-            if ev.tag in live:
-                raise AllocatorError(
-                    f"alloc tag {ev.tag!r} is already live", tag=ev.tag
-                )
-            if caching and cache.get(ev.size, 0) > 0:
-                cache[ev.size] -= 1
-                cached_total -= ev.size
+    for kind, tag, size in events:
+        if kind == "alloc":
+            if type(size) is not int or size < 1:  # not a bool, a float or inf
+                raise AllocatorError(f"alloc {tag!r}: size must be a positive integer")
+            if tag in live:
+                raise AllocatorError(f"alloc tag {tag!r} is already live", tag=tag)
+            if caching and cache.get(size, 0) > 0:
+                cache[size] -= 1
+                cached_total -= size
                 reuse_hits += 1
             else:
                 new_blocks += 1
-            live[ev.tag] = ev.size
-            ever_allocated.add(ev.tag)
-            live_total += ev.size
+            live[tag] = size
+            ever_allocated.add(tag)
+            live_total += size
             peak_live = max(peak_live, live_total)
             reserved = live_total + cached_total
             if reserved > peak_reserved:
                 peak_reserved = reserved
                 live_at_peak = live_total
-        else:
-            if ev.tag not in live:
-                if ev.tag in ever_allocated:
-                    raise DoubleFreeError(f"tag {ev.tag!r} was already freed", tag=ev.tag)
-                raise UnknownTagError(f"free of unknown tag {ev.tag!r}", tag=ev.tag)
-            size = live.pop(ev.tag)
+        elif kind == "free":
+            if tag not in live:
+                if tag in ever_allocated:
+                    raise DoubleFreeError(f"tag {tag!r} was already freed", tag=tag)
+                raise UnknownTagError(f"free of unknown tag {tag!r}", tag=tag)
+            size = live.pop(tag)
             live_total -= size
             if caching:
                 cache[size] = cache.get(size, 0) + 1
                 cached_total += size
             # no_cache returns the block immediately; reserved tracks live
+        else:
+            raise AllocatorError(f"event kind must be alloc or free, got {kind!r}")
 
     frag = 0.0 if peak_reserved == 0 else (peak_reserved - live_at_peak) / peak_reserved
     return FragReport(

@@ -8,68 +8,28 @@ Three policies:
 
 A sample is never split across batches. Each policy returns a ``Packing`` of
 columns: sample ids and lengths in placement order, CSR batch starts, and each
-batch's ``used`` tokens. Indexing it builds ``PackedBatch`` views, whose entry
-offsets record where each sample starts inside its batch so attention
-isolation can be reconstructed downstream.
+batch's ``used`` tokens. A sample's offset inside its batch, which attention
+isolation needs downstream, is the prefix sum of the batch's lengths before it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSpecError, OversizeSampleError
+from .errors import ConfigError, OversizeSampleError
 from .workload import WorkloadTrace
 
 
 @dataclass(frozen=True)
-class PackEntry:
-    sample_id: int
-    offset: int
-    length: int
-
-
-@dataclass(frozen=True)
-class PackedBatch:
-    """Fixed-capacity container, or a view of a ``Packing``; ``padded`` marks
-    one-sample padded batches whose physical footprint is the full capacity."""
-
-    capacity: int
-    entries: tuple[PackEntry, ...]
-    padded: bool = False
-
-    @property
-    def used(self) -> int:
-        return sum(e.length for e in self.entries)
-
-    def validate(self) -> None:
-        """Raise ``InvalidSpecError`` unless the entries are non-empty, contiguous
-        from offset 0, and fit the capacity."""
-        used = self.used
-        if used > self.capacity:
-            raise InvalidSpecError("batch overfull", used=used, capacity=self.capacity)
-        offset = 0
-        for e in self.entries:
-            if e.offset != offset or e.length < 1:
-                raise InvalidSpecError(
-                    "entries must be non-empty and contiguous prefix sums",
-                    sample_id=e.sample_id, offset=e.offset, length=e.length,
-                )
-            offset += e.length
-
-
-@dataclass(frozen=True, eq=False)
-class Packing(Sequence):
+class Packing:
     """One policy's batches as columns. Batch ``j`` holds the samples at
     positions ``starts[j]:starts[j + 1]`` of ``sample_ids`` and ``lengths``,
-    which are in placement order, and ``used[j]`` tokens.
-
-    ``len()`` is the batch count. Indexing or iterating builds ``PackedBatch``
-    views, and a packing equals a list of the same batches."""
+    which are in placement order, and ``used[j]`` tokens. ``len()`` is the
+    batch count."""
 
     capacity: int
     padded: bool
@@ -80,16 +40,6 @@ class Packing(Sequence):
 
     def __len__(self) -> int:
         return len(self.used)
-
-    def __getitem__(self, j: int) -> PackedBatch:
-        j = range(len(self.used))[j]
-        lo, hi = self.starts[j], self.starts[j + 1]
-        lengths = self.lengths[lo:hi]
-        entries = map(PackEntry, self.sample_ids[lo:hi], accumulate(lengths, initial=0), lengths)
-        return PackedBatch(self.capacity, tuple(entries), self.padded)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (Packing, list)) else NotImplemented
 
 
 @dataclass(frozen=True)

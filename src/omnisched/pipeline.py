@@ -8,9 +8,11 @@ backwards. Dependencies:
 * forward(s, i) needs forward(s-1, i)
 * backward(s, i) needs forward(s, i) and backward(s+1, i)
 
-Per-stage per-microbatch forward cost is ``stage_cost[s] * tokens``;
-backward cost is ``backward_ratio`` times that. An optional constant
-``comm_latency`` is charged on every cross-stage dependency edge.
+Microbatches come as ``MicroBatches`` columns, ``tokens`` and
+``useful_tokens``. Per-stage per-microbatch forward cost is
+``stage_cost[s] * tokens``; backward cost is ``backward_ratio`` times that.
+An optional constant ``comm_latency`` is charged on every cross-stage
+dependency edge.
 
 ``bubble_fraction`` follows the bottleneck-stage convention:
 ``1 - ideal_time / makespan`` with ``ideal_time`` the busy time of the
@@ -38,32 +40,11 @@ from .workload import WorkloadTrace
 
 
 @dataclass(frozen=True)
-class MicroBatch:
-    """One pipeline work item.
-
-    ``tokens`` drives compute cost (the physical batch width, capacity for
-    padded batches); ``useful_tokens`` excludes padding and is what
-    throughput counts.
-    """
-
-    index: int
-    tokens: int
-    useful_tokens: int
-
-    def __post_init__(self):
-        if self.tokens < 1:
-            raise InvalidSpecError(f"microbatch {self.index}: tokens must be >= 1")
-        if not (0 <= self.useful_tokens <= self.tokens):
-            raise InvalidSpecError(
-                f"microbatch {self.index}: useful_tokens must be in [0, tokens]"
-            )
-
-
-@dataclass(frozen=True, eq=False)
-class MicroBatches(Sequence):
-    """Pipeline work items as columns: item ``i`` costs ``tokens[i]`` and
-    counts ``useful_tokens[i]``. ``len()`` is the item count, and indexing or
-    iterating builds ``MicroBatch`` views."""
+class MicroBatches:
+    """Pipeline work items as columns. Item ``i`` costs ``tokens[i]``, the
+    physical batch width (capacity for padded batches), and counts
+    ``useful_tokens[i]``, which excludes padding and is what throughput
+    counts. ``len()`` is the item count."""
 
     tokens: Sequence[int]
     useful_tokens: Sequence[int]
@@ -72,15 +53,13 @@ class MicroBatches(Sequence):
         if len(self.tokens) != len(self.useful_tokens):
             raise InvalidSpecError("tokens and useful_tokens must have one entry per microbatch")
         for i, (tokens, useful) in enumerate(zip(self.tokens, self.useful_tokens)):
-            if tokens < 1 or not 0 <= useful <= tokens:
-                self[i]  # the view raises the item's error
+            if not 1 <= tokens < math.inf:
+                raise InvalidSpecError(f"microbatch {i}: tokens must be finite and >= 1")
+            if not 0 <= useful <= tokens:
+                raise InvalidSpecError(f"microbatch {i}: useful_tokens must be in [0, tokens]")
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __getitem__(self, i: int) -> MicroBatch:
-        i = range(len(self.tokens))[i]
-        return MicroBatch(i, self.tokens[i], self.useful_tokens[i])
 
 
 def microbatches_from_batches(packing: Packing) -> MicroBatches:
@@ -146,25 +125,19 @@ def stage_op_order(pp: int, stage: int, m: int) -> list[int]:
 
 def simulate_1f1b(
     plan: StagePlan,
-    microbatches: Sequence[MicroBatch],
+    microbatches: MicroBatches,
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
 ) -> ScheduleResult:
     """Event-driven simulation of the non-interleaved 1F1B schedule.
 
-    A sequence of ``MicroBatch`` that is not ``MicroBatches`` is turned into
-    columns first. Sweeps the stages, running each one's ops until an op
-    waits on another not yet run. Finish times are kept per stage in forward
-    and backward lists indexed by microbatch (``None`` until run); a stage's
-    next op and free time are the length and last entry of its own start and
-    end lists.
+    Sweeps the stages, running each one's ops until an op waits on another
+    not yet run. Finish times are kept per stage in forward and backward
+    lists indexed by microbatch (``None`` until run); a stage's next op and
+    free time are the length and last entry of its own start and end lists.
     """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
-    if not isinstance(microbatches, MicroBatches):
-        microbatches = MicroBatches(
-            [mb.tokens for mb in microbatches], [mb.useful_tokens for mb in microbatches]
-        )
     if not 0 < backward_ratio < math.inf:
         raise InvalidSpecError(f"backward_ratio must be finite and > 0, got {backward_ratio}")
     if not 0 <= comm_latency < math.inf:

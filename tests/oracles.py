@@ -2,7 +2,9 @@
 
 Each oracle recomputes an answer from first principles (exhaustive search,
 explicit dependency graphs, or the plain code a fast path replaced) without
-touching the implementation under test.
+touching the implementation under test: nothing here imports ``omnisched``.
+Packings are plain lists, one list of ``(sample_id, length)`` pairs per batch,
+and reports are the dicts of their ``to_dict()``.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-
-from omnisched.packing import PackEntry, PackedBatch, PackingReport
-from omnisched.pipeline import MicroBatch
 
 
 def min_bins_exhaustive(lengths: Sequence[int], capacity: int) -> int:
@@ -200,62 +199,83 @@ def pack_ffd_reference(samples: Sequence, capacity: int) -> list[list[tuple[int,
     return bins
 
 
-def batch_from_pairs(capacity: int, pairs: Sequence[tuple[int, int]], padded: bool = False) -> PackedBatch:
-    """One ``PackedBatch`` holding the ``(sample_id, length)`` pairs in order,
-    each entry's offset the sum of the lengths before it."""
-    entries = []
-    offset = 0
-    for sid, length in pairs:
-        entries.append(PackEntry(sample_id=sid, offset=offset, length=length))
-        offset += length
-    return PackedBatch(capacity=capacity, entries=tuple(entries), padded=padded)
+def columns_reference(batches: Sequence[Sequence[tuple[int, int]]]) -> dict[str, list[int]]:
+    """A packing's ``sample_ids``, ``lengths``, ``starts`` and ``used``
+    columns, from its batches of ``(sample_id, length)`` pairs."""
+    starts = [0]
+    for pairs in batches:
+        starts.append(starts[-1] + len(pairs))
+    return {
+        "sample_ids": [sid for pairs in batches for sid, _ in pairs],
+        "lengths": [length for pairs in batches for _, length in pairs],
+        "starts": starts,
+        "used": [sum(length for _, length in pairs) for pairs in batches],
+    }
 
 
-def packing_report_reference(policy: str, batches: Sequence[PackedBatch], capacity: int) -> PackingReport:
-    """The ``PackingReport`` of a list of ``PackedBatch``, from each batch's ``used``."""
-    used = [b.used for b in batches]
+def check_packing_columns(packing, sample_ids: Sequence[int]) -> None:
+    """Assert a packing's column invariants: ``starts`` rises strictly from 0
+    to the sample count (every batch non-empty), each ``used[j]`` is the sum
+    of batch ``j``'s lengths and fits the capacity, every length is >= 1, and
+    each of ``sample_ids`` is placed exactly once."""
+    starts = list(packing.starts)
+    n = len(packing.sample_ids)
+    assert len(packing.lengths) == n
+    assert starts[0] == 0 and starts[-1] == n
+    assert all(lo < hi for lo, hi in zip(starts, starts[1:])), "empty batch"
+    assert len(packing.used) == len(starts) - 1
+    for used, lo, hi in zip(packing.used, starts, starts[1:]):
+        assert used == sum(packing.lengths[lo:hi]) <= packing.capacity
+    assert all(length >= 1 for length in packing.lengths)
+    assert sorted(packing.sample_ids) == sorted(sample_ids)
+
+
+def packing_report_reference(policy: str, batches: Sequence[Sequence[tuple[int, int]]], capacity: int) -> dict:
+    """A packing report's ``to_dict()``, from each batch's summed lengths."""
+    used = [sum(length for _, length in pairs) for pairs in batches]
     total = sum(used)
     count = len(batches)
-    return PackingReport(
-        policy=policy,
-        batch_count=count,
-        total_tokens=total,
-        fill_fraction=total / (count * capacity) if count else 0.0,
-        padding_tokens=count * capacity - total,
-        largest_batch_used=max(used, default=0),
-    )
+    return {
+        "policy": policy,
+        "batch_count": count,
+        "total_tokens": total,
+        "fill_fraction": total / (count * capacity) if count else 0.0,
+        "padding_tokens": count * capacity - total,
+        "largest_batch_used": max(used, default=0),
+    }
 
 
-def pack_stream_reference(samples: Sequence, capacity: int) -> list[PackedBatch]:
-    """Next-fit in arrival order as a list of ``PackedBatch``: a sample that
-    does not fit the open batch closes it and opens a new one."""
+def pack_stream_reference(samples: Sequence, capacity: int) -> list[list[tuple[int, int]]]:
+    """Next-fit in arrival order: a sample that does not fit the open batch
+    closes it and opens a new one. Returns each batch's ``(sample_id,
+    length)`` pairs."""
     batches = []
     open_pairs: list[tuple[int, int]] = []
     room = capacity
     for s in samples:
         if s.length > room:
-            batches.append(batch_from_pairs(capacity, open_pairs))
+            batches.append(open_pairs)
             open_pairs = []
             room = capacity
         open_pairs.append((s.id, s.length))
         room -= s.length
     if open_pairs:
-        batches.append(batch_from_pairs(capacity, open_pairs))
+        batches.append(open_pairs)
     return batches
 
 
-def pack_padded_reference(samples: Sequence, capacity: int) -> list[PackedBatch]:
-    """One padded ``PackedBatch`` per sample."""
-    return [batch_from_pairs(capacity, [(s.id, s.length)], padded=True) for s in samples]
+def pack_padded_reference(samples: Sequence, capacity: int) -> list[list[tuple[int, int]]]:
+    """One batch per sample."""
+    return [[(s.id, s.length)] for s in samples]
 
 
-def microbatches_from_batches_reference(batches: Sequence[PackedBatch]) -> list[MicroBatch]:
-    """One ``MicroBatch`` per ``PackedBatch``: padded batches cost their full
-    capacity, packed batches what they hold."""
-    return [
-        MicroBatch(index=i, tokens=b.capacity if b.padded else b.used, useful_tokens=b.used)
-        for i, b in enumerate(batches)
-    ]
+def microbatches_from_batches_reference(
+    batches: Sequence[Sequence[tuple[int, int]]], capacity: int, padded: bool
+) -> list[tuple[int, int]]:
+    """Each batch's ``(tokens, useful_tokens)``: padded batches cost their
+    full capacity, packed batches what they hold."""
+    used = [sum(length for _, length in pairs) for pairs in batches]
+    return [(capacity if padded else u, u) for u in used]
 
 
 def simulate_1f1b_reference(

@@ -21,15 +21,11 @@ from omnisched.moe import (
     simulate_routing,
 )
 from omnisched.packing import pack_ffd
-from omnisched.pipeline import (
-    MicroBatch,
-    bubble_fraction_analytic,
-    simulate_1f1b,
-)
+from omnisched.pipeline import MicroBatches, bubble_fraction_analytic, simulate_1f1b
 from omnisched.sharding import ParallelLayout, PlanUnit, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
-from oracles import min_bins_exhaustive, onef1b_longest_path, partition_optimum
+from oracles import check_packing_columns, min_bins_exhaustive, onef1b_longest_path, partition_optimum
 
 
 def plan_with_costs(costs):
@@ -71,7 +67,7 @@ def test_criterion_1_bubble_formula_agreement():
         worst = 0.0
         for pp in range(1, 9):
             for m in range(1, 33):
-                mbs = [MicroBatch(i, 1, 1) for i in range(m)]
+                mbs = MicroBatches([1] * m, [1] * m)
                 result = simulate_1f1b(plan_with_costs([1.0] * pp), mbs, backward_ratio=2.0)
                 err = abs(result.bubble_fraction - bubble_fraction_analytic(pp, m))
                 worst = max(worst, err)
@@ -88,7 +84,7 @@ def test_criterion_2_schedule_matches_dag_oracle():
             costs = rng.uniform(0.05, 10.0, size=pp)
             tokens = rng.integers(1, 100, size=m)
             beta = float(rng.uniform(0.5, 3.0))
-            mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(tokens)]
+            mbs = MicroBatches(tokens.tolist(), tokens.tolist())
             result = simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta)
             fwd = [[c * int(t) for t in tokens] for c in costs]
             bwd = [[beta * f for f in row] for row in fwd]
@@ -98,11 +94,7 @@ def test_criterion_2_schedule_matches_dag_oracle():
 
 def _check_packing_instance(lengths, capacity):
     batches, report = pack_ffd(trace_of(lengths), capacity)
-    for batch in batches:
-        batch.validate()
-        assert batch.used <= capacity
-    placed = sorted(e.sample_id for bt in batches for e in bt.entries)
-    assert placed == list(range(len(lengths)))
+    check_packing_columns(batches, range(len(lengths)))
     opt = min_bins_exhaustive(lengths, capacity)
     assert report.batch_count <= (11 / 9) * opt + 1
     return report.batch_count, opt
@@ -216,7 +208,7 @@ def test_criterion_9_fragmentation_direction():
     trace = trace_of(lengths)
 
     varying = events_from_samples(trace, bytes_per_token=2, round_to=64)
-    distinct_sizes = len({e.size for e in varying if e.kind == "alloc"})
+    distinct_sizes = len({size for kind, _, size in varying if kind == "alloc"})
     baseline = simulate_allocator(varying, "exact_reuse_cache")
     assert baseline.fragmentation_ratio > 0
     assert baseline.new_blocks == distinct_sizes

@@ -1,13 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from omnisched.errors import AllocatorError, DoubleFreeError, UnknownTagError
-from omnisched.memsim import (
-    AllocEvent,
-    events_from_batches,
-    events_from_samples,
-    simulate_allocator,
-)
+from omnisched.memsim import events_from_batches, events_from_samples, simulate_allocator
 from omnisched.packing import pack_ffd, pack_padded
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
@@ -21,8 +18,8 @@ def trace_of(lengths):
 def alloc_free_stream(sizes):
     events = []
     for i, s in enumerate(sizes):
-        events.append(AllocEvent("alloc", f"t{i}", s))
-        events.append(AllocEvent("free", f"t{i}"))
+        events.append(("alloc", f"t{i}", s))
+        events.append(("free", f"t{i}", 0))
     return events
 
 
@@ -30,31 +27,33 @@ class TestEventsFromBatches:
     def test_fixed_capacity_stream(self):
         # two batches, both filled to the 8-token capacity, 4 bytes per token
         batches, _ = pack_ffd(trace_of([5, 3, 4, 4]), capacity=8)
-        assert [b.used for b in batches] == [8, 8]
+        assert list(batches.used) == [8, 8]
         events = events_from_batches(batches, bytes_per_token=4)
-        assert [(e.kind, e.size) for e in events] == [
+        assert len(events) == 2 * len(batches)
+        assert [(kind, size) for kind, _, size in events] == [
             ("alloc", 32), ("free", 0), ("alloc", 32), ("free", 0),
         ]
 
     def test_empty_batch_list(self):
-        assert events_from_batches([], bytes_per_token=4) == []
+        batches, _ = pack_ffd(trace_of([]), capacity=8)
+        assert events_from_batches(batches, bytes_per_token=4) == []
 
     def test_padded_batches_also_capacity_sized(self):
         batches, _ = pack_padded(trace_of([1, 7, 3]), capacity=8)
         events = events_from_batches(batches, bytes_per_token=2)
-        sizes = [e.size for e in events if e.kind == "alloc"]
+        sizes = [size for kind, _, size in events if kind == "alloc"]
         assert sizes == [16, 16, 16]
 
 
 class TestEventsFromSamples:
     def test_per_sample_sizes(self):
         events = events_from_samples(trace_of([5, 9]), bytes_per_token=2)
-        sizes = [e.size for e in events if e.kind == "alloc"]
+        sizes = [size for kind, _, size in events if kind == "alloc"]
         assert sizes == [10, 18]
 
     def test_bucket_rounding(self):
         events = events_from_samples(trace_of([5, 9, 64]), bytes_per_token=1, round_to=64)
-        sizes = [e.size for e in events if e.kind == "alloc"]
+        sizes = [size for kind, _, size in events if kind == "alloc"]
         assert sizes == [64, 64, 64]
 
 
@@ -108,12 +107,12 @@ class TestSimulateAllocator:
 
     def test_interleaved_live_allocations(self):
         events = [
-            AllocEvent("alloc", "a", 10),
-            AllocEvent("alloc", "b", 20),
-            AllocEvent("free", "a"),
-            AllocEvent("alloc", "c", 10),  # exact reuse of a's block
-            AllocEvent("free", "b"),
-            AllocEvent("free", "c"),
+            ("alloc", "a", 10),
+            ("alloc", "b", 20),
+            ("free", "a", 0),
+            ("alloc", "c", 10),  # exact reuse of a's block
+            ("free", "b", 0),
+            ("free", "c", 0),
         ]
         report = simulate_allocator(events, "exact_reuse_cache")
         assert report.reuse_hits == 1
@@ -123,23 +122,26 @@ class TestSimulateAllocator:
 
     def test_free_of_unknown_tag(self):
         with pytest.raises(UnknownTagError):
-            simulate_allocator([AllocEvent("free", "ghost")], "no_cache")
+            simulate_allocator([("free", "ghost", 0)], "no_cache")
 
     def test_double_free(self):
-        events = [AllocEvent("alloc", "a", 10), AllocEvent("free", "a"), AllocEvent("free", "a")]
+        events = [("alloc", "a", 10), ("free", "a", 0), ("free", "a", 0)]
         with pytest.raises(DoubleFreeError):
             simulate_allocator(events, "exact_reuse_cache")
 
     def test_duplicate_live_tag_rejected(self):
-        events = [AllocEvent("alloc", "a", 10), AllocEvent("alloc", "a", 10)]
+        events = [("alloc", "a", 10), ("alloc", "a", 10)]
         with pytest.raises(AllocatorError):
             simulate_allocator(events, "no_cache")
 
     def test_bad_event_construction(self):
-        with pytest.raises(AllocatorError):
-            AllocEvent("alloc", "a", 0)
-        with pytest.raises(AllocatorError):
-            AllocEvent("realloc", "a", 5)
+        # a size that is not a positive int, or a kind other than alloc/free
+        bad = [("alloc", "a", 0), ("alloc", "a", 1.5), ("alloc", "a", math.inf), ("alloc", "a", True),
+               ("realloc", "a", 5)]
+        for event in bad:
+            for policy in ("exact_reuse_cache", "no_cache"):
+                with pytest.raises(AllocatorError, match="positive integer|must be alloc or free"):
+                    simulate_allocator([event, ("free", "a", 0)], policy)
 
 
 def test_packing_contrast_end_to_end():

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnisched.errors import InvalidSpecError, OversizeSampleError
-from omnisched.packing import PackEntry, PackedBatch, pack_ffd, pack_padded, pack_stream
+from omnisched.errors import OversizeSampleError
+from omnisched.packing import Packing, pack_ffd, pack_padded, pack_stream
 from omnisched.workload import Modality, ModalitySample, WorkloadTrace
 
-from oracles import min_bins_exhaustive, pack_ffd_reference
+from oracles import check_packing_columns, min_bins_exhaustive, pack_ffd_reference
 
 
 def trace_of(lengths):
@@ -16,8 +16,14 @@ def trace_of(lengths):
     )
 
 
-def batch_lengths(batches):
-    return [[e.length for e in b.entries] for b in batches]
+def batch_pairs(packing):
+    """Each batch's ``(sample_id, length)`` pairs, read from the columns."""
+    ids, lengths, starts = packing.sample_ids, packing.lengths, packing.starts
+    return [list(zip(ids[lo:hi], lengths[lo:hi])) for lo, hi in zip(starts, starts[1:])]
+
+
+def batch_lengths(packing):
+    return [[length for _, length in pairs] for pairs in batch_pairs(packing)]
 
 
 class TestFfd:
@@ -42,7 +48,7 @@ class TestFfd:
     def test_tie_break_by_ascending_id(self):
         # equal lengths placed in id order
         batches, _ = pack_ffd(trace_of([4, 4, 4]), capacity=8)
-        ids = [[e.sample_id for e in b.entries] for b in batches]
+        ids = [[sid for sid, _ in pairs] for pairs in batch_pairs(batches)]
         assert ids == [[0, 1], [2]]
 
 
@@ -62,12 +68,8 @@ def test_ffd_matches_linear_scan_reference(case):
     lengths, capacity = case
     trace = trace_of(lengths)
     batches, report = pack_ffd(trace, capacity)
-    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
-        trace.samples, capacity
-    )
-    for b in batches:
-        assert [e.offset for e in b.entries] == [sum(e.length for e in b.entries[:k]) for k in range(len(b.entries))]
-        assert b.capacity == capacity and not b.padded
+    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, capacity)
+    assert batches.capacity == capacity and not batches.padded
     assert report.batch_count == len(batches)
 
 
@@ -78,9 +80,7 @@ def test_ffd_matches_linear_scan_reference(case):
 def test_ffd_matches_linear_scan_reference_edges(lengths, capacity):
     trace = trace_of(lengths)
     batches, _ = pack_ffd(trace, capacity)
-    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
-        trace.samples, capacity
-    )
+    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, capacity)
 
 
 def test_ffd_matches_linear_scan_reference_large():
@@ -88,27 +88,19 @@ def test_ffd_matches_linear_scan_reference_large():
     lengths = rng.integers(1, 4097, size=3000).tolist()
     trace = trace_of(lengths)
     batches, _ = pack_ffd(trace, 4096)
-    assert [[(e.sample_id, e.length) for e in b.entries] for b in batches] == pack_ffd_reference(
-        trace.samples, 4096
-    )
+    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, 4096)
 
 
-class TestValidate:
-    def test_overfull_batch_raises_typed_error(self):
-        batch = PackedBatch(capacity=4, entries=(PackEntry(0, 0, 3), PackEntry(1, 3, 2)))
-        with pytest.raises(InvalidSpecError, match="overfull"):
-            batch.validate()
-
-    def test_gap_between_entries_raises_typed_error(self):
-        batch = PackedBatch(capacity=8, entries=(PackEntry(0, 0, 3), PackEntry(1, 4, 2)))
-        with pytest.raises(InvalidSpecError, match="prefix sums") as exc:
-            batch.validate()
-        assert exc.value.context["sample_id"] == 1
-
-    def test_empty_entry_raises_typed_error(self):
-        batch = PackedBatch(capacity=8, entries=(PackEntry(0, 0, 0),))
-        with pytest.raises(InvalidSpecError, match="non-empty"):
-            batch.validate()
+@pytest.mark.parametrize("columns", [
+    dict(sample_ids=[0, 1], lengths=[3, 2], starts=[0, 2], used=[5]),  # overfull
+    dict(sample_ids=[0, 1], lengths=[3, 1], starts=[0, 2], used=[3]),  # used is not the sum
+    dict(sample_ids=[0, 1], lengths=[3, 1], starts=[0, 0, 2], used=[0, 4]),  # empty batch
+    dict(sample_ids=[0, 1], lengths=[3, 1], starts=[0, 1], used=[3]),  # starts stop short of n
+    dict(sample_ids=[0, 0], lengths=[3, 1], starts=[0, 1, 2], used=[3, 1]),  # a sample placed twice
+])
+def test_column_invariants_catch_broken_packings(columns):
+    with pytest.raises(AssertionError):
+        check_packing_columns(Packing(capacity=4, padded=False, **columns), [0, 1])
 
 
 class TestStream:
@@ -123,7 +115,7 @@ class TestStream:
 
     def test_empty_trace(self):
         batches, report = pack_stream(WorkloadTrace(samples=()), capacity=8)
-        assert batches == []
+        assert len(batches) == 0 and list(batches.starts) == [0]
         assert report.batch_count == 0
         assert report.fill_fraction == 0.0
         assert report.padding_tokens == 0
@@ -145,8 +137,8 @@ class TestPaddedBaseline:
 
     def test_batches_flagged_padded(self):
         batches, _ = pack_padded(trace_of([3, 5]), capacity=8)
-        assert all(b.padded for b in batches)
-        assert [b.used for b in batches] == [3, 5]
+        assert batches.padded
+        assert list(batches.used) == [3, 5]
 
 
 @st.composite
@@ -163,11 +155,7 @@ def test_conservation_capacity_offsets(case):
     trace = trace_of(lengths)
     for packer in (pack_ffd, pack_stream, pack_padded):
         batches, report = packer(trace, capacity)
-        placed = sorted(e.sample_id for b in batches for e in b.entries)
-        assert placed == sorted(s.id for s in trace.samples)
-        for b in batches:
-            b.validate()
-            assert b.used <= capacity
+        check_packing_columns(batches, [s.id for s in trace.samples])
         assert report.batch_count == len(batches)
         assert report.padding_tokens == report.batch_count * capacity - report.total_tokens
         if report.batch_count:

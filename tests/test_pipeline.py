@@ -12,7 +12,7 @@ from omnisched import cli, pipeline
 from omnisched.errors import EmptyMicrobatchError, InvalidSpecError
 from omnisched.packing import pack_ffd, pack_padded
 from omnisched.pipeline import (
-    MicroBatch,
+    MicroBatches,
     bubble_fraction_analytic,
     compare_configs,
     microbatches_from_batches,
@@ -42,7 +42,13 @@ def plan_with_costs(costs, dp=1, tp=1):
 
 
 def unit_microbatches(m):
-    return [MicroBatch(i, 1, 1) for i in range(m)]
+    return MicroBatches([1] * m, [1] * m)
+
+
+def microbatches_of(tokens):
+    """Fully used microbatches of the given token counts."""
+    tokens = [int(t) for t in tokens]
+    return MicroBatches(tokens, tokens)
 
 
 class TestSimulate1f1b:
@@ -74,7 +80,7 @@ class TestSimulate1f1b:
         tokens = rng.integers(1, 50, size=m)
         beta = float(rng.uniform(0.5, 3.0))
         comm = float(rng.choice([0.0, 0.3]))
-        mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(tokens)]
+        mbs = microbatches_of(tokens)
         result = simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta, comm_latency=comm)
         fwd = [[c * t for t in tokens] for c in costs]
         bwd = [[beta * f for f in row] for row in fwd]
@@ -83,9 +89,9 @@ class TestSimulate1f1b:
     def test_work_conservation(self):
         rng = np.random.default_rng(7)
         costs = rng.uniform(0.5, 2.0, size=3)
-        mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(rng.integers(1, 20, size=6))]
+        mbs = microbatches_of(rng.integers(1, 20, size=6))
         result = simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=2.0)
-        expected = sum(3.0 * c * mb.tokens for c in costs for mb in mbs)  # f + 2f per (stage, mb)
+        expected = sum(3.0 * c * t for c in costs for t in mbs.tokens)  # f + 2f per (stage, mb)
         assert sum(result.stage_busy) == pytest.approx(expected, rel=1e-12)
 
     def test_makespan_monotone_in_microbatches(self):
@@ -94,7 +100,7 @@ class TestSimulate1f1b:
         tokens = rng.integers(1, 30, size=12)
         prev = 0.0
         for m in range(1, 13):
-            mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(tokens[:m])]
+            mbs = microbatches_of(tokens[:m])
             result = simulate_1f1b(plan_with_costs(costs), mbs)
             assert result.makespan >= prev
             prev = result.makespan
@@ -113,7 +119,7 @@ class TestSimulate1f1b:
     def test_timeline_events_non_overlapping(self):
         rng = np.random.default_rng(3)
         costs = rng.uniform(0.2, 3.0, size=4)
-        mbs = [MicroBatch(i, int(t), int(t)) for i, t in enumerate(rng.integers(1, 9, size=7))]
+        mbs = microbatches_of(rng.integers(1, 9, size=7))
         result = simulate_1f1b(plan_with_costs(costs), mbs)
         for starts, ends in zip(result.op_starts, result.op_ends):
             cursor = 0.0
@@ -124,7 +130,7 @@ class TestSimulate1f1b:
 
     def test_empty_microbatch_error(self):
         with pytest.raises(EmptyMicrobatchError):
-            simulate_1f1b(plan_with_costs([1.0]), [])
+            simulate_1f1b(plan_with_costs([1.0]), unit_microbatches(0))
 
     def test_comm_latency_stretches_makespan(self):
         plan = plan_with_costs([1.0, 1.0])
@@ -135,7 +141,7 @@ class TestSimulate1f1b:
 
 
 def assert_matches_reference(costs, tokens, beta, comm):
-    mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
+    mbs = microbatches_of(tokens)
     plan = plan_with_costs(costs)
     result = simulate_1f1b(plan, mbs, backward_ratio=beta, comm_latency=comm)
     timelines, busy, makespan = simulate_1f1b_reference(plan.stage_cost, tokens, beta, comm)
@@ -214,7 +220,7 @@ def timeline_file_bytes(result):
 
 
 def simulate_case(costs, tokens, beta, comm):
-    mbs = [MicroBatch(i, t, t) for i, t in enumerate(tokens)]
+    mbs = microbatches_of(tokens)
     return simulate_1f1b(plan_with_costs(costs), mbs, backward_ratio=beta, comm_latency=comm)
 
 
@@ -260,17 +266,17 @@ class TestAnalyticBubble:
 
 class TestThroughput:
     def test_arithmetic(self):
-        result = simulate_1f1b(plan_with_costs([1.0]), [MicroBatch(0, 50, 50)])
+        result = simulate_1f1b(plan_with_costs([1.0]), microbatches_of([50]))
         # makespan = 50 * (1 + 2)
         assert result.makespan == 150.0
         assert result.throughput == pytest.approx(50 / 150)
-        wide = simulate_1f1b(plan_with_costs([1.0], dp=4), [MicroBatch(0, 50, 50)])
+        wide = simulate_1f1b(plan_with_costs([1.0], dp=4), microbatches_of([50]))
         assert wide.throughput == pytest.approx(4 * 50 / 150)
 
     def test_padding_halves_throughput_at_equal_makespan(self):
         plan = plan_with_costs([1.0, 1.0])
-        padded = [MicroBatch(0, 20, 10), MicroBatch(1, 20, 10)]
-        full = [MicroBatch(0, 20, 20), MicroBatch(1, 20, 20)]
+        padded = MicroBatches([20, 20], [10, 10])
+        full = microbatches_of([20, 20])
         r_padded = simulate_1f1b(plan, padded)
         r_full = simulate_1f1b(plan, full)
         assert r_padded.makespan == r_full.makespan
@@ -360,10 +366,10 @@ def test_microbatches_from_batches_padded_cost():
     )
     padded, _ = pack_padded(trace, 8)
     mbs = microbatches_from_batches(padded)
-    assert [(mb.tokens, mb.useful_tokens) for mb in mbs] == [(8, 3), (8, 8)]
+    assert list(zip(mbs.tokens, mbs.useful_tokens)) == [(8, 3), (8, 8)]
     packed, _ = pack_ffd(trace, 8)
     mbs = microbatches_from_batches(packed)
-    assert all(mb.tokens == mb.useful_tokens for mb in mbs)
+    assert list(mbs.tokens) == list(mbs.useful_tokens)
 
 
 @pytest.mark.parametrize("kwargs", [
