@@ -53,7 +53,6 @@ from .sharding import (
 from .workload import (
     LogNormalLength,
     Modality,
-    ModalitySample,
     SyntheticTraceSpec,
     UniformLength,
     WorkloadTrace,
@@ -73,7 +72,6 @@ __all__ = [
     "LoadReport",
     "LogNormalLength",
     "Modality",
-    "ModalitySample",
     "MoEParamSpec",
     "OmniSchedError",
     "PackingReport",

@@ -4,9 +4,10 @@ Every subcommand runs the same way. Its config is resolved (flags > config
 file > OMNISCHED_SEED > defaults; ``reproduce``'s config file is
 ``--scenario``, the shipped scenario when none is given) and the command
 computes all of its results. Only then are ``config.resolved``, the command's
-CSV/JSON files and ``summary.json`` written, into a temporary directory beside
-the run directory, and moved into the run directory once every write has
-succeeded. A failed run leaves no new or changed file under the run directory.
+CSV/JSON files and ``summary.json`` written, into a temporary directory in the
+run directory's nearest existing ancestor, and moved into the run directory
+once every write has succeeded. A failed run creates no directory and leaves
+no new or changed file.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
@@ -91,13 +92,13 @@ def _writing(path: Path, what: str = "write"):
 
 def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
     """Write config.resolved and ``files`` (see ``_run``) into a temporary
-    directory beside ``out``, then move them into ``out``. Nothing moves until
-    every file is written and no target name has a directory in the way, so a
-    failed write leaves ``out`` as it was; a missing parent of ``out`` is
-    still created."""
+    directory in the nearest existing ancestor of ``out``, then create ``out``
+    and its missing parents and move the files into it. Nothing is created or
+    moved until every file is written and no target name has a directory in
+    the way, so a failed write leaves the filesystem as it was."""
     with _writing(out, "create output directory"):
-        out.parent.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+        anchor = next((p for p in out.parents if p.exists()), out.parent)
+        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
     try:
         resolved = yaml.safe_dump(config.resolved, sort_keys=True)
         with _writing(out / "config.resolved"):
@@ -109,7 +110,7 @@ def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
                 else:
                     _write_csv(stage / name, fields, rows() if callable(rows) else rows)
         with _writing(out, "create output directory"):
-            out.mkdir(exist_ok=True)
+            out.mkdir(parents=True, exist_ok=True)
         names = sorted(os.listdir(stage))
         for target in (out / name for name in names):
             if target.is_dir():

@@ -79,9 +79,9 @@ def events_from_samples(
     if round_to < 1:
         raise AllocatorError(f"round_to must be >= 1, got {round_to}")
     events = []
-    for s in trace.samples:
-        tag = f"sample{s.id}"
-        tokens = -(-s.length // round_to) * round_to
+    for sid, length in zip(trace.ids, trace.lengths):
+        tag = f"sample{sid}"
+        tokens = -(-length // round_to) * round_to
         events.append(("alloc", tag, tokens * bytes_per_token))
         events.append(("free", tag, 0))
     return events

@@ -58,20 +58,20 @@ class PackingReport:
 REPORT_CSV_FIELDS = [f.name for f in fields(PackingReport)]
 
 
-def _columns(trace: WorkloadTrace, capacity: int) -> tuple[list[int], list[int]]:
-    """The trace's sample ids and lengths, once every sample fits ``capacity``."""
+def _columns(trace: WorkloadTrace, capacity: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The trace's id and length columns, once every sample fits ``capacity``."""
     if capacity < 1:
         raise OversizeSampleError(f"capacity must be >= 1, got {capacity}", capacity=capacity)
-    lengths = [s.length for s in trace.samples]
+    lengths = trace.lengths
     if lengths and max(lengths) > capacity:
-        s = next(s for s in trace.samples if s.length > capacity)
+        k = next(k for k, n in enumerate(lengths) if n > capacity)
         raise OversizeSampleError(
-            f"sample {s.id} has length {s.length} > capacity {capacity}",
-            sample_id=s.id,
-            length=s.length,
+            f"sample {trace.ids[k]} has length {lengths[k]} > capacity {capacity}",
+            sample_id=trace.ids[k],
+            length=lengths[k],
             capacity=capacity,
         )
-    return [s.id for s in trace.samples], lengths
+    return trace.ids, lengths
 
 
 def _report(policy: str, packing: Packing) -> PackingReport:

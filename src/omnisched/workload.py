@@ -1,9 +1,10 @@
-"""Multimodal workload model: trace records, file ingestion, synthetic generation.
+"""Multimodal workload model: trace columns, file ingestion, synthetic generation.
 
-A trace is an ordered list of variable-length samples tagged with one of four
-modalities. Traces live in NDJSON files (one flat JSON object per line,
-``#`` comments ignored) and can be generated synthetically from a seeded
-spec with per-modality mixture weights and length distributions.
+A trace is three equal-length columns of variable-length samples, in order:
+ids, modalities (one of four) and lengths; no per-sample object is built.
+Traces live in NDJSON files (one flat JSON object per line, ``#`` comments
+ignored) and can be generated synthetically from a seeded spec with
+per-modality mixture weights and length distributions.
 
 The synthetic generator draws from numpy's PCG64 stream seeded with a single
 64-bit integer; for each sample it draws the modality first, then the length,
@@ -42,41 +43,37 @@ MODALITY_ORDER = (Modality.TEXT, Modality.IMAGE, Modality.AUDIO, Modality.VIDEO)
 
 
 @dataclass(frozen=True)
-class ModalitySample:
-    """One variable-length training sample."""
-
-    id: int
-    modality: Modality
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise InvalidSpecError(
-                f"sample {self.id}: length must be >= 1, got {self.length}",
-                sample_id=self.id,
-            )
-
-
-@dataclass(frozen=True)
 class WorkloadTrace:
-    samples: tuple[ModalitySample, ...]
+    """Sample ``k`` has id ``ids[k]``, modality ``modalities[k]`` and
+    ``lengths[k]`` tokens. The columns are tuples, so consumers may share them."""
+
+    ids: tuple[int, ...]
+    modalities: tuple[Modality, ...]
+    lengths: tuple[int, ...]
     name: str = "trace"
 
     def __post_init__(self):
+        for name in ("ids", "modalities", "lengths"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))  # no copy of a tuple
+        sizes = (len(self.ids), len(self.modalities), len(self.lengths))
+        if len(set(sizes)) > 1:
+            raise InvalidSpecError(f"trace columns (ids, modalities, lengths) differ in length: {sizes}")
         seen: dict[int, int] = {}
-        for pos, s in enumerate(self.samples):
-            if s.id in seen:
+        for pos, (sid, n) in enumerate(zip(self.ids, self.lengths)):
+            if n < 1:
+                raise InvalidSpecError(f"sample {sid}: length must be >= 1, got {n}", sample_id=sid)
+            if sid in seen:
                 raise DuplicateIdError(
-                    f"duplicate sample id {s.id}", sample_id=s.id, positions=[seen[s.id], pos]
+                    f"duplicate sample id {sid}", sample_id=sid, positions=[seen[sid], pos]
                 )
-            seen[s.id] = pos
+            seen[sid] = pos
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
 
     @property
     def total_tokens(self) -> int:
-        return sum(s.length for s in self.samples)
+        return sum(self.lengths)
 
 
 @dataclass(frozen=True)
@@ -164,19 +161,31 @@ def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:
     weights = np.array([spec.weights[m] for m in ordered], dtype=float)
     cumulative = np.cumsum(weights / weights.sum())
 
-    samples = []
-    for i in range(spec.sample_count):
+    modalities, lengths = [], []
+    for _ in range(spec.sample_count):
         r = rng.random()
         modality = ordered[int(np.searchsorted(cumulative, r, side="right").clip(0, len(ordered) - 1))]
-        length = spec.lengths[modality].draw(rng)
-        samples.append(ModalitySample(id=i, modality=modality, length=length))
-    return WorkloadTrace(samples=tuple(samples), name=spec.name)
+        modalities.append(modality)
+        lengths.append(spec.lengths[modality].draw(rng))
+    return WorkloadTrace(range(spec.sample_count), modalities, lengths, spec.name)
 
 
 _REQUIRED_FIELDS = {"id", "modality", "length"}
 
 
-def _parse_record(obj: dict, lineno: int) -> ModalitySample:
+def _unique_fields(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate field {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+# built once: json.loads with a hook would build a decoder per line
+_decode = json.JSONDecoder(object_pairs_hook=_unique_fields).decode
+
+
+def _parse_record(obj: dict, lineno: int) -> tuple[int, Modality, int]:
     if not isinstance(obj, dict):
         raise TraceParseError(f"line {lineno}: record must be an object", line=lineno)
     unknown = set(obj) - _REQUIRED_FIELDS
@@ -199,21 +208,21 @@ def _parse_record(obj: dict, lineno: int) -> ModalitySample:
         ) from None
     if not isinstance(obj["length"], int) or isinstance(obj["length"], bool) or obj["length"] < 1:
         raise TraceParseError(f"line {lineno}: length must be a positive integer", line=lineno)
-    return ModalitySample(id=obj["id"], modality=modality, length=obj["length"])
+    return obj["id"], modality, obj["length"]
 
 
 def load_trace(path: Union[str, Path]) -> WorkloadTrace:
     """Load a trace from an NDJSON file, preserving record order.
 
     Blank lines and ``#`` comment lines are skipped. Raises a parse error
-    naming the offending line, a duplicate-id error, or an empty-file error
-    when no records are present.
+    naming the offending line (a field given twice is one), a duplicate-id
+    error, or an empty-file error when no records are present.
     """
     path = Path(path)
     if not path.is_file():
         raise TraceNotFoundError(f"trace file not found: {path}", path=str(path))
 
-    samples: list[ModalitySample] = []
+    records: list[tuple[int, Modality, int]] = []
     seen: dict[int, int] = {}
     # a byte that is not UTF-8 becomes U+FFFD, so its line fails as a record
     with path.open("r", encoding="utf-8", errors="replace") as fh:
@@ -222,29 +231,30 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                obj = json.loads(stripped)
+                obj = _decode(stripped)
             except (ValueError, RecursionError) as exc:  # also: int past the digit limit, deep nesting
                 msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 raise TraceParseError(f"line {lineno}: invalid record: {msg}", line=lineno) from None
-            sample = _parse_record(obj, lineno)
-            if sample.id in seen:
+            record = _parse_record(obj, lineno)
+            sid = record[0]
+            if sid in seen:
                 raise DuplicateIdError(
-                    f"duplicate sample id {sample.id} on lines {seen[sample.id]} and {lineno}",
-                    sample_id=sample.id,
-                    lines=[seen[sample.id], lineno],
+                    f"duplicate sample id {sid} on lines {seen[sid]} and {lineno}",
+                    sample_id=sid,
+                    lines=[seen[sid], lineno],
                 )
-            seen[sample.id] = lineno
-            samples.append(sample)
-    if not samples:
+            seen[sid] = lineno
+            records.append(record)
+    if not records:
         raise EmptyTraceError(f"trace file contains no records: {path}", path=str(path))
-    return WorkloadTrace(samples=tuple(samples), name=path.stem)
+    return WorkloadTrace(*zip(*records), name=path.stem)
 
 
 def dump_trace(trace: WorkloadTrace) -> str:
     """Canonical NDJSON serialization."""
     lines = []
-    for s in trace.samples:
-        rec = {"id": s.id, "modality": s.modality.value, "length": s.length}
+    for sid, modality, length in zip(trace.ids, trace.modalities, trace.lengths):
+        rec = {"id": sid, "modality": modality.value, "length": length}
         lines.append(json.dumps(rec, separators=(", ", ": ")))
     return "\n".join(lines) + "\n"
 
@@ -275,21 +285,12 @@ class TraceStats:
 def trace_stats(trace: WorkloadTrace) -> TraceStats:
     """Summarize a trace; modalities with no samples are simply absent."""
     buckets: dict[str, list[int]] = {}
-    for s in trace.samples:
-        buckets.setdefault(s.modality.value, []).append(s.length)
+    for modality, length in zip(trace.modalities, trace.lengths):
+        buckets.setdefault(modality.value, []).append(length)
     per = {
-        m: ModalityStats(
-            count=len(ls),
-            min_length=min(ls),
-            max_length=max(ls),
-            mean_length=sum(ls) / len(ls),
-            total_tokens=sum(ls),
-        )
+        m: ModalityStats(count=len(ls), min_length=min(ls), max_length=max(ls),
+                         mean_length=sum(ls) / len(ls), total_tokens=sum(ls))
         for m, ls in buckets.items()
     }
-    return TraceStats(
-        total_samples=len(trace.samples),
-        total_tokens=trace.total_tokens,
-        per_modality=per,
-    )
+    return TraceStats(total_samples=len(trace), total_tokens=trace.total_tokens, per_modality=per)
 

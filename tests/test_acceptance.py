@@ -23,7 +23,7 @@ from omnisched.moe import (
 from omnisched.packing import pack_ffd
 from omnisched.pipeline import MicroBatches, bubble_fraction_analytic, simulate_1f1b
 from omnisched.sharding import ParallelLayout, PlanUnit, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
-from omnisched.workload import Modality, ModalitySample, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import check_packing_columns, min_bins_exhaustive, onef1b_longest_path, partition_optimum
 
@@ -40,9 +40,7 @@ def plan_with_costs(costs):
 
 
 def trace_of(lengths):
-    return WorkloadTrace(
-        samples=tuple(ModalitySample(i, Modality.TEXT, l) for i, l in enumerate(lengths))
-    )
+    return WorkloadTrace(range(len(lengths)), [Modality.TEXT] * len(lengths), lengths)
 
 
 class Budget:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 from pathlib import Path
@@ -11,7 +12,6 @@ from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
 from omnisched.workload import (
     Modality,
-    ModalitySample,
     WorkloadTrace,
     save_trace,
 )
@@ -21,12 +21,7 @@ from oracles import timeline_rows_reference
 
 @pytest.fixture
 def trace_file(tmp_path):
-    trace = WorkloadTrace(
-        samples=tuple(
-            ModalitySample(i, Modality.TEXT, l)
-            for i, l in enumerate([7, 5, 4, 3, 1, 8, 2, 6])
-        )
-    )
+    trace = WorkloadTrace(range(8), [Modality.TEXT] * 8, [7, 5, 4, 3, 1, 8, 2, 6])
     p = tmp_path / "trace.ndjson"
     save_trace(trace, p)
     return p
@@ -297,6 +292,20 @@ def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, t
     assert doc["context"]["path"] == str(out)
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+def test_failed_run_leaves_no_missing_parent_of_out(trace_file, tmp_path, monkeypatch, capsys):
+    def full_disk(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "gap" / "a" / "b" / "run"
+    argv = ["pack", "--trace", str(trace_file), "--capacity", "8", "--out", str(out)]
+    assert main(argv) == 2
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["kind"] == "output"
+    assert sorted(tmp_path.rglob("*")) == before  # no gap/a/b, no temporary directory
 
 
 def dict_writer_bytes(path, fields, rows):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from omnisched.errors import InvalidSpecError
 from omnisched.packing import POLICIES
 from omnisched.pipeline import MicroBatches, microbatches_from_batches
-from omnisched.workload import Modality, ModalitySample, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import (
     columns_reference,
@@ -20,6 +20,7 @@ from oracles import (
     pack_stream_reference,
     packing_report_reference,
 )
+from records import records
 
 REFERENCES = {
     "ffd": pack_ffd_reference,
@@ -37,19 +38,18 @@ def traces(draw):
     # unique ids in any order, so FFD's tie break by id differs from arrival order
     ids = draw(st.lists(st.integers(min_value=0, max_value=10**6), min_size=len(lengths),
                         max_size=len(lengths), unique=True))
-    samples = tuple(ModalitySample(i, Modality.TEXT, n) for i, n in zip(ids, lengths))
-    return WorkloadTrace(samples=samples), capacity
+    return WorkloadTrace(ids, [Modality.TEXT] * len(ids), lengths), capacity
 
 
 @given(traces())
-@example((WorkloadTrace(samples=()), 8))
-@example((WorkloadTrace(samples=tuple(ModalitySample(i, Modality.TEXT, 8) for i in range(5))), 8))
+@example((WorkloadTrace((), (), ()), 8))
+@example((WorkloadTrace(range(5), [Modality.TEXT] * 5, [8] * 5), 8))
 @settings(max_examples=300, deadline=None)
 def test_columns_match_object_references(case):
     trace, capacity = case
     for policy, reference in REFERENCES.items():
         columns, report = POLICIES[policy](trace, capacity)
-        expected = reference(trace.samples, capacity)
+        expected = reference(records(trace), capacity)
         padded = policy == "padded"
         assert (columns.capacity, columns.padded, len(columns)) == (capacity, padded, len(expected))
         assert {name: list(getattr(columns, name)) for name in ("sample_ids", "lengths", "starts", "used")} == (

@@ -6,13 +6,11 @@ import pytest
 from omnisched.errors import AllocatorError, DoubleFreeError, UnknownTagError
 from omnisched.memsim import events_from_batches, events_from_samples, simulate_allocator
 from omnisched.packing import pack_ffd, pack_padded
-from omnisched.workload import Modality, ModalitySample, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace
 
 
 def trace_of(lengths):
-    return WorkloadTrace(
-        samples=tuple(ModalitySample(i, Modality.TEXT, l) for i, l in enumerate(lengths))
-    )
+    return WorkloadTrace(range(len(lengths)), [Modality.TEXT] * len(lengths), lengths)
 
 
 def alloc_free_stream(sizes):

@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 
 from omnisched.errors import OversizeSampleError
 from omnisched.packing import Packing, pack_ffd, pack_padded, pack_stream
-from omnisched.workload import Modality, ModalitySample, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import check_packing_columns, min_bins_exhaustive, pack_ffd_reference
+from records import records
 
 
 def trace_of(lengths):
-    return WorkloadTrace(
-        samples=tuple(ModalitySample(i, Modality.TEXT, l) for i, l in enumerate(lengths))
-    )
+    return WorkloadTrace(range(len(lengths)), [Modality.TEXT] * len(lengths), lengths)
 
 
 def batch_pairs(packing):
@@ -68,7 +67,7 @@ def test_ffd_matches_linear_scan_reference(case):
     lengths, capacity = case
     trace = trace_of(lengths)
     batches, report = pack_ffd(trace, capacity)
-    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, capacity)
+    assert batch_pairs(batches) == pack_ffd_reference(records(trace), capacity)
     assert batches.capacity == capacity and not batches.padded
     assert report.batch_count == len(batches)
 
@@ -80,7 +79,7 @@ def test_ffd_matches_linear_scan_reference(case):
 def test_ffd_matches_linear_scan_reference_edges(lengths, capacity):
     trace = trace_of(lengths)
     batches, _ = pack_ffd(trace, capacity)
-    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, capacity)
+    assert batch_pairs(batches) == pack_ffd_reference(records(trace), capacity)
 
 
 def test_ffd_matches_linear_scan_reference_large():
@@ -88,7 +87,7 @@ def test_ffd_matches_linear_scan_reference_large():
     lengths = rng.integers(1, 4097, size=3000).tolist()
     trace = trace_of(lengths)
     batches, _ = pack_ffd(trace, 4096)
-    assert batch_pairs(batches) == pack_ffd_reference(trace.samples, 4096)
+    assert batch_pairs(batches) == pack_ffd_reference(records(trace), 4096)
 
 
 @pytest.mark.parametrize("columns", [
@@ -114,7 +113,7 @@ class TestStream:
         assert report.batch_count == 2
 
     def test_empty_trace(self):
-        batches, report = pack_stream(WorkloadTrace(samples=()), capacity=8)
+        batches, report = pack_stream(WorkloadTrace((), (), ()), capacity=8)
         assert len(batches) == 0 and list(batches.starts) == [0]
         assert report.batch_count == 0
         assert report.fill_fraction == 0.0
@@ -155,7 +154,7 @@ def test_conservation_capacity_offsets(case):
     trace = trace_of(lengths)
     for packer in (pack_ffd, pack_stream, pack_padded):
         batches, report = packer(trace, capacity)
-        check_packing_columns(batches, [s.id for s in trace.samples])
+        check_packing_columns(batches, trace.ids)
         assert report.batch_count == len(batches)
         assert report.padding_tokens == report.batch_count * capacity - report.total_tokens
         if report.batch_count:

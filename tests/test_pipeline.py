@@ -20,7 +20,7 @@ from omnisched.pipeline import (
     stage_op_order,
 )
 from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan, PlanUnit
-from omnisched.workload import Modality, ModalitySample, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import (
     csv_bytes_reference,
@@ -286,12 +286,8 @@ class TestThroughput:
 def small_trace(seed, n=40, max_len=32):
     rng = np.random.default_rng(seed)
     mods = list(Modality)
-    return WorkloadTrace(
-        samples=tuple(
-            ModalitySample(i, mods[int(rng.integers(0, 4))], int(rng.integers(1, max_len + 1)))
-            for i in range(n)
-        )
-    )
+    drawn = [(mods[int(rng.integers(0, 4))], int(rng.integers(1, max_len + 1))) for _ in range(n)]
+    return WorkloadTrace(range(n), *zip(*drawn))
 
 
 def cost_model():
@@ -361,9 +357,7 @@ class TestCompareConfigs:
 
 
 def test_microbatches_from_batches_padded_cost():
-    trace = WorkloadTrace(
-        samples=(ModalitySample(0, Modality.TEXT, 3), ModalitySample(1, Modality.TEXT, 8))
-    )
+    trace = WorkloadTrace((0, 1), (Modality.TEXT, Modality.TEXT), (3, 8))
     padded, _ = pack_padded(trace, 8)
     mbs = microbatches_from_batches(padded)
     assert list(zip(mbs.tokens, mbs.useful_tokens)) == [(8, 3), (8, 8)]

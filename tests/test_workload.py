@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnisched.errors import (
     DuplicateIdError,
@@ -11,7 +13,6 @@ from omnisched.errors import (
 from omnisched.workload import (
     LogNormalLength,
     Modality,
-    ModalitySample,
     SyntheticTraceSpec,
     UniformLength,
     WorkloadTrace,
@@ -56,9 +57,9 @@ class TestLoadTrace:
             '{"id": 2, "modality": "audio", "length": 7}\n'
         )
         trace = load_trace(p)
-        assert [s.id for s in trace.samples] == [3, 1, 2]
-        assert trace.samples[1].modality is Modality.VIDEO
-        assert [s.length for s in trace.samples] == [10, 64, 7]
+        assert trace.ids == (3, 1, 2)
+        assert trace.modalities[1] is Modality.VIDEO
+        assert trace.lengths == (10, 64, 7)
 
     def test_duplicate_id_names_offender(self, tmp_path):
         p = tmp_path / "t.ndjson"
@@ -79,6 +80,18 @@ class TestLoadTrace:
         p.write_text("# only comments\n\n")
         with pytest.raises(EmptyTraceError):
             load_trace(p)
+
+    @pytest.mark.parametrize("record, field", [
+        ('{"id": 0, "modality": "text", "length": 3, "length": 900}', "length"),
+        ('{"id": 0, "id": 1, "modality": "text", "length": 3}', "id"),
+    ])
+    def test_repeated_field_fails_its_line(self, tmp_path, record, field):
+        p = tmp_path / "t.ndjson"
+        p.write_text('{"id": 5, "modality": "text", "length": 5}\n' + record + "\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(p)
+        assert exc.value.context["line"] == 2
+        assert f"duplicate field {field!r}" in str(exc.value)
 
     def test_parse_error_carries_line_number(self, tmp_path):
         p = tmp_path / "t.ndjson"
@@ -117,9 +130,35 @@ class TestLoadTrace:
         p = tmp_path / "t.ndjson"
         save_trace(trace, p)
         loaded = load_trace(p)
-        assert loaded.samples == trace.samples
+        assert columns(loaded) == columns(trace)
         # canonical serialization is a fixed point
         assert dump_trace(loaded) == p.read_text()
+
+
+def columns(trace):
+    return trace.ids, trace.modalities, trace.lengths
+
+
+@st.composite
+def drawn_traces(draw):
+    ids = draw(st.lists(st.integers(min_value=-2**70, max_value=2**70), unique=True, max_size=40))
+    modalities = draw(st.lists(st.sampled_from(list(Modality)), min_size=len(ids), max_size=len(ids)))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=2**70), min_size=len(ids), max_size=len(ids)))
+    return WorkloadTrace(ids, modalities, lengths)
+
+
+@given(drawn_traces())
+@settings(max_examples=200, deadline=None)
+def test_round_trip_over_drawn_columns(tmp_path_factory, trace):
+    p = tmp_path_factory.mktemp("rt") / "t.ndjson"
+    save_trace(trace, p)
+    if not len(trace):
+        with pytest.raises(EmptyTraceError):
+            load_trace(p)
+        return
+    loaded = load_trace(p)
+    assert columns(loaded) == columns(trace)
+    assert dump_trace(loaded) == dump_trace(trace) == p.read_text()
 
 
 class TestGenerateTrace:
@@ -138,7 +177,7 @@ class TestGenerateTrace:
         )
         trace = generate_trace(spec)
         assert len(trace) == 4
-        assert all(s.modality is Modality.TEXT and s.length == 5 for s in trace.samples)
+        assert set(trace.modalities) == {Modality.TEXT} and set(trace.lengths) == {5}
 
     def test_mixture_fraction_within_five_sigma(self):
         # two equal weights, n=10000: binomial sd ~ 0.005, bound at +/- 5 sigma
@@ -149,7 +188,7 @@ class TestGenerateTrace:
             seed=42,
         )
         trace = generate_trace(spec)
-        frac = sum(1 for s in trace.samples if s.modality is Modality.TEXT) / len(trace)
+        frac = trace.modalities.count(Modality.TEXT) / len(trace)
         assert 0.45 <= frac <= 0.55
 
     def test_lognormal_clamped(self):
@@ -157,7 +196,7 @@ class TestGenerateTrace:
             {Modality.VIDEO: 1.0}, {Modality.VIDEO: LogNormalLength(10.0, 2.0, 64)}, count=300, seed=3
         )
         trace = generate_trace(spec)
-        assert all(1 <= s.length <= 64 for s in trace.samples)
+        assert all(1 <= n <= 64 for n in trace.lengths)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
@@ -176,18 +215,13 @@ class TestGenerateTrace:
 
 class TestTraceStats:
     def test_arithmetic(self):
-        trace = WorkloadTrace(
-            samples=(
-                ModalitySample(0, Modality.TEXT, 3),
-                ModalitySample(1, Modality.TEXT, 5),
-            )
-        )
+        trace = WorkloadTrace((0, 1), (Modality.TEXT, Modality.TEXT), (3, 5))
         st = trace_stats(trace)
         assert st.total_tokens == 8
         assert st.per_modality["text"].mean_length == 4
 
     def test_empty_trace_absent_means(self):
-        st = trace_stats(WorkloadTrace(samples=()))
+        st = trace_stats(WorkloadTrace((), (), ()))
         assert st.total_samples == 0
         assert st.total_tokens == 0
         assert st.per_modality == {}
@@ -216,19 +250,28 @@ class TestTraceStats:
             for _ in range(3)
         ]
         traces = [generate_trace(s) for s in specs]
-        samples = [s for t in traces for s in t.samples]
         combined = WorkloadTrace(
-            samples=tuple(ModalitySample(i, s.modality, s.length) for i, s in enumerate(samples))
+            range(sum(len(t) for t in traces)),
+            [m for t in traces for m in t.modalities],
+            [n for t in traces for n in t.lengths],
         )
         assert trace_stats(combined).total_tokens == sum(trace_stats(t).total_tokens for t in traces)
         assert trace_stats(combined).total_samples == sum(len(t) for t in traces)
 
 
 def test_sample_validation():
-    with pytest.raises(InvalidSpecError):
-        ModalitySample(0, Modality.TEXT, 0)
-    with pytest.raises(DuplicateIdError):
-        WorkloadTrace(samples=(ModalitySample(1, Modality.TEXT, 5), ModalitySample(1, Modality.TEXT, 6)))
+    text = Modality.TEXT
+    with pytest.raises(InvalidSpecError, match="sample 4: length must be >= 1, got 0") as exc:
+        WorkloadTrace((3, 4), (text, text), (5, 0))
+    assert exc.value.context["sample_id"] == 4
+    with pytest.raises(DuplicateIdError) as exc:
+        WorkloadTrace((1, 2, 1), (text, text, text), (5, 6, 7))
+    assert exc.value.context["sample_id"] == 1 and exc.value.context["positions"] == [0, 2]
+    for ids, modalities, lengths in [((0, 1), (text,), (5, 6)), ((0,), (text,), (5, 6)), ((0, 1), (text, text), (5,))]:
+        with pytest.raises(InvalidSpecError, match="differ in length"):
+            WorkloadTrace(ids, modalities, lengths)
+    # the columns are tuples whatever they were given as
+    assert columns(WorkloadTrace([0, 1], [text, text], [5, 6])) == ((0, 1), (text, text), (5, 6))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -253,4 +296,4 @@ def test_out_of_range_parameters_rejected(make):
 def test_huge_lognormal_draw_clamps_to_max_len():
     # exp of a draw past ~709.78 overflows a float
     spec = make_spec({Modality.TEXT: 1.0}, {Modality.TEXT: LogNormalLength(1e4, 1.0, 64)}, 3, 0)
-    assert [s.length for s in generate_trace(spec).samples] == [64, 64, 64]
+    assert generate_trace(spec).lengths == (64, 64, 64)
