@@ -57,7 +57,7 @@ class ExperimentConfig:
     router: RouterConfig
     output_dir: Path
     # every value read, defaults included, as written to config.resolved; values
-    # that need no object (the name, the seeds, memsim, the rest of router) are read here
+    # that need no object (the names, the seeds, memsim, the rest of router) are read here
     resolved: dict
 
     def load_workload(self) -> WorkloadTrace:
@@ -148,11 +148,15 @@ def _number(lo: float = -math.inf, strict: bool = False, finite: bool = True) ->
     return check
 
 
-def _list(item: Check, nonempty: bool = False) -> Check:
+def _list(item: Check, nonempty: bool = False, unique: bool = False) -> Check:
     def check(value: Any, key: str) -> list:
         if type(value) is not list or (nonempty and not value):
             _fail(key, "a non-empty list" if nonempty else "a list", value)
-        return [item(x, f"{key}[{i}]") for i, x in enumerate(value)]
+        items = [item(x, f"{key}[{i}]") for i, x in enumerate(value)]
+        for i, x in enumerate(items if unique else ()):  # compared as read: 1X2X1 is 1x2x1
+            if items.index(x) < i:
+                raise ConfigError(f"{key}[{i}] repeats {key}[{items.index(x)}], {x!r}", key=f"{key}[{i}]")
+        return items
 
     return check
 
@@ -303,9 +307,10 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("backward_ratio", _number(0, strict=True), 2.0)
     r.read("comm_latency", _number(0), 0.0)
     cost = r.read("cost_model", _cost_model, None)
-    r.read("layouts", _list(_layout, nonempty=True), ["1x1x1"])
-    r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True), ["padded", "stream", "ffd"])
-    r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True), ["naive", "balanced"])
+    r.read("layouts", _list(_layout, nonempty=True, unique=True), ["1x1x1"])
+    r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True, unique=True),
+           ["padded", "stream", "ffd"])
+    r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True, unique=True), ["naive", "balanced"])
     router = r.read("router", _mapping(partial(_router, seed=seed)), {})
     r.read("memsim", _mapping(_memsim), {})
     r.read("output_dir", _str(), "runs/out")
@@ -325,7 +330,6 @@ def build_config(doc: dict) -> ExperimentConfig:
             },
             sample_count=spec["sample_count"],
             seed=spec["seed"],
-            name=spec["name"],
         )
     encoders, layers = _cost_objects(cost)
     return ExperimentConfig(

@@ -20,10 +20,10 @@ busiest stage. ``idle_fraction`` additionally reports the idle share across
 the whole stage grid, which is the quantity that grows when work piles onto
 one stage.
 
-The simulator keeps each stage's op start and end times as flat arrays in
-``ScheduleResult``; the timeline CSV lines are formatted from them only when a
-caller asks (``timeline_rows()``), so a run that only reads the summary never
-pays for them.
+The simulator runs each op once, in a fixed tick order, into flat arrays of
+op start and end times per stage in ``ScheduleResult``; the timeline CSV
+lines are formatted from them only when a caller asks (``timeline_rows()``),
+so a run that only reads the summary never pays for them.
 """
 
 from __future__ import annotations
@@ -129,12 +129,12 @@ def simulate_1f1b(
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
 ) -> ScheduleResult:
-    """Event-driven simulation of the non-interleaved 1F1B schedule.
-
-    Sweeps the stages, running each one's ops until an op waits on another
-    not yet run. Finish times are kept per stage in forward and backward
-    lists indexed by microbatch (``None`` until run); a stage's next op and
-    free time are the length and last entry of its own start and end lists.
+    """Run each op once, in the tick order of the unit-cost schedule (F = B = 1,
+    no comm latency): forward ``i`` of stage ``s`` at tick ``s + i`` in warmup
+    (``i < pp - s``), else ``s + 2i``; backward ``i`` at ``2pp - 1 - s + 2i``.
+    Each op's dependencies (the stage's previous op, F(s-1, i), F(s, i),
+    B(s+1, i)) lie on earlier ticks whatever the costs, so none checks
+    readiness; its start is the latest of their finish times by ``>`` tests.
     """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
@@ -146,63 +146,59 @@ def simulate_1f1b(
     pp = plan.layout.pp
     m = len(microbatches)
     tokens = microbatches.tokens
-    f_end: list[list] = [[None] * m for _ in range(pp)]
-    b_end: list[list] = [[None] * m for _ in range(pp)]
-    starts: list[list[float]] = [[] for _ in range(pp)]
-    ends: list[list[float]] = [[] for _ in range(pp)]
-    # per stage: op order, cost per token, own finish lists, the finish lists
-    # its forwards and backwards wait on, and its start and end lists
+    f_end = [[0.0] * m for _ in range(pp)]
+    b_end = [[0.0] * m for _ in range(pp)]
+    starts = tuple(array("d") for _ in range(pp))
+    ends = tuple(array("d") for _ in range(pp))
+    # per stage: index, cost, finish lists (own F and B, upstream F, downstream B), appenders, ends
     stages = [
-        (stage_op_order(pp, s, m), plan.stage_cost[s], f_end[s], b_end[s],
-         f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None, starts[s], ends[s])
+        (s, plan.stage_cost[s], f_end[s], b_end[s],
+         f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None,
+         starts[s].append, ends[s].append, ends[s])
         for s in range(pp)
     ]
 
-    remaining = sum(len(stage[0]) for stage in stages)
-    while remaining:
-        before = remaining
-        for order, cost, fe, be, prev_fe, next_be, st, en in stages:
-            k = len(st)
-            n = len(order)
-            if k == n:
-                continue
-            free = en[-1] if k else 0.0
-            done = k
-            while k < n:
-                op = order[k]
-                ready = free
-                if op >= 0:  # forward op
-                    if prev_fe is not None:
-                        dep = prev_fe[op]
-                        if dep is None:
-                            break
-                        dep = dep + comm_latency
-                        if dep > ready:  # ready = max(ready, dep), bit for bit
-                            ready = dep
-                    free = ready + cost * tokens[op]
-                    fe[op] = free
-                else:
-                    i = ~op
-                    dep = fe[i]
-                    if dep is None:
-                        break
+    for t in range(pp):  # warmup: stage s runs forward t - s
+        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in stages[:t + 1]:
+            i = t - s
+            if i < m:
+                ready = en[-1] if i else 0.0
+                if prev_fe is not None:
+                    dep = prev_fe[i] + comm_latency
+                    if dep > ready:  # ready = max(ready, dep), bit for bit
+                        ready = dep
+                fe[i] = free = ready + cost * tokens[i]
+                add_start(ready)
+                add_end(free)
+    parity = [(stages[p::2], stages[1 - p::2]) for p in (0, 1)]
+    for t in range(pp, 2 * (m + pp - 1)):  # forwards at s = t (mod 2), backwards elsewhere
+        forwards, backwards = parity[t & 1]
+        u = t + 1 - 2 * pp  # backward i runs at tick 2pp - 1 - s + 2i: i = (u + s) / 2
+        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in forwards:
+            i = (t - s) >> 1
+            if pp - s <= i < m:
+                ready = en[-1]
+                if prev_fe is not None:
+                    dep = prev_fe[i] + comm_latency
                     if dep > ready:
                         ready = dep
-                    if next_be is not None:
-                        dep = next_be[i]
-                        if dep is None:
-                            break
-                        dep = dep + comm_latency
-                        if dep > ready:
-                            ready = dep
-                    free = ready + backward_ratio * (cost * tokens[i])
-                    be[i] = free
-                st.append(ready)
-                en.append(free)
-                k += 1
-            remaining -= k - done
-        if remaining == before:
-            raise InvalidSpecError("1F1B schedule deadlocked; dependency order is inconsistent")
+                fe[i] = free = ready + cost * tokens[i]
+                add_start(ready)
+                add_end(free)
+        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in backwards:
+            i = (u + s) >> 1
+            if 0 <= i < m:
+                ready = en[-1]
+                dep = fe[i]
+                if dep > ready:
+                    ready = dep
+                if next_be is not None:
+                    dep = next_be[i] + comm_latency
+                    if dep > ready:
+                        ready = dep
+                be[i] = free = ready + backward_ratio * (cost * tokens[i])
+                add_start(ready)
+                add_end(free)
 
     busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
     makespan = max(max(en) for en in ends)
@@ -216,8 +212,8 @@ def simulate_1f1b(
         throughput=plan.layout.dp * useful / makespan,
         total_useful_tokens=useful,
         stage_busy=busy,
-        op_starts=tuple(array("d", st) for st in starts),
-        op_ends=tuple(array("d", en) for en in ends),
+        op_starts=starts,
+        op_ends=ends,
     )
 
 

@@ -50,7 +50,6 @@ class WorkloadTrace:
     ids: tuple[int, ...]
     modalities: tuple[Modality, ...]
     lengths: tuple[int, ...]
-    name: str = "trace"
 
     def __post_init__(self):
         for name in ("ids", "modalities", "lengths"):
@@ -131,7 +130,6 @@ class SyntheticTraceSpec:
     lengths: dict[Modality, LengthDistribution]
     sample_count: int
     seed: int
-    name: str = "synthetic"
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -167,7 +165,7 @@ def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:
         modality = ordered[int(np.searchsorted(cumulative, r, side="right").clip(0, len(ordered) - 1))]
         modalities.append(modality)
         lengths.append(spec.lengths[modality].draw(rng))
-    return WorkloadTrace(range(spec.sample_count), modalities, lengths, spec.name)
+    return WorkloadTrace(range(spec.sample_count), modalities, lengths)
 
 
 _REQUIRED_FIELDS = {"id", "modality", "length"}
@@ -247,7 +245,7 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
             records.append(record)
     if not records:
         raise EmptyTraceError(f"trace file contains no records: {path}", path=str(path))
-    return WorkloadTrace(*zip(*records), name=path.stem)
+    return WorkloadTrace(*zip(*records))
 
 
 def dump_trace(trace: WorkloadTrace) -> str:

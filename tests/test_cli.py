@@ -227,6 +227,16 @@ def test_unknown_allocator_in_config_writes_nothing(trace_file, tmp_path, capsys
     assert not out.exists()
 
 
+def test_repeated_layout_flag_is_a_config_error(trace_file, cost_model_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--trace", str(trace_file), "--capacity", "8", "--cost-model",
+               str(cost_model_file), "--layouts", "1x2x1,1x2x1", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (err["kind"], err["context"]["key"]) == ("invalid-config", "layouts[1]")
+    assert not out.exists()
+
+
 def test_nan_cost_model_is_a_domain_error(cost_model_file, tmp_path, capsys):
     doc = json.loads(cost_model_file.read_text())
     doc["llm_layer_costs"][1] = float("nan")

@@ -137,6 +137,10 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
     (SYNTHETIC % (".nan", "{kind: uniform, low: 1, high: 4}"), "trace.synthetic.mixture.text"),
     (SYNTHETIC % ("1", "{kind: lognormal, mu: .nan, sigma: 1, max_len: 8}"),
      "trace.synthetic.lengths.text.mu"),
+    # a repeat, compared as read: 1X2X1 is the layout 1x2x1
+    ("layouts: [1x2x1, 1x4x1, 1X2X1]", "layouts[2]"),
+    ("packing_policies: [ffd, stream, ffd]", "packing_policies[2]"),
+    ("plan_policies: [balanced, balanced]", "plan_policies[1]"),
 ])
 def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     (tmp_path / "cfg.yaml").write_text(text + "\n")

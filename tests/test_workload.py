@@ -24,8 +24,8 @@ from omnisched.workload import (
 )
 
 
-def make_spec(weights, lengths, count, seed, name="t"):
-    return SyntheticTraceSpec(weights=weights, lengths=lengths, sample_count=count, seed=seed, name=name)
+def make_spec(weights, lengths, count, seed):
+    return SyntheticTraceSpec(weights=weights, lengths=lengths, sample_count=count, seed=seed)
 
 
 class TestLoadTrace:
