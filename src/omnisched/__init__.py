@@ -19,7 +19,6 @@ from .moe import (
     LoadReport,
     MoEParamSpec,
     RouterConfig,
-    RouterState,
     aux_loss,
     bias_update,
     moe_param_counts,
@@ -77,7 +76,6 @@ __all__ = [
     "PackingReport",
     "ParallelLayout",
     "RouterConfig",
-    "RouterState",
     "ScheduleResult",
     "StagePlan",
     "SyntheticTraceSpec",

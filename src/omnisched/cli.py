@@ -42,7 +42,7 @@ from .config import (
 from .errors import ConfigError, OmniSchedError, OutputError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
 from .pipeline import COMPARISON_CSV_FIELDS, ComparisonTable, compare_configs
-from .sharding import naive_plan, plan_balanced_stages, plan_imbalance
+from .sharding import naive_plan, plan_balanced_stages, plan_imbalance, unit_labels
 from .workload import WorkloadTrace, trace_stats
 
 
@@ -175,13 +175,14 @@ def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
 
 def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     _need_cost_model(config, "plan")
+    labels = unit_labels(config.encoders, config.llm_layer_costs)
     plans = {}
     for layout in config.layouts:
         balanced = plan_balanced_stages(config.encoders, config.llm_layer_costs, layout)
         naive = naive_plan(config.encoders, config.llm_layer_costs, layout)
         plans[layout.label()] = {
-            "balanced": balanced.to_dict(),
-            "naive": naive.to_dict(),
+            "balanced": balanced.to_dict(labels),
+            "naive": naive.to_dict(labels),
         }
     summary = {
         "command": "plan",

@@ -23,7 +23,7 @@ from typing import Any, Callable, Optional, Union
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidSpecError
 from .memsim import ALLOCATOR_POLICIES
 from .moe import RouterConfig
 from .packing import POLICIES as PACKING_POLICIES
@@ -172,7 +172,7 @@ def _path(value: Any, key: str) -> str:
 def _layout(value: Any, key: str) -> str:
     try:
         return ParallelLayout.parse(_str()(value, key)).label()
-    except ConfigError as exc:
+    except (ConfigError, InvalidSpecError) as exc:  # a bad form, or a degree < 1
         raise ConfigError(exc.message, key=key) from None
 
 
@@ -240,7 +240,7 @@ def _cost_objects(doc: dict) -> tuple[list[EncoderSpec], list[float]]:
         for e in doc["encoders"]
     ]
     layers = doc["llm_layer_costs"]
-    build_units(encoders, layers)  # rejects bad layer costs before a run writes anything
+    build_units(encoders, layers, tp=1)  # rejects bad layer costs before a run writes anything
     return encoders, layers
 
 
@@ -250,15 +250,21 @@ def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[flo
 
 
 def _router(m: _Mapping, seed: int) -> dict:
-    experts = m.read("num_experts", _int(2), 8)
-    m.read("top_k", _int(1), 2)
+    # a step draws a (tokens_per_step, num_experts) float64 array, which numpy
+    # can shape only below 2**63 bytes; both sizes are bounded before any is used
+    size = "with tokens_per_step * num_experts * 8 < 2**63"
+    experts = m.read("num_experts", _typed((int,), f"an integer >= 2 {size}", lambda v: 2 <= v < 2**60), 8)
+    top_k = m.read("top_k", _int(1), 2)
     m.read("aux_coefficient", _number(0), 0.01)
     m.read("bias_step", _number(0), 0.01)
-    m.read("tokens_per_step", _int(1), 4096)
+    tokens = _typed((int,), f"an integer >= 1 {size}", lambda v: 1 <= v and v * experts * 8 < 2**63)
+    m.read("tokens_per_step", tokens, 4096)
     m.read("steps", _int(1), 200)
     offsets = m.read("mean_offsets", _list(_number()), [1.0] + [0.0] * (experts - 1))
     if len(offsets) != experts:
         _fail(f"{m.path}.mean_offsets", f"a list of {experts} numbers, one per expert", offsets)
+    if top_k >= experts:
+        _fail(f"{m.path}.top_k", f"an integer < num_experts ({experts})", top_k)
     m.read("logit_std", _number(0, strict=True), 1.0)
     m.read("seed", _int(0), seed)
     return m.close()

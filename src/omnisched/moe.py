@@ -14,11 +14,16 @@ selection routine. Balancing combines two mechanisms:
 * a per-router bias update ``b_i += u * sign(1/E - f_i)`` that nudges
   selection away from overloaded experts. This is the active controller in
   the simulation; no gradient descent is modeled.
+
+The router's only state is its bias vector: ``route_batch(bias, logits, k)``
+returns the step's selection counts and ``bias_update`` returns a new bias,
+so each ``LoadReport`` keeps the bias it was routed with without a copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -44,26 +49,6 @@ class RouterConfig:
             raise InvalidSpecError("aux_coefficient must be finite and >= 0")
         if not 0 <= self.bias_step < np.inf:
             raise InvalidSpecError("bias_step must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class RouterState:
-    """Router balancing state: selection bias plus cumulative loads."""
-
-    bias: np.ndarray
-    load_counts: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def fresh(cls, num_experts: int) -> "RouterState":
-        return cls(
-            bias=np.zeros(num_experts, dtype=float),
-            load_counts=np.zeros(num_experts, dtype=np.int64),
-        )
-
-    @property
-    def num_experts(self) -> int:
-        return self.bias.shape[0]
 
 
 @dataclass(frozen=True)
@@ -154,16 +139,16 @@ def aux_loss(f: Sequence[float] | np.ndarray, pbar: Sequence[float] | np.ndarray
     return float(alpha * E * np.dot(f, pbar))
 
 
-def bias_update(state: RouterState, f: Sequence[float] | np.ndarray, u: float) -> RouterState:
-    """Sign rule: underloaded experts gain ``u`` of bias, overloaded lose it."""
+def bias_update(bias: np.ndarray, f: Sequence[float] | np.ndarray, u: float) -> np.ndarray:
+    """Sign rule: underloaded experts gain ``u`` of bias, overloaded lose it.
+    Returns a new bias array."""
     f = np.asarray(f, dtype=float)
-    if f.shape != state.bias.shape:
-        raise RoutingError(f"dimension mismatch: f {f.shape} vs bias {state.bias.shape}")
+    if f.shape != bias.shape:
+        raise RoutingError(f"dimension mismatch: f {f.shape} vs bias {bias.shape}")
     if u < 0:
         raise RoutingError(f"bias step must be >= 0, got {u}")
-    target = 1.0 / state.num_experts
-    new_bias = state.bias + u * np.sign(target - f)
-    return replace(state, bias=new_bias, step=state.step + 1)
+    target = 1.0 / bias.shape[0]
+    return bias + u * np.sign(target - f)
 
 
 class GaussianLogitSource:
@@ -198,13 +183,12 @@ class GaussianLogitSource:
         return z
 
 
-def route_batch(state: RouterState, logits: np.ndarray, k: int) -> tuple[np.ndarray, RouterState]:
-    """Route a (tokens, E) logit batch, each token as ``route_topk`` would;
-    returns the per-expert selection counts and the state with loads added."""
-    if logits.ndim != 2 or logits.shape[1] != state.num_experts:
-        raise RoutingError(f"logit batch must be (tokens, {state.num_experts})")
-    counts = _topk_mask(logits + state.bias, k).sum(axis=0, dtype=np.int64)
-    return counts, replace(state, load_counts=state.load_counts + counts)
+def route_batch(bias: np.ndarray, logits: np.ndarray, k: int) -> np.ndarray:
+    """Route a (tokens, E) logit batch, each token as ``route_topk`` would
+    under ``bias``; returns the per-expert selection counts."""
+    if logits.ndim != 2 or logits.shape[1] != bias.shape[0]:
+        raise RoutingError(f"logit batch must be (tokens, {bias.shape[0]})")
+    return _topk_mask(logits + bias, k).sum(axis=0, dtype=np.int64)
 
 
 def coefficient_of_variation(f: np.ndarray) -> float:
@@ -226,11 +210,11 @@ def simulate_routing(
     if steps < 1:
         raise InvalidSpecError("steps must be >= 1")
 
-    state = RouterState.fresh(config.num_experts)
+    bias = np.zeros(config.num_experts)
     reports: list[LoadReport] = []
     for step in range(steps):
         logits = source.draw(tokens_per_step)
-        counts, state = route_batch(state, logits, config.top_k)
+        counts = route_batch(bias, logits, config.top_k)
         f = counts / (config.top_k * tokens_per_step)
         # pbar: the row softmax of the routed logits, computed in place
         logits -= logits.max(axis=1, keepdims=True)
@@ -242,12 +226,12 @@ def simulate_routing(
                 step=step,
                 load_fractions=f,
                 mean_router_prob=pbar,
-                bias=state.bias.copy(),
+                bias=bias,
                 cov=coefficient_of_variation(f),
                 aux=aux_loss(f, pbar, config.aux_coefficient),
             )
         )
-        state = bias_update(state, f, config.bias_step)
+        bias = bias_update(bias, f, config.bias_step)
     return reports
 
 
@@ -326,20 +310,19 @@ def search_param_grid(
 ROUTE_CSV_FIELDS = ["step", "expert", "f", "pbar", "bias", "cov", "aux_loss"]
 
 
-def load_report_rows(reports: Sequence[LoadReport]) -> list[dict]:
-    """Flatten a report series to per-(step, expert) CSV rows."""
-    rows = []
+def load_report_rows(reports: Sequence[LoadReport]) -> list[tuple]:
+    """Flatten a report series to per-(step, expert) CSV rows, tuples in
+    ``ROUTE_CSV_FIELDS`` order."""
+    rows: list[tuple] = []
     for rep in reports:
-        for e in range(rep.load_fractions.shape[0]):
-            rows.append(
-                {
-                    "step": rep.step,
-                    "expert": e,
-                    "f": float(rep.load_fractions[e]),
-                    "pbar": float(rep.mean_router_prob[e]),
-                    "bias": float(rep.bias[e]),
-                    "cov": rep.cov,
-                    "aux_loss": rep.aux,
-                }
-            )
+        n = rep.load_fractions.shape[0]
+        rows += zip(
+            repeat(rep.step, n),
+            range(n),
+            rep.load_fractions.tolist(),
+            rep.mean_router_prob.tolist(),
+            rep.bias.tolist(),
+            repeat(rep.cov, n),
+            repeat(rep.aux, n),
+        )
     return rows

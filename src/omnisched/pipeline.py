@@ -78,7 +78,6 @@ class ScheduleResult:
     bubble_fraction: float
     idle_fraction: float
     throughput: float
-    total_useful_tokens: int
     stage_busy: tuple[float, ...]
     op_starts: tuple[array, ...]
     op_ends: tuple[array, ...]
@@ -210,7 +209,6 @@ def simulate_1f1b(
         bubble_fraction=1.0 - ideal / makespan,
         idle_fraction=1.0 - sum(busy) / (pp * makespan),
         throughput=plan.layout.dp * useful / makespan,
-        total_useful_tokens=useful,
         stage_busy=busy,
         op_starts=starts,
         op_ends=ends,

@@ -6,6 +6,11 @@ into ``pp`` non-empty segments. ``plan_balanced_stages`` finds the partition
 minimizing the maximum per-stage cost exactly; ``naive_plan`` is the
 everything-on-stage-0 encoder placement used as the baseline.
 
+A unit is only its cost: ``build_units`` returns the cost column in unit
+order, and a ``StagePlan`` is the stage end indices into it (``boundaries``)
+and the summed cost of each stage. ``to_dict`` names the units by slicing the
+``unit_labels`` list, which a caller builds once for every plan it writes.
+
 Tensor parallelism divides the cost of tp-divisible units by ``tp`` before
 partitioning; LLM layers are always tp-divisible, encoder units carry a flag.
 Data parallelism never changes a single plan's stage costs (replicas are
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +62,6 @@ class ParallelLayout:
             if v < 1:
                 raise InvalidSpecError(f"{name} must be >= 1, got {v}")
 
-    @property
-    def world_size(self) -> int:
-        return self.dp * self.pp * self.tp
-
     @classmethod
     def parse(cls, text: str) -> "ParallelLayout":
         """Parse a ``DPxPPxTP`` string, e.g. ``1x4x2``."""
@@ -77,71 +78,52 @@ class ParallelLayout:
         return f"{self.dp}x{self.pp}x{self.tp}"
 
 
-@dataclass(frozen=True)
-class PlanUnit:
-    """One shardable unit: an encoder sub-block or an LLM layer."""
-
-    kind: str  # "encoder" | "llm"
-    modality: Union[Modality, None]
-    index: int
-    cost: float
-    tp_divisible: bool
-
-    @property
-    def label(self) -> str:
-        if self.kind == "encoder":
-            return f"{self.modality.value}.{self.index}"
-        return f"llm.{self.index}"
-
-    def effective_cost(self, tp: int) -> float:
-        return self.cost / tp if self.tp_divisible else self.cost
-
-
-def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float]) -> list[PlanUnit]:
-    units: list[PlanUnit] = []
-    for enc in encoders:
-        for i, (c, div) in enumerate(zip(enc.unit_costs, enc.tp_divisible)):
-            units.append(PlanUnit("encoder", enc.modality, i, float(c), bool(div)))
+def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float], tp: int) -> list[float]:
+    """The unit cost column in unit order, tp-divisible costs divided by ``tp``."""
+    costs = [
+        float(c) / tp if div else float(c)
+        for enc in encoders
+        for c, div in zip(enc.unit_costs, enc.tp_divisible)
+    ]
     for i, c in enumerate(llm_layer_costs):
         if not 0 < c < math.inf:
             raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0")
-        units.append(PlanUnit("llm", None, i, float(c), True))
-    return units
+        costs.append(float(c) / tp)
+    return costs
+
+
+def unit_labels(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float]) -> list[str]:
+    """The units' names in unit order: ``image.0``, ..., ``llm.0``, ..."""
+    labels = [f"{e.modality.value}.{i}" for e in encoders for i in range(len(e.unit_costs))]
+    return labels + [f"llm.{i}" for i in range(len(llm_layer_costs))]
 
 
 @dataclass(frozen=True)
 class StagePlan:
     layout: ParallelLayout
-    stage_assignment: tuple[tuple[PlanUnit, ...], ...]
     stage_cost: tuple[float, ...]
     boundaries: tuple[int, ...]  # cumulative unit counts at each stage end
 
-    def to_dict(self) -> dict:
+    def to_dict(self, labels: Sequence[str]) -> dict:
+        """The plan as JSON data, naming the units by ``labels`` (in unit order)."""
+        starts = (0,) + self.boundaries[:-1]
         return {
             "layout": {"dp": self.layout.dp, "pp": self.layout.pp, "tp": self.layout.tp},
             "stages": [
-                {"units": [u.label for u in stage], "cost": cost}
-                for stage, cost in zip(self.stage_assignment, self.stage_cost)
+                {"units": labels[a:b], "cost": cost}
+                for a, b, cost in zip(starts, self.boundaries, self.stage_cost)
             ],
             "max_stage_cost": max(self.stage_cost),
             "imbalance": plan_imbalance(self),
         }
 
 
-def _assemble_plan(units: list[PlanUnit], layout: ParallelLayout, cuts: list[int]) -> StagePlan:
-    """Build a StagePlan from segment end indices (ascending, last == len(units))."""
-    stages = []
-    costs = []
-    start = 0
-    for end in cuts:
-        seg = tuple(units[start:end])
-        stages.append(seg)
-        costs.append(sum(u.effective_cost(layout.tp) for u in seg))
-        start = end
+def _assemble_plan(costs: list[float], layout: ParallelLayout, cuts: list[int]) -> StagePlan:
+    """Build a StagePlan from segment end indices (ascending, last == len(costs))."""
+    starts = [0] + cuts[:-1]
     return StagePlan(
         layout=layout,
-        stage_assignment=tuple(stages),
-        stage_cost=tuple(costs),
+        stage_cost=tuple(sum(costs[a:b]) for a, b in zip(starts, cuts)),
         boundaries=tuple(cuts),
     )
 
@@ -157,15 +139,14 @@ def plan_balanced_stages(
     time and O(n^2) memory for ``n`` units. Ties are broken by the
     lexicographically smallest boundary vector.
     """
-    units = build_units(encoders, llm_layer_costs)
-    n = len(units)
+    eff = build_units(encoders, llm_layer_costs, layout.tp)
+    n = len(eff)
     pp = layout.pp
     if n < pp:
         raise TooFewUnitsError(
             f"{n} shardable units cannot fill {pp} pipeline stages", units=n, pp=pp
         )
 
-    eff = [u.effective_cost(layout.tp) for u in units]
     prefix = [0.0] * (n + 1)
     for i, c in enumerate(eff):
         prefix[i + 1] = prefix[i] + c
@@ -197,7 +178,7 @@ def plan_balanced_stages(
                 cuts.append(j)
                 i = j
                 break
-    return _assemble_plan(units, layout, cuts)
+    return _assemble_plan(eff, layout, cuts)
 
 
 def naive_plan(
@@ -207,21 +188,21 @@ def naive_plan(
 ) -> StagePlan:
     """Baseline: all encoder units on stage 0, LLM layers split evenly by
     count across stages (earlier stages take the remainder)."""
-    units = build_units(encoders, llm_layer_costs)
+    costs = build_units(encoders, llm_layer_costs, layout.tp)
     n_llm = len(llm_layer_costs)
     pp = layout.pp
     if n_llm < pp:
         raise TooFewLayersError(
             f"{n_llm} LLM layers cannot fill {pp} pipeline stages", layers=n_llm, pp=pp
         )
-    n_enc = len(units) - n_llm
+    n_enc = len(costs) - n_llm
     q, rem = divmod(n_llm, pp)
     cuts = []
     end = n_enc
     for s in range(pp):
         end += q + (1 if s < rem else 0)
         cuts.append(end)
-    return _assemble_plan(units, layout, cuts)
+    return _assemble_plan(costs, layout, cuts)
 
 
 def plan_imbalance(plan: StagePlan) -> float:

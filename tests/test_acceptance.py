@@ -22,7 +22,7 @@ from omnisched.moe import (
 )
 from omnisched.packing import pack_ffd
 from omnisched.pipeline import MicroBatches, bubble_fraction_analytic, simulate_1f1b
-from omnisched.sharding import ParallelLayout, PlanUnit, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
+from omnisched.sharding import ParallelLayout, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
 from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import check_packing_columns, min_bins_exhaustive, onef1b_longest_path, partition_optimum
@@ -30,10 +30,8 @@ from oracles import check_packing_columns, min_bins_exhaustive, onef1b_longest_p
 
 def plan_with_costs(costs):
     pp = len(costs)
-    stages = tuple((PlanUnit("llm", None, i, float(c), True),) for i, c in enumerate(costs))
     return StagePlan(
         layout=ParallelLayout(dp=1, pp=pp, tp=1),
-        stage_assignment=stages,
         stage_cost=tuple(float(c) for c in costs),
         boundaries=tuple(range(1, pp + 1)),
     )

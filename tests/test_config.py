@@ -141,6 +141,12 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
     ("layouts: [1x2x1, 1x4x1, 1X2X1]", "layouts[2]"),
     ("packing_policies: [ffd, stream, ffd]", "packing_policies[2]"),
     ("plan_policies: [balanced, balanced]", "plan_policies[1]"),
+    # a degree below 1, and a top_k with no expert left unselected
+    ("layouts: [1x2x1, 1x0x1]", "layouts[1]"),
+    ("router: {num_experts: 4, top_k: 4, mean_offsets: [0, 0, 0, 0]}", "router.top_k"),
+    # sizes numpy cannot shape a step's draw for: tokens_per_step * num_experts * 8 >= 2**63
+    ("router: {num_experts: 18446744073709551616}", "router.num_experts"),
+    ("router: {tokens_per_step: 1152921504606846976}", "router.tokens_per_step"),
 ])
 def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     (tmp_path / "cfg.yaml").write_text(text + "\n")

@@ -8,7 +8,6 @@ from omnisched.moe import (
     GaussianLogitSource,
     MoEParamSpec,
     RouterConfig,
-    RouterState,
     aux_loss,
     bias_update,
     moe_param_counts,
@@ -118,25 +117,24 @@ class TestAuxLoss:
 
 class TestBiasUpdate:
     def test_sign_rule(self):
-        state = RouterState.fresh(2)
-        new = bias_update(state, [0.75, 0.25], u=0.01)
-        assert new.bias.tolist() == [-0.01, 0.01]
-        assert new.step == 1
+        bias = np.zeros(2)
+        new = bias_update(bias, [0.75, 0.25], u=0.01)
+        assert new.tolist() == [-0.01, 0.01]
+        assert bias.tolist() == [0.0, 0.0]  # a new array; the old bias is left as it was
 
     def test_uniform_load_leaves_bias(self):
-        state = RouterState.fresh(4)
-        new = bias_update(state, [0.25] * 4, u=0.01)
-        assert new.bias.tolist() == [0.0] * 4
+        new = bias_update(np.zeros(4), [0.25] * 4, u=0.01)
+        assert new.tolist() == [0.0] * 4
 
     def test_updates_accumulate(self):
-        state = RouterState.fresh(2)
+        bias = np.zeros(2)
         for _ in range(2):
-            state = bias_update(state, [0.75, 0.25], u=0.01)
-        assert state.bias.tolist() == pytest.approx([-0.02, 0.02])
+            bias = bias_update(bias, [0.75, 0.25], u=0.01)
+        assert bias.tolist() == pytest.approx([-0.02, 0.02])
 
     def test_dimension_mismatch(self):
         with pytest.raises(RoutingError):
-            bias_update(RouterState.fresh(4), [0.5, 0.5], u=0.01)
+            bias_update(np.zeros(4), [0.5, 0.5], u=0.01)
 
 
 class TestSimulateRouting:
@@ -238,14 +236,11 @@ class TestSimulateRoutingMatchesReference:
 
 def test_load_accounting():
     config = RouterConfig(num_experts=8, top_k=2)
-    state = RouterState.fresh(config.num_experts)
+    bias = np.zeros(config.num_experts)
     rng = np.random.default_rng(0)
-    tokens = 0
     for _ in range(5):
-        counts, state = route_batch(state, rng.normal(size=(100, 8)), config.top_k)
-        tokens += 100
+        counts = route_batch(bias, rng.normal(size=(100, 8)), config.top_k)
         assert int(counts.sum()) == config.top_k * 100
-        assert int(state.load_counts.sum()) == config.top_k * tokens
 
 
 class TestRouteBatchMatchesRouteTopk:
@@ -264,7 +259,7 @@ class TestRouteBatchMatchesRouteTopk:
         rng = np.random.default_rng(E * 100 + k)
         logits = rng.normal(size=(300, E))
         bias = rng.normal(scale=0.1, size=E)
-        counts, _ = route_batch(RouterState(bias, np.zeros(E, dtype=np.int64)), logits, k)
+        counts = route_batch(bias, logits, k)
         assert counts.tolist() == self.summed_topk(logits, bias, k).tolist()
 
     @pytest.mark.parametrize("E,k", [(2, 1), (4, 2), (8, 3), (64, 8)])
@@ -272,7 +267,7 @@ class TestRouteBatchMatchesRouteTopk:
         rng = np.random.default_rng(E * 100 + k)
         logits = rng.integers(0, 3, size=(300, E)).astype(float)
         bias = np.zeros(E)
-        counts, _ = route_batch(RouterState.fresh(E), logits, k)
+        counts = route_batch(bias, logits, k)
         assert counts.tolist() == self.summed_topk(logits, bias, k).tolist()
         # lowest-index rule, spelled out: the k largest (score, -index) pairs
         expected = np.zeros(E, dtype=np.int64)
@@ -282,7 +277,7 @@ class TestRouteBatchMatchesRouteTopk:
         assert counts.tolist() == expected.tolist()
 
     def test_all_scores_tied(self):
-        counts, _ = route_batch(RouterState.fresh(6), np.ones((10, 6)), 2)
+        counts = route_batch(np.zeros(6), np.ones((10, 6)), 2)
         assert counts.tolist() == [10, 10, 0, 0, 0, 0]
 
 

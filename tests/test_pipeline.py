@@ -19,7 +19,7 @@ from omnisched.pipeline import (
     simulate_1f1b,
     stage_op_order,
 )
-from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan, PlanUnit
+from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan
 from omnisched.workload import Modality, WorkloadTrace
 
 from oracles import (
@@ -32,10 +32,8 @@ from oracles import (
 
 def plan_with_costs(costs, dp=1, tp=1):
     pp = len(costs)
-    stages = tuple((PlanUnit("llm", None, i, float(c), True),) for i, c in enumerate(costs))
     return StagePlan(
         layout=ParallelLayout(dp=dp, pp=pp, tp=tp),
-        stage_assignment=stages,
         stage_cost=tuple(float(c) for c in costs),
         boundaries=tuple(range(1, pp + 1)),
     )

@@ -15,6 +15,7 @@ from omnisched.sharding import (
     naive_plan,
     plan_balanced_stages,
     plan_imbalance,
+    unit_labels,
 )
 from omnisched.workload import Modality
 
@@ -77,8 +78,11 @@ class TestBalancedPlan:
     def test_contiguous_assignment(self):
         encs = [encoder([1, 2], modality=Modality.IMAGE), encoder([3], modality=Modality.AUDIO)]
         plan = plan_balanced_stages(encs, [1.0, 1.0, 1.0], layout(pp=3))
-        labels = [u.label for stage in plan.stage_assignment for u in stage]
+        labels = unit_labels(encs, [1.0, 1.0, 1.0])
         assert labels == ["image.0", "image.1", "audio.0", "llm.0", "llm.1", "llm.2"]
+        assert plan.boundaries == (2, 3, 6)
+        stages = [stage["units"] for stage in plan.to_dict(labels)["stages"]]
+        assert stages == [["image.0", "image.1"], ["audio.0"], ["llm.0", "llm.1", "llm.2"]]
 
 
 @st.composite
@@ -134,7 +138,10 @@ class TestNaivePlan:
 
     def test_remainder_layers_go_early(self):
         plan = naive_plan([encoder([1.0])], [1.0] * 5, layout(pp=2))
-        sizes = [sum(1 for u in stage if u.kind == "llm") for stage in plan.stage_assignment]
+        labels = unit_labels([encoder([1.0])], [1.0] * 5)
+        stages = [stage["units"] for stage in plan.to_dict(labels)["stages"]]
+        assert plan.boundaries == (4, 6)
+        sizes = [sum(1 for u in stage if u.startswith("llm.")) for stage in stages]
         assert sizes == [3, 2]
 
 
@@ -143,7 +150,6 @@ class TestImbalance:
         def plan_with_costs(costs):
             return StagePlan(
                 layout=layout(pp=len(costs)),
-                stage_assignment=tuple(() for _ in costs),
                 stage_cost=tuple(costs),
                 boundaries=tuple(range(1, len(costs) + 1)),
             )
@@ -172,15 +178,12 @@ class TestImbalance:
 
 def test_tp_scaling_exact():
     enc = encoder([3.0, 6.0], divisible=[True, False])
-    units = build_units([enc], [2.0])
-    for k in (2, 3, 4):
-        assert units[0].effective_cost(k) == 3.0 / k
-        assert units[1].effective_cost(k) == 6.0
-        assert units[2].effective_cost(k) == 2.0 / k
+    for k in (1, 2, 3, 4):
+        assert build_units([enc], [2.0], k) == [3.0 / k, 6.0, 2.0 / k]
 
 
 def test_layout_validation_and_parse():
-    assert ParallelLayout.parse("2x4x8").world_size == 64
+    assert ParallelLayout.parse("2x4x8") == ParallelLayout(dp=2, pp=4, tp=8)
     with pytest.raises(ConfigError):
         ParallelLayout.parse("2x4")
     with pytest.raises(InvalidSpecError):
