@@ -34,7 +34,6 @@ from .packing import (
     pack_stream,
 )
 from .pipeline import (
-    ComparisonTable,
     ScheduleResult,
     bubble_fraction_analytic,
     compare_configs,
@@ -64,7 +63,6 @@ from .workload import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonTable",
     "EncoderSpec",
     "FragReport",
     "GaussianLogitSource",

@@ -41,8 +41,8 @@ from .config import (
 )
 from .errors import ConfigError, OmniSchedError, OutputError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
-from .pipeline import COMPARISON_CSV_FIELDS, ComparisonTable, compare_configs
-from .sharding import naive_plan, plan_balanced_stages, plan_imbalance, unit_labels
+from .pipeline import COMPARISON_CSV_FIELDS, ScheduleResult, compare_configs
+from .sharding import naive_plan, plan_balanced_stages, unit_labels
 from .workload import WorkloadTrace, trace_stats
 
 
@@ -127,8 +127,9 @@ def _need_cost_model(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
 
 
-def _comparison(config: ExperimentConfig, trace: WorkloadTrace) -> ComparisonTable:
-    """Every (layout, packing, plan) cell of the config."""
+def _comparison(config: ExperimentConfig, trace: WorkloadTrace) -> tuple[list[dict], list[ScheduleResult]]:
+    """Every (layout, packing, plan) cell of the config: its comparison rows
+    and schedules."""
     return compare_configs(
         trace,
         config.capacity,
@@ -166,7 +167,7 @@ def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
     rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
     summary = {
         "command": "pack",
-        "trace": trace_stats(trace).to_dict(),
+        "trace": trace_stats(trace),
         "capacity": config.capacity,
         "reports": rows,
     }
@@ -200,20 +201,24 @@ def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
 def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
-    table = _comparison(config, trace)
-    rows = table.rows()
+    rows, schedules = _comparison(config, trace)
     summary = {
         "command": "simulate",
-        "trace": trace_stats(trace).to_dict(),
+        "trace": trace_stats(trace),
         "capacity": config.capacity,
-        "headline_ratio": table.headline_ratio,
+        "headline_ratio": {
+            row["layout"]: row["ratio_vs_baseline"]
+            for row in rows
+            if (row["packing_policy"], row["plan_policy"]) == ("ffd", "balanced")
+        },
         "cells": rows,
     }
     files = [("comparison.csv", COMPARISON_CSV_FIELDS, rows)]
     fields = ["stage", "kind", "start", "end", "microbatch"]
-    for cell in table.cells:  # timeline lines are formatted per cell as they are written
-        name = f"timeline_{cell.layout.label()}_{cell.packing_policy}_{cell.plan_policy}.csv"
-        files.append((name, fields, cell.result.timeline_rows))
+    # timeline lines are formatted per cell as they are written
+    for row, schedule in zip(rows, schedules):
+        name = f"timeline_{row['layout']}_{row['packing_policy']}_{row['plan_policy']}.csv"
+        files.append((name, fields, schedule.timeline_rows))
     return summary, files
 
 
@@ -258,32 +263,33 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
     trace = config.load_workload()
 
     pack_rows = [pack(trace, config.capacity, name)[1].to_dict() for name in config.packing_policies]
-    table = _comparison(config, trace)
+    rows = _comparison(config, trace)[0]  # the schedules' op arrays are freed here
     mem_rows = _mem_rows(config, trace)
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
+    cells = {(row["layout"], row["packing_policy"], row["plan_policy"]): row for row in rows}
     layouts = {}
     for layout in config.layouts:
         label = layout.label()
-        base = table.cell(label, "padded", "naive")
-        best = table.cell(label, "ffd", "balanced")
+        base = cells[label, "padded", "naive"]
+        best = cells[label, "ffd", "balanced"]
         layouts[label] = {
-            "throughput_baseline": base.result.throughput,
-            "throughput_optimized": best.result.throughput,
-            "throughput_ratio": best.result.throughput / base.result.throughput,
-            "bubble_fraction_baseline": base.result.bubble_fraction,
-            "bubble_fraction_optimized": best.result.bubble_fraction,
-            "idle_fraction_baseline": base.result.idle_fraction,
-            "idle_fraction_optimized": best.result.idle_fraction,
-            "imbalance_baseline": plan_imbalance(base.plan),
-            "imbalance_optimized": plan_imbalance(best.plan),
+            "throughput_baseline": base["throughput"],
+            "throughput_optimized": best["throughput"],
+            "throughput_ratio": best["ratio_vs_baseline"],
+            "bubble_fraction_baseline": base["bubble_fraction"],
+            "bubble_fraction_optimized": best["bubble_fraction"],
+            "idle_fraction_baseline": base["idle_fraction"],
+            "idle_fraction_optimized": best["idle_fraction"],
+            "imbalance_baseline": base["imbalance"],
+            "imbalance_optimized": best["imbalance"],
         }
 
     summary = {
         "command": "reproduce",
         "scenario": config.resolved["name"],
         "seed": config.resolved["seed"],
-        "trace": trace_stats(trace).to_dict(),
+        "trace": trace_stats(trace),
         "capacity": config.capacity,
         "packing": {row["policy"]: row for row in pack_rows},
         "layouts": layouts,
@@ -292,7 +298,7 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
     }
     return summary, [
         ("packing.csv", REPORT_CSV_FIELDS, pack_rows),
-        ("comparison.csv", COMPARISON_CSV_FIELDS, table.rows()),
+        ("comparison.csv", COMPARISON_CSV_FIELDS, rows),
         ("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows),
     ]
 

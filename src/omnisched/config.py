@@ -309,7 +309,7 @@ def build_config(doc: dict) -> ExperimentConfig:
     seed = r.read("seed", _int(0), _env_seed())
     r.read("name", _str(), "experiment")
     trace = r.read("trace", _mapping(partial(_trace, seed=seed))) if "trace" in r.doc else {}
-    r.read("capacity", _int(1), 4096)
+    r.read("capacity", _typed((int,), "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63), 4096)
     r.read("backward_ratio", _number(0, strict=True), 2.0)
     r.read("comm_latency", _number(0), 0.0)
     cost = r.read("cost_model", _cost_model, None)

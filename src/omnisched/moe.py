@@ -53,7 +53,8 @@ class RouterConfig:
 
 @dataclass(frozen=True)
 class LoadReport:
-    step: int
+    """One routing step; its step number is its index in the report list."""
+
     load_fractions: np.ndarray  # f, sums to 1
     mean_router_prob: np.ndarray  # pbar, sums to 1
     bias: np.ndarray  # bias in effect when this step was routed
@@ -167,7 +168,6 @@ class GaussianLogitSource:
         if not 0 < std < np.inf:
             raise InvalidSpecError(f"std must be finite and > 0, got {std}")
         self.std = std
-        self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
     @property
@@ -212,7 +212,7 @@ def simulate_routing(
 
     bias = np.zeros(config.num_experts)
     reports: list[LoadReport] = []
-    for step in range(steps):
+    for _ in range(steps):
         logits = source.draw(tokens_per_step)
         counts = route_batch(bias, logits, config.top_k)
         f = counts / (config.top_k * tokens_per_step)
@@ -223,7 +223,6 @@ def simulate_routing(
         pbar = logits.mean(axis=0)
         reports.append(
             LoadReport(
-                step=step,
                 load_fractions=f,
                 mean_router_prob=pbar,
                 bias=bias,
@@ -314,10 +313,10 @@ def load_report_rows(reports: Sequence[LoadReport]) -> list[tuple]:
     """Flatten a report series to per-(step, expert) CSV rows, tuples in
     ``ROUTE_CSV_FIELDS`` order."""
     rows: list[tuple] = []
-    for rep in reports:
+    for step, rep in enumerate(reports):
         n = rep.load_fractions.shape[0]
         rows += zip(
-            repeat(rep.step, n),
+            repeat(step, n),
             range(n),
             rep.load_fractions.tolist(),
             rep.mean_router_prob.tolist(),

@@ -29,12 +29,13 @@ so a run that only reads the summary never pays for them.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
-from .packing import Packing, PackingReport, pack
+from .packing import Packing, pack
 from .sharding import EncoderSpec, ParallelLayout, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
 from .workload import WorkloadTrace
 
@@ -53,8 +54,8 @@ class MicroBatches:
         if len(self.tokens) != len(self.useful_tokens):
             raise InvalidSpecError("tokens and useful_tokens must have one entry per microbatch")
         for i, (tokens, useful) in enumerate(zip(self.tokens, self.useful_tokens)):
-            if not 1 <= tokens < math.inf:
-                raise InvalidSpecError(f"microbatch {i}: tokens must be finite and >= 1")
+            if not 1 <= tokens <= sys.float_info.max:
+                raise InvalidSpecError(f"microbatch {i}: tokens must be >= 1 and a finite float")
             if not 0 <= useful <= tokens:
                 raise InvalidSpecError(f"microbatch {i}: useful_tokens must be in [0, tokens]")
 
@@ -134,6 +135,8 @@ def simulate_1f1b(
     Each op's dependencies (the stage's previous op, F(s-1, i), F(s, i),
     B(s+1, i)) lie on earlier ticks whatever the costs, so none checks
     readiness; its start is the latest of their finish times by ``>`` tests.
+    Costs that take ``pp * makespan`` or the throughput out of the float range
+    are an ``InvalidSpecError``, checked once after the walk.
     """
     if not microbatches:
         raise EmptyMicrobatchError("simulation needs at least one microbatch")
@@ -199,16 +202,21 @@ def simulate_1f1b(
                 add_start(ready)
                 add_end(free)
 
-    busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
     makespan = max(max(en) for en in ends)
+    # pp * makespan bounds the stages' summed busy time: finite, it keeps idle_fraction finite
+    grid_time = pp * makespan
+    throughput = plan.layout.dp * sum(microbatches.useful_tokens) / makespan
+    if not (grid_time < math.inf and throughput < math.inf):
+        raise InvalidSpecError(f"the schedule leaves the float range: makespan {makespan!r} "
+                               f"on {pp} stages, throughput {throughput!r}")
+    busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
     ideal = max(busy)
-    useful = sum(microbatches.useful_tokens)
     return ScheduleResult(
         makespan=makespan,
         ideal_time=ideal,
         bubble_fraction=1.0 - ideal / makespan,
-        idle_fraction=1.0 - sum(busy) / (pp * makespan),
-        throughput=plan.layout.dp * useful / makespan,
+        idle_fraction=1.0 - sum(busy) / grid_time,
+        throughput=throughput,
         stage_busy=busy,
         op_starts=starts,
         op_ends=ends,
@@ -229,58 +237,11 @@ PLAN_POLICIES = {
 
 BASELINE_CELL = ("padded", "naive")
 
-
-@dataclass(frozen=True)
-class CompareCell:
-    layout: ParallelLayout
-    packing_policy: str
-    plan_policy: str
-    packing_report: PackingReport
-    plan: StagePlan
-    result: ScheduleResult
-    ratio_vs_baseline: float
-
-    def to_row(self) -> dict:
-        return {
-            "layout": self.layout.label(),
-            "packing_policy": self.packing_policy,
-            "plan_policy": self.plan_policy,
-            "batch_count": self.packing_report.batch_count,
-            "fill_fraction": self.packing_report.fill_fraction,
-            "max_stage_cost": max(self.plan.stage_cost),
-            "imbalance": plan_imbalance(self.plan),
-            "makespan": self.result.makespan,
-            "bubble_fraction": self.result.bubble_fraction,
-            "idle_fraction": self.result.idle_fraction,
-            "throughput": self.result.throughput,
-            "ratio_vs_baseline": self.ratio_vs_baseline,
-        }
-
-
 COMPARISON_CSV_FIELDS = [
     "layout", "packing_policy", "plan_policy", "batch_count", "fill_fraction",
     "max_stage_cost", "imbalance", "makespan", "bubble_fraction", "idle_fraction",
     "throughput", "ratio_vs_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    cells: tuple[CompareCell, ...]
-    headline_ratio: dict[str, float]  # layout label -> (ffd, balanced) ratio
-
-    def rows(self) -> list[dict]:
-        return [c.to_row() for c in self.cells]
-
-    def cell(self, layout_label: str, packing_policy: str, plan_policy: str) -> CompareCell:
-        for c in self.cells:
-            if (
-                c.layout.label() == layout_label
-                and c.packing_policy == packing_policy
-                and c.plan_policy == plan_policy
-            ):
-                return c
-        raise KeyError((layout_label, packing_policy, plan_policy))
 
 
 def compare_configs(
@@ -293,11 +254,14 @@ def compare_configs(
     plan_policies: Sequence[str] = ("naive", "balanced"),
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
-) -> ComparisonTable:
+) -> tuple[list[dict], list[ScheduleResult]]:
     """Run packing x planning x simulation over every cell and normalize each
     cell's throughput by the (padded, naive) baseline of the same layout.
 
-    The baseline cell is always computed, even when not requested.
+    Returns each cell's ``comparison.csv`` row (a dict keyed by
+    ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
+    then packing policies, then plan policies, each as given. The baseline
+    cell is always computed, even when not requested.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -310,8 +274,8 @@ def compare_configs(
     packed = {name: pack(trace, capacity, name) for name in pack_names}
     microbatches = {name: microbatches_from_batches(batches) for name, (batches, _) in packed.items()}
 
-    cells: list[CompareCell] = []
-    headline: dict[str, float] = {}
+    rows: list[dict] = []
+    schedules: list[ScheduleResult] = []
     for layout in layouts:
         plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
         results = {
@@ -321,19 +285,22 @@ def compare_configs(
         }
         base_thr = results[BASELINE_CELL].throughput
         for pname in packing_policies:
+            report = packed[pname][1]
             for plname in plan_policies:
-                result = results[(pname, plname)]
-                cells.append(
-                    CompareCell(
-                        layout=layout,
-                        packing_policy=pname,
-                        plan_policy=plname,
-                        packing_report=packed[pname][1],
-                        plan=plans[plname],
-                        result=result,
-                        ratio_vs_baseline=result.throughput / base_thr,
-                    )
-                )
-        if "ffd" in packing_policies and "balanced" in plan_policies:
-            headline[layout.label()] = results[("ffd", "balanced")].throughput / base_thr
-    return ComparisonTable(cells=tuple(cells), headline_ratio=headline)
+                plan, result = plans[plname], results[(pname, plname)]
+                rows.append({
+                    "layout": layout.label(),
+                    "packing_policy": pname,
+                    "plan_policy": plname,
+                    "batch_count": report.batch_count,
+                    "fill_fraction": report.fill_fraction,
+                    "max_stage_cost": max(plan.stage_cost),
+                    "imbalance": plan_imbalance(plan),
+                    "makespan": result.makespan,
+                    "bubble_fraction": result.bubble_fraction,
+                    "idle_fraction": result.idle_fraction,
+                    "throughput": result.throughput,
+                    "ratio_vs_baseline": result.throughput / base_thr,
+                })
+                schedules.append(result)
+    return rows, schedules

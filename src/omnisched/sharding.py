@@ -79,7 +79,9 @@ class ParallelLayout:
 
 
 def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float], tp: int) -> list[float]:
-    """The unit cost column in unit order, tp-divisible costs divided by ``tp``."""
+    """The unit cost column in unit order, tp-divisible costs divided by ``tp``.
+    A non-empty column must have a finite sum > 0, so every stage cost and plan
+    imbalance is finite."""
     costs = [
         float(c) / tp if div else float(c)
         for enc in encoders
@@ -89,6 +91,9 @@ def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float
         if not 0 < c < math.inf:
             raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0")
         costs.append(float(c) / tp)
+    total = sum(costs)
+    if costs and not 0 < total < math.inf:
+        raise InvalidSpecError(f"unit costs at tp={tp} must have a finite sum > 0, got {total!r}")
     return costs
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Union
@@ -261,34 +261,17 @@ def save_trace(trace: WorkloadTrace, path: Union[str, Path]) -> None:
     Path(path).write_text(dump_trace(trace), encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class ModalityStats:
-    count: int
-    min_length: int
-    max_length: int
-    mean_length: float
-    total_tokens: int
-
-
-@dataclass(frozen=True)
-class TraceStats:
-    total_samples: int
-    total_tokens: int
-    per_modality: dict[str, ModalityStats] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def trace_stats(trace: WorkloadTrace) -> TraceStats:
-    """Summarize a trace; modalities with no samples are simply absent."""
+def trace_stats(trace: WorkloadTrace) -> dict:
+    """The trace summary written to ``summary.json``: ``total_samples``,
+    ``total_tokens`` and ``per_modality``, which maps each modality with samples
+    to its ``count``, ``min_length``, ``max_length``, ``mean_length`` and
+    ``total_tokens``."""
     buckets: dict[str, list[int]] = {}
     for modality, length in zip(trace.modalities, trace.lengths):
         buckets.setdefault(modality.value, []).append(length)
     per = {
-        m: ModalityStats(count=len(ls), min_length=min(ls), max_length=max(ls),
-                         mean_length=sum(ls) / len(ls), total_tokens=sum(ls))
+        m: {"count": len(ls), "min_length": min(ls), "max_length": max(ls),
+            "mean_length": sum(ls) / len(ls), "total_tokens": sum(ls)}
         for m, ls in buckets.items()
     }
-    return TraceStats(total_samples=len(trace), total_tokens=trace.total_tokens, per_modality=per)
-
+    return {"total_samples": len(trace), "total_tokens": trace.total_tokens, "per_modality": per}

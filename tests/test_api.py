@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import omnisched
@@ -17,3 +18,14 @@ def test_oracles_import_nothing_from_omnisched():
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.split(".")[0] == "omnisched"] == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block, = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["padded", "naive"], ["padded", "balanced"], ["ffd", "naive"], ["ffd", "balanced"],
+    ]
+    assert float(lines[0].split()[2]) == 1.0

@@ -200,6 +200,61 @@ def test_reproduce_smoke(tmp_path):
 
 
 
+def test_summaries_read_the_comparison_rows(trace_file, cost_model_file, tmp_path):
+    # reproduce's per-layout contrast and simulate's headline are the rows' values
+    out = tmp_path / "rep"
+    assert main(["reproduce", "--out", str(out)]) == 0
+    cells = {(r["layout"], r["packing_policy"], r["plan_policy"]): r for r in read_csv(out / "comparison.csv")}
+    layouts = json.loads((out / "summary.json").read_text())["layouts"]
+    assert set(layouts) == {layout for layout, _, _ in cells}
+    for label, doc in layouts.items():
+        for suffix, cell in (("baseline", ("padded", "naive")), ("optimized", ("ffd", "balanced"))):
+            row = cells[(label, *cell)]
+            for name in ("throughput", "bubble_fraction", "idle_fraction", "imbalance"):
+                assert doc[f"{name}_{suffix}"] == float(row[name])
+        assert doc["throughput_ratio"] == float(cells[label, "ffd", "balanced"]["ratio_vs_baseline"])
+
+    out = tmp_path / "sim"
+    assert main(["simulate", "--trace", str(trace_file), "--capacity", "8", "--cost-model",
+                 str(cost_model_file), "--layouts", "1x2x1,1x4x1", "--out", str(out)]) == 0
+    headline = json.loads((out / "summary.json").read_text())["headline_ratio"]
+    assert headline == {
+        r["layout"]: float(r["ratio_vs_baseline"])
+        for r in read_csv(out / "comparison.csv")
+        if (r["packing_policy"], r["plan_policy"]) == ("ffd", "balanced")
+    }
+    assert set(headline) == {"1x2x1", "1x4x1"}
+
+
+# Numbers that leave the float range, on a 20-line text trace and a cost model
+# of one text encoder unit plus LLM layers: each used to give a traceback or
+# write Infinity or NaN.
+@pytest.mark.parametrize("argv,config,unit_cost,layer_costs,error", [
+    (["simulate", "--capacity", str(2**1100)], {}, 1.0, [1.0, 1.0], ("invalid-config", "capacity")),
+    (["simulate", "--capacity", "8"], {"backward_ratio": 1.0e308}, 1.0, [1.0, 1.0], ("invalid-spec", None)),
+    (["simulate", "--capacity", "8"], {}, 1.0, [1e306, 1e306], ("invalid-spec", None)),
+    (["plan", "--layouts", "1x1x1"], {}, 1.0, [1e308, 1e308], ("invalid-spec", None)),
+    (["simulate", "--capacity", "8"], {}, 1e-320, [1e-320, 1e-320], ("invalid-spec", None)),
+], ids=["capacity-2**1100", "backward-ratio-1e308", "layer-costs-1e306", "plan-layer-costs-1e308",
+        "unit-costs-1e-320"])
+def test_numbers_out_of_float_range_are_domain_errors(argv, config, unit_cost, layer_costs, error,
+                                                      tmp_path, capsys):
+    trace = WorkloadTrace(range(20), [Modality.TEXT] * 20, [i % 8 + 1 for i in range(20)])
+    save_trace(trace, tmp_path / "trace.ndjson")
+    cost = {"encoders": [{"modality": "text", "unit_costs": [unit_cost]}], "llm_layer_costs": layer_costs}
+    (tmp_path / "cost.json").write_text(json.dumps(cost))
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(config))
+    argv = argv + ["--config", str(tmp_path / "cfg.yaml"), "--cost-model", str(tmp_path / "cost.json")]
+    if argv[0] == "simulate":
+        argv += ["--trace", str(tmp_path / "trace.ndjson")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"].get("key")) == error
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,policies", [
     ("packing_policies", ["padded", "stream"]),
     ("plan_policies", ["naive"]),
@@ -264,6 +319,8 @@ def test_trace_with_cost_per_token_is_rejected(tmp_path, capsys):
     ("pack", {"capacity": "abc"}),
     ("simulate", {"capacity": 8, "packing_policies": ["padded", "bogus"]}),
     ("simulate", {"capacity": 8, "plan_policies": ["naive", "bogus"]}),
+    ("pack", {"capacity": 2**63}),
+    ("mem", {"capacity": 2**63}),
 ])
 def test_bad_config_values_write_nothing(command, doc, trace_file, cost_model_file, tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"

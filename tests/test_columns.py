@@ -65,7 +65,7 @@ def test_columns_match_object_references(case):
 
 @pytest.mark.parametrize(
     "tokens, useful",
-    [([0], [0]), ([4], [5]), ([4], [-1]), ([4, 4], [4]), ([math.inf], [1])],
+    [([0], [0]), ([4], [5]), ([4], [-1]), ([4, 4], [4]), ([math.inf], [1]), ([2**1100], [1])],
 )
 def test_microbatch_columns_reject_what_a_microbatch_rejects(tokens, useful):
     with pytest.raises(InvalidSpecError):

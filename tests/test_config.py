@@ -187,8 +187,10 @@ def rarely(other, strategy):
     return st.integers(0, 15).flatmap(lambda i: other if i == 7 else strategy)
 
 
+# 1e308 and 1e-320 are valid numbers whose products and sums leave the float range
 NUMBERS = rarely(
-    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5]), st.one_of(st.floats(0, 1e2), st.integers(0, 5))
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, 1e308, 1e-320]),
+    st.one_of(st.floats(0, 1e2), st.integers(0, 5)),
 )
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), NUMBERS, st.text(max_size=4),
@@ -255,7 +257,7 @@ CONFIG = mapping(
     },
     name=maybe(st.text(max_size=3)),
     seed=maybe(st.integers(0, 2**40)),
-    capacity=maybe(st.integers(1, 16)),
+    capacity=maybe(rarely(st.just(2**1100), st.integers(1, 16))),
     backward_ratio=maybe(NUMBERS),
     comm_latency=maybe(NUMBERS),
     layouts=maybe(st.lists(maybe(LAYOUTS), min_size=1, max_size=2)),

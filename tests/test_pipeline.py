@@ -305,37 +305,41 @@ def cost_model():
 class TestCompareConfigs:
     def test_identical_policy_ratio_is_one(self):
         encoders, llm = cost_model()
-        table = compare_configs(
+        rows, schedules = compare_configs(
             small_trace(0), 32, encoders, llm,
             [ParallelLayout(1, 2, 1)],
             packing_policies=("padded",), plan_policies=("naive",),
         )
-        cell = table.cell("1x2x1", "padded", "naive")
-        assert cell.ratio_vs_baseline == 1.0
+        row, = rows
+        assert (row["layout"], row["packing_policy"], row["plan_policy"]) == ("1x2x1", "padded", "naive")
+        assert row["ratio_vs_baseline"] == 1.0
+        assert row["throughput"] == schedules[0].throughput
 
     @pytest.mark.parametrize("seed", range(8))
     def test_balanced_cell_dominates_naive_cell(self, seed):
         encoders, llm = cost_model()
-        table = compare_configs(
+        rows, _ = compare_configs(
             small_trace(seed), 32, encoders, llm,
             [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
             packing_policies=("ffd",), plan_policies=("naive", "balanced"),
         )
+        cells = {(r["layout"], r["packing_policy"], r["plan_policy"]): r for r in rows}
+        assert len(cells) == len(rows) == 4
         for layout in ("1x2x1", "1x4x1"):
-            naive = table.cell(layout, "ffd", "naive")
-            balanced = table.cell(layout, "ffd", "balanced")
-            assert naive.ratio_vs_baseline <= balanced.ratio_vs_baseline + 1e-12
+            naive = cells[layout, "ffd", "naive"]
+            balanced = cells[layout, "ffd", "balanced"]
+            assert naive["ratio_vs_baseline"] <= balanced["ratio_vs_baseline"] + 1e-12
 
     def test_dp_scales_throughput_linearly(self):
         encoders, llm = cost_model()
         trace = small_trace(5)
         rows = {}
         for dp in (1, 4):
-            table = compare_configs(
+            _, schedules = compare_configs(
                 trace, 32, encoders, llm, [ParallelLayout(dp, 2, 1)],
                 packing_policies=("ffd",), plan_policies=("balanced",),
             )
-            rows[dp] = table.cells[0].result.throughput
+            rows[dp] = schedules[0].throughput
         assert rows[4] == pytest.approx(4 * rows[1])
 
     def test_packs_each_policy_once_across_layouts(self, monkeypatch):
@@ -381,3 +385,13 @@ def test_non_finite_or_negative_timing_rejected(kwargs):
     # NaN passes a plain ``<= 0`` check and gives NaN makespans and bubble fractions
     with pytest.raises(InvalidSpecError):
         simulate_1f1b(plan_with_costs([1.0, 1.0]), unit_microbatches(2), **kwargs)
+
+
+@pytest.mark.parametrize("costs,kwargs", [
+    ([1.0, 1.0], {"backward_ratio": 1e308}),  # an infinite makespan, so zero throughput
+    ([5e307, 5e307], {"backward_ratio": 0.5}),  # a finite makespan of 1.5e308 on 2 stages
+    ([1e-320, 1e-320], {}),  # an infinite throughput
+])
+def test_schedule_out_of_float_range_rejected(costs, kwargs):
+    with pytest.raises(InvalidSpecError):
+        simulate_1f1b(plan_with_costs(costs), unit_microbatches(1), **kwargs)

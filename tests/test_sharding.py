@@ -208,6 +208,15 @@ def test_non_finite_layer_cost_rejected(bad):
             planner([encoder([1.0])], [1.0, bad, 1.0], layout(pp=2))
 
 
+@pytest.mark.parametrize("layers,tp", [([1e308, 1e308], 1), ([5e-324], 2)])
+def test_unit_costs_must_sum_to_a_finite_positive_total(layers, tp):
+    # an infinite sum gives infinite stage costs and a NaN imbalance; 5e-324 / 2
+    # rounds to 0, which gives a zero stage cost and a zero-by-zero imbalance
+    for planner in (plan_balanced_stages, naive_plan):
+        with pytest.raises(InvalidSpecError):
+            planner([], layers, layout(pp=1, tp=tp))
+
+
 def test_cost_model_round_trip(tmp_path):
     doc = {
         "encoders": [

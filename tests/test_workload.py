@@ -216,23 +216,27 @@ class TestGenerateTrace:
 class TestTraceStats:
     def test_arithmetic(self):
         trace = WorkloadTrace((0, 1), (Modality.TEXT, Modality.TEXT), (3, 5))
-        st = trace_stats(trace)
-        assert st.total_tokens == 8
-        assert st.per_modality["text"].mean_length == 4
+        assert trace_stats(trace) == {
+            "total_samples": 2,
+            "total_tokens": 8,
+            "per_modality": {
+                "text": {"count": 2, "min_length": 3, "max_length": 5, "mean_length": 4, "total_tokens": 8},
+            },
+        }
 
     def test_empty_trace_absent_means(self):
         st = trace_stats(WorkloadTrace((), (), ()))
-        assert st.total_samples == 0
-        assert st.total_tokens == 0
-        assert st.per_modality == {}
+        assert st["total_samples"] == 0
+        assert st["total_tokens"] == 0
+        assert st["per_modality"] == {}
 
     def test_degenerate_distribution(self):
         spec = make_spec(
             {Modality.TEXT: 1.0}, {Modality.TEXT: UniformLength(5, 5)}, count=4, seed=0
         )
         st = trace_stats(generate_trace(spec))
-        text = st.per_modality["text"]
-        assert text.min_length == text.max_length == text.mean_length == 5
+        text = st["per_modality"]["text"]
+        assert text["min_length"] == text["max_length"] == text["mean_length"] == 5
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_totals_additive_under_concat(self, seed):
@@ -255,8 +259,8 @@ class TestTraceStats:
             [m for t in traces for m in t.modalities],
             [n for t in traces for n in t.lengths],
         )
-        assert trace_stats(combined).total_tokens == sum(trace_stats(t).total_tokens for t in traces)
-        assert trace_stats(combined).total_samples == sum(len(t) for t in traces)
+        assert trace_stats(combined)["total_tokens"] == sum(trace_stats(t)["total_tokens"] for t in traces)
+        assert trace_stats(combined)["total_samples"] == sum(len(t) for t in traces)
 
 
 def test_sample_validation():
