@@ -16,7 +16,6 @@ from .memsim import (
 )
 from .moe import (
     GaussianLogitSource,
-    LoadReport,
     MoEParamSpec,
     RouterConfig,
     aux_loss,
@@ -66,7 +65,6 @@ __all__ = [
     "EncoderSpec",
     "FragReport",
     "GaussianLogitSource",
-    "LoadReport",
     "LogNormalLength",
     "Modality",
     "MoEParamSpec",

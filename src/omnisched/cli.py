@@ -224,24 +224,25 @@ def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
 
 def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     scenario = config.resolved["router"]
+    router = moe_mod.RouterConfig(
+        scenario["num_experts"], scenario["top_k"], scenario["aux_coefficient"], scenario["bias_step"]
+    )
     source = moe_mod.GaussianLogitSource(
         mean_offsets=scenario["mean_offsets"], seed=scenario["seed"], std=scenario["logit_std"]
     )
-    reports = moe_mod.simulate_routing(
-        config.router, source, scenario["tokens_per_step"], scenario["steps"]
-    )
+    run = moe_mod.simulate_routing(router, source, scenario["tokens_per_step"], scenario["steps"])
     summary = {
         "command": "route",
-        "num_experts": config.router.num_experts,
-        "top_k": config.router.top_k,
+        "num_experts": router.num_experts,
+        "top_k": router.top_k,
         "steps": scenario["steps"],
         "tokens_per_step": scenario["tokens_per_step"],
-        "cov_first": reports[0].cov,
-        "cov_last": reports[-1].cov,
-        "aux_first": reports[0].aux,
-        "aux_last": reports[-1].aux,
+        "cov_first": float(run["cov"][0]),
+        "cov_last": float(run["cov"][-1]),
+        "aux_first": float(run["aux_loss"][0]),
+        "aux_last": float(run["aux_loss"][-1]),
     }
-    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(reports))]
+    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(run))]
 
 
 def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:

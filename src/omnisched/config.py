@@ -25,7 +25,6 @@ import yaml
 
 from .errors import ConfigError, InvalidSpecError
 from .memsim import ALLOCATOR_POLICIES
-from .moe import RouterConfig
 from .packing import POLICIES as PACKING_POLICIES
 from .pipeline import PLAN_POLICIES
 from .sharding import EncoderSpec, ParallelLayout, build_units
@@ -54,10 +53,9 @@ class ExperimentConfig:
     layouts: tuple[ParallelLayout, ...]
     packing_policies: tuple[str, ...]
     plan_policies: tuple[str, ...]
-    router: RouterConfig
     output_dir: Path
-    # every value read, defaults included, as written to config.resolved; values
-    # that need no object (the names, the seeds, memsim, the rest of router) are read here
+    # every value read, defaults included, as written to config.resolved; what
+    # has no field above (the names, the seeds, router, memsim) is read from it
     resolved: dict
 
     def load_workload(self) -> WorkloadTrace:
@@ -188,8 +186,9 @@ def _per_modality(check: Check, m: _Mapping) -> dict:
 
 def _length(m: _Mapping) -> dict:
     if m.read("kind", _str(("uniform", "lognormal"))) == "uniform":
-        m.read("low", _int(1))
-        m.read("high", _int(1))
+        # numpy draws int64 lengths
+        low = m.read("low", _typed((int,), "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63))
+        m.read("high", _typed((int,), f"an integer in [low ({low}), 2**63)", lambda v: low <= v < 2**63))
     else:
         m.read("mu", _number())
         m.read("sigma", _number(0))
@@ -201,8 +200,14 @@ def _synthetic(m: _Mapping, seed: int) -> dict:
     m.read("name", _str(), "synthetic")
     m.read("sample_count", _int(1))
     m.read("seed", _int(0), seed)
-    m.read("mixture", _mapping(partial(_per_modality, _number(0))))
-    m.read("lengths", _mapping(partial(_per_modality, _mapping(_length))))
+    mixture = m.read("mixture", _mapping(partial(_per_modality, _number(0))))
+    if not 0 < sum(mixture.values()) < math.inf:
+        _fail(f"{m.path}.mixture", "weights with a positive finite sum", mixture)
+    lengths = m.read("lengths", _mapping(partial(_per_modality, _mapping(_length))))
+    for name, weight in mixture.items():
+        if weight > 0 and name not in lengths:
+            key = f"{m.path}.lengths.{name}"
+            raise ConfigError(f"{key} is required", key=key)
     return m.close()
 
 
@@ -250,16 +255,18 @@ def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[flo
 
 
 def _router(m: _Mapping, seed: int) -> dict:
-    # a step draws a (tokens_per_step, num_experts) float64 array, which numpy
-    # can shape only below 2**63 bytes; both sizes are bounded before any is used
-    size = "with tokens_per_step * num_experts * 8 < 2**63"
-    experts = m.read("num_experts", _typed((int,), f"an integer >= 2 {size}", lambda v: 2 <= v < 2**60), 8)
+    # a step draws a (tokens_per_step, num_experts) float64 array and a run
+    # holds (steps, num_experts) ones, which numpy can shape only below 2**63
+    # bytes; every size is bounded before any is used
+    size = "with {} * num_experts * 8 < 2**63"
+    experts = m.read("num_experts", _typed((int,), "an integer >= 2 " + size.format("tokens_per_step"),
+                                           lambda v: 2 <= v < 2**60), 8)
     top_k = m.read("top_k", _int(1), 2)
     m.read("aux_coefficient", _number(0), 0.01)
     m.read("bias_step", _number(0), 0.01)
-    tokens = _typed((int,), f"an integer >= 1 {size}", lambda v: 1 <= v and v * experts * 8 < 2**63)
-    m.read("tokens_per_step", tokens, 4096)
-    m.read("steps", _int(1), 200)
+    for name, default in (("tokens_per_step", 4096), ("steps", 200)):
+        fits = _typed((int,), "an integer >= 1 " + size.format(name), lambda v: 1 <= v and v * experts * 8 < 2**63)
+        m.read(name, fits, default)
     offsets = m.read("mean_offsets", _list(_number()), [1.0] + [0.0] * (experts - 1))
     if len(offsets) != experts:
         _fail(f"{m.path}.mean_offsets", f"a list of {experts} numbers, one per expert", offsets)
@@ -317,7 +324,7 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True, unique=True),
            ["padded", "stream", "ffd"])
     r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True, unique=True), ["naive", "balanced"])
-    router = r.read("router", _mapping(partial(_router, seed=seed)), {})
+    r.read("router", _mapping(partial(_router, seed=seed)), {})
     r.read("memsim", _mapping(_memsim), {})
     r.read("output_dir", _str(), "runs/out")
     resolved = r.close()
@@ -349,9 +356,6 @@ def build_config(doc: dict) -> ExperimentConfig:
         layouts=tuple(ParallelLayout.parse(label) for label in resolved["layouts"]),
         packing_policies=tuple(resolved["packing_policies"]),
         plan_policies=tuple(resolved["plan_policies"]),
-        router=RouterConfig(
-            router["num_experts"], router["top_k"], router["aux_coefficient"], router["bias_step"]
-        ),
         output_dir=output_dir,
         resolved=resolved,
     )

@@ -16,14 +16,14 @@ selection routine. Balancing combines two mechanisms:
   the simulation; no gradient descent is modeled.
 
 The router's only state is its bias vector: ``route_batch(bias, logits, k)``
-returns the step's selection counts and ``bias_update`` returns a new bias,
-so each ``LoadReport`` keeps the bias it was routed with without a copy.
+returns the step's selection counts and ``bias_update`` returns the next
+bias. ``simulate_routing`` returns a run as the columns ``route.csv`` writes,
+one row per step, with the bias each step was routed with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -49,17 +49,6 @@ class RouterConfig:
             raise InvalidSpecError("aux_coefficient must be finite and >= 0")
         if not 0 <= self.bias_step < np.inf:
             raise InvalidSpecError("bias_step must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class LoadReport:
-    """One routing step; its step number is its index in the report list."""
-
-    load_fractions: np.ndarray  # f, sums to 1
-    mean_router_prob: np.ndarray  # pbar, sums to 1
-    bias: np.ndarray  # bias in effect when this step was routed
-    cov: float  # coefficient of variation of f
-    aux: float
 
 
 def _topk_mask(adjusted: np.ndarray, k: int) -> np.ndarray:
@@ -191,18 +180,21 @@ def route_batch(bias: np.ndarray, logits: np.ndarray, k: int) -> np.ndarray:
     return _topk_mask(logits + bias, k).sum(axis=0, dtype=np.int64)
 
 
-def coefficient_of_variation(f: np.ndarray) -> float:
-    return float(np.std(f) / np.mean(f))
-
-
 def simulate_routing(
     config: RouterConfig,
     source: GaussianLogitSource,
     tokens_per_step: int,
     steps: int,
-) -> list[LoadReport]:
-    """Route ``tokens_per_step`` tokens per step, reporting loads and applying
-    the bias update after each step. Deterministic for a given source seed."""
+) -> dict[str, np.ndarray]:
+    """Route ``tokens_per_step`` tokens per step, applying the bias update
+    after each step. Deterministic for a given source seed.
+
+    Returns the run as the value columns of ``ROUTE_CSV_FIELDS``, row ``t``
+    being step ``t``: ``f``, ``pbar`` and ``bias`` (the bias step ``t`` was
+    routed with) are ``(steps, num_experts)`` arrays, ``cov`` and ``aux_loss``
+    length-``steps`` arrays. A value that left the float range is an
+    ``InvalidSpecError`` naming its column and first step.
+    """
     if source.num_experts != config.num_experts:
         raise InvalidSpecError("logit source and router config disagree on num_experts")
     if tokens_per_step < 1:
@@ -210,28 +202,30 @@ def simulate_routing(
     if steps < 1:
         raise InvalidSpecError("steps must be >= 1")
 
-    bias = np.zeros(config.num_experts)
-    reports: list[LoadReport] = []
-    for _ in range(steps):
-        logits = source.draw(tokens_per_step)
-        counts = route_batch(bias, logits, config.top_k)
-        f = counts / (config.top_k * tokens_per_step)
-        # pbar: the row softmax of the routed logits, computed in place
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        pbar = logits.mean(axis=0)
-        reports.append(
-            LoadReport(
-                load_fractions=f,
-                mean_router_prob=pbar,
-                bias=bias,
-                cov=coefficient_of_variation(f),
-                aux=aux_loss(f, pbar, config.aux_coefficient),
-            )
-        )
-        bias = bias_update(bias, f, config.bias_step)
-    return reports
+    shape = (steps, config.num_experts)
+    run = {"f": np.empty(shape), "pbar": np.empty(shape), "bias": np.zeros(shape),
+           "cov": np.empty(steps), "aux_loss": np.empty(steps)}
+    with np.errstate(all="ignore"):  # the check below reports what left the float range
+        for t in range(steps):
+            bias = run["bias"][t]
+            logits = source.draw(tokens_per_step)
+            counts = route_batch(bias, logits, config.top_k)
+            f = run["f"][t]
+            np.divide(counts, config.top_k * tokens_per_step, out=f)
+            # pbar: the row softmax of the routed logits, computed in place
+            logits -= logits.max(axis=1, keepdims=True)
+            np.exp(logits, out=logits)
+            logits /= logits.sum(axis=1, keepdims=True)
+            run["pbar"][t] = logits.mean(axis=0)
+            run["cov"][t] = np.std(f) / np.mean(f)
+            run["aux_loss"][t] = aux_loss(f, run["pbar"][t], config.aux_coefficient)
+            if t + 1 < steps:
+                run["bias"][t + 1] = bias_update(bias, f, config.bias_step)
+    for name, column in run.items():
+        finite = np.isfinite(column.reshape(steps, -1)).all(axis=1)
+        if not finite.all():
+            raise InvalidSpecError(f"routing column {name} is not finite at step {int(np.argmin(finite))}")
+    return run
 
 
 @dataclass(frozen=True)
@@ -309,19 +303,16 @@ def search_param_grid(
 ROUTE_CSV_FIELDS = ["step", "expert", "f", "pbar", "bias", "cov", "aux_loss"]
 
 
-def load_report_rows(reports: Sequence[LoadReport]) -> list[tuple]:
-    """Flatten a report series to per-(step, expert) CSV rows, tuples in
+def load_report_rows(run: dict[str, np.ndarray]) -> list[tuple]:
+    """Flatten a run's columns to per-(step, expert) CSV rows, tuples in
     ``ROUTE_CSV_FIELDS`` order."""
-    rows: list[tuple] = []
-    for step, rep in enumerate(reports):
-        n = rep.load_fractions.shape[0]
-        rows += zip(
-            repeat(step, n),
-            range(n),
-            rep.load_fractions.tolist(),
-            rep.mean_router_prob.tolist(),
-            rep.bias.tolist(),
-            repeat(rep.cov, n),
-            repeat(rep.aux, n),
-        )
-    return rows
+    steps, n = run["f"].shape
+    return list(zip(
+        np.repeat(np.arange(steps), n).tolist(),
+        np.tile(np.arange(n), steps).tolist(),
+        run["f"].ravel().tolist(),
+        run["pbar"].ravel().tolist(),
+        run["bias"].ravel().tolist(),
+        np.repeat(run["cov"], n).tolist(),
+        np.repeat(run["aux_loss"], n).tolist(),
+    ))

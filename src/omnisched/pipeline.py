@@ -260,8 +260,8 @@ def compare_configs(
 
     Returns each cell's ``comparison.csv`` row (a dict keyed by
     ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
-    then packing policies, then plan policies, each as given. The baseline
-    cell is always computed, even when not requested.
+    then packing policies, then plan policies, each as given. Per layout, the
+    requested cells are simulated, then the baseline cell if not among them.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -269,6 +269,7 @@ def compare_configs(
         if p not in PLAN_POLICIES:
             raise ConfigError(f"unknown plan policy {p!r}", policy=p)
 
+    cells = list(dict.fromkeys([(p, pl) for p in packing_policies for pl in plan_policies] + [BASELINE_CELL]))
     pack_names = list(dict.fromkeys(list(packing_policies) + [BASELINE_CELL[0]]))
     plan_names = list(dict.fromkeys(list(plan_policies) + [BASELINE_CELL[1]]))
     packed = {name: pack(trace, capacity, name) for name in pack_names}
@@ -280,8 +281,7 @@ def compare_configs(
         plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
         results = {
             (pname, plname): simulate_1f1b(plans[plname], microbatches[pname], backward_ratio, comm_latency)
-            for pname in pack_names
-            for plname in plan_names
+            for pname, plname in cells
         }
         base_thr = results[BASELINE_CELL].throughput
         for pname in packing_policies:

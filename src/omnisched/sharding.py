@@ -59,8 +59,8 @@ class ParallelLayout:
 
     def __post_init__(self):
         for name, v in (("dp", self.dp), ("pp", self.pp), ("tp", self.tp)):
-            if v < 1:
-                raise InvalidSpecError(f"{name} must be >= 1, got {v}")
+            if not 1 <= v < 2**63:  # capacity's bound, so float(degree) cannot overflow
+                raise InvalidSpecError(f"{name} must be an integer in [1, 2**63), got {v}")
 
     @classmethod
     def parse(cls, text: str) -> "ParallelLayout":

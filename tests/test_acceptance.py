@@ -138,9 +138,9 @@ def test_criterion_5_routing_balance_and_invariants():
         improved = 0
         for seed in range(20):
             source = GaussianLogitSource(offsets, seed=seed)
-            reports = simulate_routing(config, source, tokens_per_step=4096, steps=200)
-            early = float(np.median([r.cov for r in reports[:10]]))
-            late = float(np.median([r.cov for r in reports[150:200]]))
+            run = simulate_routing(config, source, tokens_per_step=4096, steps=200)
+            early = float(np.median(run["cov"][:10]))
+            late = float(np.median(run["cov"][150:200]))
             if late < 0.5 * early:
                 improved += 1
         assert improved >= 19

@@ -255,6 +255,26 @@ def test_numbers_out_of_float_range_are_domain_errors(argv, config, unit_cost, l
     assert not out.exists()
 
 
+# Router values whose draws, loss or bias leave the float range: each used to
+# write NaN or Infinity into summary.json or route.csv, with numpy warnings.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("setting,column", [
+    ({"logit_std": 1.0e308}, "pbar"),
+    ({"aux_coefficient": 1.0e308}, "aux_loss"),
+    ({"bias_step": 1.0e308}, "bias"),
+])
+def test_routing_out_of_float_range_is_a_domain_error(setting, column, tmp_path, capsys):
+    router = {"num_experts": 4, "top_k": 1, "mean_offsets": [1, 0, 0, 0], "tokens_per_step": 16, "steps": 3}
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump({"router": {**router, **setting}}))
+    out = tmp_path / "out"
+    assert main(["route", "--config", str(tmp_path / "cfg.yaml"), "--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["kind"] == "invalid-spec"
+    assert f"column {column} " in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,policies", [
     ("packing_policies", ["padded", "stream"]),
     ("plan_policies", ["naive"]),

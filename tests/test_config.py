@@ -147,6 +147,20 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
     # sizes numpy cannot shape a step's draw for: tokens_per_step * num_experts * 8 >= 2**63
     ("router: {num_experts: 18446744073709551616}", "router.num_experts"),
     ("router: {tokens_per_step: 1152921504606846976}", "router.tokens_per_step"),
+    # a run holds (steps, num_experts) float64 columns: steps * num_experts * 8 >= 2**63
+    ("router: {steps: 4611686018427387904}", "router.steps"),
+    # a degree a float cannot hold
+    ("layouts: [1x1x1, 1x1x9223372036854775808]", "layouts[1]"),
+    # synthetic traces: bounds, weights and lengths the spec would reject
+    (SYNTHETIC % ("1", "{kind: uniform, low: 5, high: 2}"), "trace.synthetic.lengths.text.high"),
+    (SYNTHETIC % ("1", "{kind: uniform, low: 1, high: 9223372036854775808}"),
+     "trace.synthetic.lengths.text.high"),
+    (SYNTHETIC % ("0", "{kind: uniform, low: 1, high: 4}"), "trace.synthetic.mixture"),
+    ("trace: {synthetic: {sample_count: 8, mixture: {text: 1.0e+308, image: 1.0e+308},"
+     " lengths: {text: {kind: uniform, low: 1, high: 4}, image: {kind: uniform, low: 1, high: 4}}}}",
+     "trace.synthetic.mixture"),
+    ("trace: {synthetic: {sample_count: 8, mixture: {text: 1},"
+     " lengths: {image: {kind: uniform, low: 1, high: 4}}}}", "trace.synthetic.lengths.text"),
 ])
 def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     (tmp_path / "cfg.yaml").write_text(text + "\n")

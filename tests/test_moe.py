@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from omnisched.errors import InvalidSpecError, RoutingError
 from omnisched.moe import (
+    ROUTE_CSV_FIELDS,
     GaussianLogitSource,
     MoEParamSpec,
     RouterConfig,
@@ -141,23 +142,25 @@ class TestSimulateRouting:
     def test_cov_decreases_under_skew(self):
         config = RouterConfig(num_experts=8, top_k=2, bias_step=0.01)
         source = GaussianLogitSource([1.0] + [0.0] * 7, seed=5)
-        reports = simulate_routing(config, source, tokens_per_step=4096, steps=200)
-        early = np.median([r.cov for r in reports[:10]])
-        late = np.median([r.cov for r in reports[150:200]])
+        run = simulate_routing(config, source, tokens_per_step=4096, steps=200)
+        early = np.median(run["cov"][:10])
+        late = np.median(run["cov"][150:200])
         assert late < 0.5 * early
 
     def test_zero_step_keeps_bias_flat(self):
         config = RouterConfig(num_experts=4, top_k=1, bias_step=0.0)
         source = GaussianLogitSource([0.5, 0.0, 0.0, 0.0], seed=2)
-        reports = simulate_routing(config, source, tokens_per_step=512, steps=20)
-        assert all(np.all(r.bias == 0.0) for r in reports)
+        run = simulate_routing(config, source, tokens_per_step=512, steps=20)
+        assert run["bias"].shape == (20, 4)
+        assert np.all(run["bias"] == 0.0)
 
     def test_symmetric_two_experts_stay_near_half(self):
         config = RouterConfig(num_experts=2, top_k=1, bias_step=0.01)
         source = GaussianLogitSource([0.0, 0.0], seed=11)
-        reports = simulate_routing(config, source, tokens_per_step=4096, steps=50)
-        for r in reports:
-            assert 0.45 <= r.load_fractions[0] <= 0.55
+        run = simulate_routing(config, source, tokens_per_step=4096, steps=50)
+        assert run["f"].shape == (50, 2)
+        for f in run["f"]:
+            assert 0.45 <= f[0] <= 0.55
 
     def test_deterministic_under_seed(self):
         config = RouterConfig(num_experts=8, top_k=2)
@@ -167,18 +170,17 @@ class TestSimulateRouting:
             return simulate_routing(config, source, tokens_per_step=256, steps=5)
 
         a, b = run(), run()
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.load_fractions, rb.load_fractions)
-            assert np.array_equal(ra.bias, rb.bias)
+        assert np.array_equal(a["f"], b["f"])
+        assert np.array_equal(a["bias"], b["bias"])
 
     def test_report_vectors_are_probabilities(self):
         config = RouterConfig(num_experts=8, top_k=2)
         source = GaussianLogitSource([0.5] * 4 + [0.0] * 4, seed=1)
-        reports = simulate_routing(config, source, tokens_per_step=1024, steps=5)
-        for r in reports:
-            assert float(r.load_fractions.sum()) == pytest.approx(1.0, abs=1e-9)
-            assert float(r.mean_router_prob.sum()) == pytest.approx(1.0, abs=1e-9)
-            assert r.cov >= 0
+        run = simulate_routing(config, source, tokens_per_step=1024, steps=5)
+        for f, pbar, cov in zip(run["f"], run["pbar"], run["cov"]):
+            assert float(f.sum()) == pytest.approx(1.0, abs=1e-9)
+            assert float(pbar.sum()) == pytest.approx(1.0, abs=1e-9)
+            assert cov >= 0
 
 
 class TestSimulateRoutingMatchesReference:
@@ -190,14 +192,15 @@ class TestSimulateRoutingMatchesReference:
     def assert_matches(num_experts, k, offsets, seed, std, tokens, steps):
         config = RouterConfig(num_experts=num_experts, top_k=k, aux_coefficient=0.02, bias_step=0.03)
         source = GaussianLogitSource(offsets, seed=seed, std=std)
-        reports = simulate_routing(config, source, tokens, steps)
+        run = simulate_routing(config, source, tokens, steps)
         expected = simulate_routing_reference(k, 0.02, 0.03, offsets, seed, std, tokens, steps)
-        assert len(reports) == len(expected) == steps
-        for r, (f, pbar, bias, cov, aux) in zip(reports, expected):
-            assert np.array_equal(r.load_fractions, f)
-            assert np.array_equal(r.mean_router_prob, pbar)
-            assert np.array_equal(r.bias, bias)
-            assert r.cov == cov and r.aux == aux
+        assert list(run) == ROUTE_CSV_FIELDS[2:]
+        assert len(run["cov"]) == len(expected) == steps
+        for t, (f, pbar, bias, cov, aux) in enumerate(expected):
+            assert np.array_equal(run["f"][t], f)
+            assert np.array_equal(run["pbar"][t], pbar)
+            assert np.array_equal(run["bias"][t], bias)
+            assert run["cov"][t] == cov and run["aux_loss"][t] == aux
 
     @pytest.mark.parametrize("E,k,std", [(8, 2, 0.7), (16, 5, 2.5), (64, 8, 1.3)])
     def test_gaussian_logits(self, E, k, std):

@@ -363,6 +363,22 @@ class TestCompareConfigs:
         )
         assert sorted(packed) == ["ffd", "padded"] and len(converted) == 2
 
+    def test_simulates_the_requested_cells_and_the_baseline(self, monkeypatch):
+        simulated = []
+        simulate = pipeline.simulate_1f1b
+        monkeypatch.setattr(
+            pipeline, "simulate_1f1b", lambda plan, *rest: simulated.append(plan.layout.label()) or simulate(plan, *rest)
+        )
+        encoders, llm = cost_model()
+        rows, _ = compare_configs(
+            small_trace(2), 32, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
+            packing_policies=("ffd",), plan_policies=("balanced",),
+        )
+        assert len(rows) == 2
+        # per layout, the one requested cell, then the baseline: not the 2 x 2
+        # product of the requested and the baseline policies
+        assert simulated == ["1x2x1", "1x2x1", "1x4x1", "1x4x1"]
+
 
 def test_microbatches_from_batches_padded_cost():
     trace = WorkloadTrace((0, 1), (Modality.TEXT, Modality.TEXT), (3, 8))

@@ -188,6 +188,9 @@ def test_layout_validation_and_parse():
         ParallelLayout.parse("2x4")
     with pytest.raises(InvalidSpecError):
         ParallelLayout(dp=0, pp=1, tp=1)
+    ParallelLayout(dp=2**63 - 1, pp=1, tp=1)
+    with pytest.raises(InvalidSpecError):  # a degree past capacity's bound
+        ParallelLayout(dp=2**63, pp=1, tp=1)
 
 
 def test_encoder_validation():
