@@ -12,7 +12,9 @@ Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
 one-line JSON object ``{"kind", "message", "context"}`` on stderr; a failed
-write is kind ``output`` with the path in ``context.path``.
+write is kind ``output`` with the path in ``context.path``, and a command
+whose results do not fit in memory is kind ``out-of-memory`` with the
+command in ``context.command``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .config import (
     load_config_file,
     reproduce_scenario_doc,
 )
-from .errors import ConfigError, OmniSchedError, OutputError
+from .errors import ConfigError, OmniSchedError, OutOfMemoryError, OutputError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
 from .pipeline import COMPARISON_CSV_FIELDS, ScheduleResult, compare_configs
 from .sharding import naive_plan, plan_balanced_stages, unit_labels
@@ -317,7 +319,10 @@ def _run(args: argparse.Namespace) -> dict:
     A file is (name, CSV fields or None for JSON, rows or the JSON object); rows
     may also be a function that returns them, called when the file is written."""
     config = _config_from_args(args)
-    summary, files = _COMMANDS[args.command](config, args)
+    try:
+        summary, files = _COMMANDS[args.command](config, args)
+    except MemoryError as exc:
+        raise OutOfMemoryError(f"{args.command} does not fit in memory: {exc}", command=args.command) from None
     out = Path(args.out) if args.out else config.output_dir
     _write_run(config, out, files + [("summary.json", None, summary)])
     return summary

@@ -81,3 +81,7 @@ class ConfigError(OmniSchedError):
 
 class OutputError(OmniSchedError):
     kind = "output"
+
+
+class OutOfMemoryError(OmniSchedError):
+    kind = "out-of-memory"

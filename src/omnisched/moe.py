@@ -18,7 +18,12 @@ selection routine. Balancing combines two mechanisms:
 The router's only state is its bias vector: ``route_batch(bias, logits, k)``
 returns the step's selection counts and ``bias_update`` returns the next
 bias. ``simulate_routing`` returns a run as the columns ``route.csv`` writes,
-one row per step, with the bias each step was routed with.
+one row per step, with the bias each step was routed with. It allocates its
+per-step ``(tokens, E)`` arrays once per run: two logit buffers, the
+adjusted-score and partition scratch and the top-k mask. A helper thread,
+the only user of the source's generator, draws step ``t + 1`` into one
+logit buffer while step ``t`` routes in the other, so the stream is read in
+step order and the run is the same as a single-threaded one, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,16 +56,22 @@ class RouterConfig:
             raise InvalidSpecError("bias_step must be finite and >= 0")
 
 
-def _topk_mask(adjusted: np.ndarray, k: int) -> np.ndarray:
+def _topk_mask(adjusted: np.ndarray, k: int, part: np.ndarray | None = None,
+               mask: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of each row's k largest scores, ties to the lowest index.
 
     Marks every score ``>=`` the row's k-th largest. Every row marks at least
     k, so rows are recounted only when the total is over; rows where ties at
-    the k-th score mark more than k are re-selected by a stable sort.
+    the k-th score mark more than k are re-selected by a stable sort. ``part``
+    (float64) and ``mask`` (bool), arrays of ``adjusted``'s shape, receive the
+    partitioned copy and the mask when given.
     """
     num_experts = adjusted.shape[1]
-    kth = np.partition(adjusted, num_experts - k, axis=1)[:, num_experts - k, None]
-    mask = adjusted >= kth
+    if part is None:
+        part = np.empty_like(adjusted)
+    np.copyto(part, adjusted)
+    part.partition(num_experts - k, axis=1)
+    mask = np.greater_equal(adjusted, part[:, num_experts - k, None], out=mask)
     if np.count_nonzero(mask) == adjusted.shape[0] * k:
         return mask
     over = np.flatnonzero(mask.sum(axis=1) > k)
@@ -163,21 +174,37 @@ class GaussianLogitSource:
     def num_experts(self) -> int:
         return self.mean_offsets.shape[0]
 
-    def draw(self, tokens: int) -> np.ndarray:
-        """``tokens`` logit vectors. ``std * z + offset`` is what
-        ``normal(0, std) + offset`` computes from the same stream."""
-        z = self._rng.standard_normal((tokens, self.num_experts))
-        z *= self.std
-        z += self.mean_offsets
-        return z
+    def draw(self, tokens: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``tokens`` logit vectors, written into ``out`` (a C-contiguous
+        float64 ``(tokens, num_experts)`` array) when it is given.
+        ``std * z + offset`` is what ``normal(0, std) + offset`` computes
+        from the same stream."""
+        if out is None:
+            out = np.empty((tokens, self.num_experts))
+        elif out.shape != (tokens, self.num_experts):
+            raise InvalidSpecError(f"out must have shape {(tokens, self.num_experts)}, got {out.shape}")
+        return self._fill(out)
+
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        """``draw`` into ``out`` without the shape check."""
+        self._rng.standard_normal(out=out)
+        out *= self.std
+        out += self.mean_offsets
+        return out
 
 
-def route_batch(bias: np.ndarray, logits: np.ndarray, k: int) -> np.ndarray:
+def route_batch(bias: np.ndarray, logits: np.ndarray, k: int,
+                scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Route a (tokens, E) logit batch, each token as ``route_topk`` would
-    under ``bias``; returns the per-expert selection counts."""
+    under ``bias``; returns the per-expert selection counts. ``scratch``, two
+    float64 arrays and a bool array of the batch's shape, receives the
+    adjusted scores, their partitioned copy and the top-k mask instead of
+    fresh arrays."""
     if logits.ndim != 2 or logits.shape[1] != bias.shape[0]:
         raise RoutingError(f"logit batch must be (tokens, {bias.shape[0]})")
-    return _topk_mask(logits + bias, k).sum(axis=0, dtype=np.int64)
+    adjusted, part, mask = scratch or (None, None, None)
+    adjusted = np.add(logits, bias, out=adjusted)
+    return _topk_mask(adjusted, k, part, mask).sum(axis=0, dtype=np.int64)
 
 
 def simulate_routing(
@@ -193,7 +220,9 @@ def simulate_routing(
     being step ``t``: ``f``, ``pbar`` and ``bias`` (the bias step ``t`` was
     routed with) are ``(steps, num_experts)`` arrays, ``cov`` and ``aux_loss``
     length-``steps`` arrays. A value that left the float range is an
-    ``InvalidSpecError`` naming its column and first step.
+    ``InvalidSpecError`` naming its column and first step. An error in a draw
+    reaches the caller as it is, and the helper thread has ended when this
+    returns or raises.
     """
     if source.num_experts != config.num_experts:
         raise InvalidSpecError("logit source and router config disagree on num_experts")
@@ -205,11 +234,31 @@ def simulate_routing(
     shape = (steps, config.num_experts)
     run = {"f": np.empty(shape), "pbar": np.empty(shape), "bias": np.zeros(shape),
            "cov": np.empty(steps), "aux_loss": np.empty(steps)}
-    with np.errstate(all="ignore"):  # the check below reports what left the float range
+    batch = (tokens_per_step, config.num_experts)
+    buffers = (np.empty(batch), np.empty(batch))
+    scratch = (np.empty(batch), np.empty(batch), np.empty(batch, dtype=bool))
+
+    def draw(out):
+        # A new thread starts with numpy's default error state. It calls
+        # _fill, not draw: perfbench's tracer wraps draw and keeps one span
+        # stack, which calls from a second thread would corrupt.
+        with np.errstate(all="ignore"):
+            return source._fill(out)
+
+    # Imported here, not at the top: the CLI's start-up does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The helper thread is the only user of the generator and draws in step
+    # order: step t + 1 into one buffer while step t routes in the other.
+    # The check after the loop reports what left the float range.
+    with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(all="ignore"):
+        pending = helper.submit(draw, buffers[0])
         for t in range(steps):
+            logits = pending.result()
+            if t + 1 < steps:
+                pending = helper.submit(draw, buffers[(t + 1) % 2])
             bias = run["bias"][t]
-            logits = source.draw(tokens_per_step)
-            counts = route_batch(bias, logits, config.top_k)
+            counts = route_batch(bias, logits, config.top_k, scratch)
             f = run["f"][t]
             np.divide(counts, config.top_k * tokens_per_step, out=f)
             # pbar: the row softmax of the routed logits, computed in place

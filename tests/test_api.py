@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import omnisched
@@ -29,3 +31,13 @@ def test_readme_library_example_runs(capsys):
         ["padded", "naive"], ["padded", "balanced"], ["ffd", "naive"], ["ffd", "balanced"],
     ]
     assert float(lines[0].split()[2]) == 1.0
+
+
+def test_cli_import_loads_no_thread_pool():
+    # simulate_routing imports concurrent.futures when it runs, so that the
+    # CLI's start-up does not pay for it
+    src = Path(__file__).parent.parent / "src"
+    code = "import omnisched.cli, sys; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

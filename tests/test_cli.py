@@ -275,6 +275,19 @@ def test_routing_out_of_float_range_is_a_domain_error(setting, column, tmp_path,
     assert not out.exists()
 
 
+# Sizes under numpy's 2**63-byte limit that no host can hold: numpy refuses
+# the 4 EiB allocation at once. Each used to be a numpy traceback.
+@pytest.mark.parametrize("tokens,steps", [(4, 2**58), (2**58, 1)])
+def test_router_too_big_for_memory_is_a_domain_error(tokens, steps, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["route", "--experts", "2", "--top-k", "1", "--tokens", str(tokens), "--steps", str(steps)]
+    assert main(argv + ["--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("out-of-memory", {"command": "route"})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,policies", [
     ("packing_policies", ["padded", "stream"]),
     ("plan_policies", ["naive"]),

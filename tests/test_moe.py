@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,7 +210,14 @@ class TestSimulateRoutingMatchesReference:
         offsets = np.random.default_rng(E).normal(scale=0.5, size=E)
         self.assert_matches(E, k, offsets, seed=E + k, std=std, tokens=257, steps=6)
 
-    @pytest.mark.parametrize("E,k", [(4, 2), (8, 3), (12, 5)])
+    @pytest.mark.parametrize("steps", [7, 8])
+    def test_buffers_reused_over_steps(self, steps):
+        # each of the two logit buffers serves several steps, and the run
+        # ends on either one
+        offsets = np.random.default_rng(5).normal(scale=0.5, size=64)
+        self.assert_matches(64, 8, offsets, seed=11, std=1.0, tokens=2048, steps=steps)
+
+    @pytest.mark.parametrize("E,k", [(4, 2), (8, 3), (12, 5), (64, 8)])
     def test_tied_logits(self, E, k):
         # noise far below the offsets' spacing leaves logits == offsets, so
         # experts sharing an offset tie in every row
@@ -235,6 +245,81 @@ class TestSimulateRoutingMatchesReference:
         drawn = GaussianLogitSource(offsets, seed=4, std=1.7).draw(50)
         rng = np.random.Generator(np.random.PCG64(4))
         assert np.array_equal(drawn, rng.normal(0.0, 1.7, size=(50, 6)) + offsets)
+
+    def test_draw_into_buffer(self):
+        offsets = np.linspace(-1.0, 2.0, 6)
+        buf = np.empty((50, 6))
+        drawn = GaussianLogitSource(offsets, seed=4, std=1.7).draw(50, out=buf)
+        assert drawn is buf
+        assert np.array_equal(buf, GaussianLogitSource(offsets, seed=4, std=1.7).draw(50))
+        rng = np.random.Generator(np.random.PCG64(4))
+        assert np.array_equal(buf, rng.normal(0.0, 1.7, size=(50, 6)) + offsets)
+        with pytest.raises(InvalidSpecError):
+            GaussianLogitSource(offsets, seed=4).draw(49, out=buf)
+
+
+class TestSimulateRoutingThread:
+    """The helper thread that draws the next step's logits."""
+
+    @staticmethod
+    def route(std=1.0, steps=4):
+        config = RouterConfig(num_experts=4, top_k=1)
+        return simulate_routing(config, GaussianLogitSource([1.0, 0, 0, 0], seed=3, std=std), 16, steps)
+
+    def test_no_thread_outlives_a_run(self):
+        before = threading.active_count()
+        self.route()
+        assert threading.active_count() == before
+        with pytest.raises(InvalidSpecError, match="column pbar"):
+            self.route(std=1e308)
+        assert threading.active_count() == before
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        error = RuntimeError("draw failed")
+        calls = []
+
+        def fail_on_third(self, out):
+            calls.append(out)
+            if len(calls) == 3:
+                raise error
+            out.fill(0.0)
+            return out
+
+        monkeypatch.setattr(GaussianLogitSource, "_fill", fail_on_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            self.route(steps=5)
+        assert caught.value is error and len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_under_a_short_switch_interval(self):
+        # more runs than cores, each with its own helper thread, switching
+        # threads as often as the interpreter allows
+        offsets = [0.5, 0.0, 0.25, 0.0, 1.0, 0.0]
+        config = RouterConfig(num_experts=6, top_k=2, aux_coefficient=0.02, bias_step=0.03)
+        runs = {}
+
+        def route(seed):
+            runs[seed] = simulate_routing(config, GaussianLogitSource(offsets, seed=seed), 64, 9)
+
+        threads = [threading.Thread(target=route, args=(seed,)) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed, run in runs.items():
+            expected = simulate_routing_reference(2, 0.02, 0.03, offsets, seed, 1.0, 64, 9)
+            for t, (f, pbar, bias, cov, aux) in enumerate(expected):
+                assert np.array_equal(run["f"][t], f) and np.array_equal(run["pbar"][t], pbar)
+                assert np.array_equal(run["bias"][t], bias)
+                assert run["cov"][t] == cov and run["aux_loss"][t] == aux
+        assert sorted(runs) == [0, 1, 2]
 
 
 def test_load_accounting():
