@@ -226,13 +226,8 @@ def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
 
 def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
     scenario = config.resolved["router"]
-    router = moe_mod.RouterConfig(
-        scenario["num_experts"], scenario["top_k"], scenario["aux_coefficient"], scenario["bias_step"]
-    )
-    source = moe_mod.GaussianLogitSource(
-        mean_offsets=scenario["mean_offsets"], seed=scenario["seed"], std=scenario["logit_std"]
-    )
-    run = moe_mod.simulate_routing(router, source, scenario["tokens_per_step"], scenario["steps"])
+    router = config.router
+    run = moe_mod.simulate_routing(router, config.logits, scenario["tokens_per_step"], scenario["steps"])
     summary = {
         "command": "route",
         "num_experts": router.num_experts,
@@ -318,8 +313,8 @@ def _run(args: argparse.Namespace) -> dict:
 
     A file is (name, CSV fields or None for JSON, rows or the JSON object); rows
     may also be a function that returns them, called when the file is written."""
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         summary, files = _COMMANDS[args.command](config, args)
     except MemoryError as exc:
         raise OutOfMemoryError(f"{args.command} does not fit in memory: {exc}", command=args.command) from None

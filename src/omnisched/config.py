@@ -2,9 +2,11 @@
 
 Precedence is CLI flag > config file > ``OMNISCHED_SEED`` env var > built-in
 default. The CLI sets its flags in the config document, which
-``build_config`` reads once, mapping by mapping: each key's type and range
-are checked, the value read (defaults included) is recorded, and any key
-nothing read is rejected. Every failure is a ``ConfigError`` whose
+``build_config`` reads once, mapping by mapping: each key's type is checked
+(numbers are finite), the value read (defaults included) is recorded, and any
+key nothing read is rejected. The router and synthetic-trace sections are
+built into their library objects as read, whose constructors check ranges;
+other ranges are checked as read. Every failure is a ``ConfigError`` whose
 ``context.key`` is the dotted key path, e.g. ``router.top_k``. The record,
 ``ExperimentConfig.resolved``, is written to every run directory as
 ``config.resolved`` so runs are reproducible from their outputs alone.
@@ -16,7 +18,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -25,10 +26,12 @@ import yaml
 
 from .errors import ConfigError, InvalidSpecError
 from .memsim import ALLOCATOR_POLICIES
+from .moe import GaussianLogitSource, RouterConfig
 from .packing import POLICIES as PACKING_POLICIES
 from .pipeline import PLAN_POLICIES
 from .sharding import EncoderSpec, ParallelLayout, build_units
 from .workload import (
+    LengthDistribution,
     LogNormalLength,
     Modality,
     SyntheticTraceSpec,
@@ -53,9 +56,11 @@ class ExperimentConfig:
     layouts: tuple[ParallelLayout, ...]
     packing_policies: tuple[str, ...]
     plan_policies: tuple[str, ...]
+    router: RouterConfig
+    logits: GaussianLogitSource  # its generator is drawn from by the route run only
     output_dir: Path
     # every value read, defaults included, as written to config.resolved; what
-    # has no field above (the names, the seeds, router, memsim) is read from it
+    # has no field above (the names, the seeds, the router's sizes, memsim) is read from it
     resolved: dict
 
     def load_workload(self) -> WorkloadTrace:
@@ -86,21 +91,42 @@ class _Mapping:
         self.path = path
         self.record: dict = {}
 
+    def _key(self, name: Any) -> str:
+        return f"{self.path}.{name}" if self.path else str(name)
+
     def read(self, name: str, check: Check, default: Any = _REQUIRED) -> Any:
         """The checked value of key ``name``, or of ``default`` when absent."""
-        key = f"{self.path}.{name}" if self.path else name
         value = self.doc.get(name, default)
         if value is _REQUIRED:
-            raise ConfigError(f"{key} is required", key=key)
-        self.record[name] = check(value, key)
+            raise ConfigError(f"{self._key(name)} is required", key=self._key(name))
+        self.record[name] = check(value, self._key(name))
         return self.record[name]
+
+    def section(self, name: str, default: Any = _REQUIRED) -> "_Mapping":
+        """The mapping at key ``name`` (``default`` when absent), to be read.
+        Its record, recorded here at once, fills as it is read."""
+        child = self.read(name, _Mapping, default)
+        self.record[name] = child.record
+        return child
+
+    def build(self, make: Callable[..., Any], *args: Any, **renamed: str) -> Any:
+        """``make(*args)``, then ``close``: call it once every key is read. An
+        ``InvalidSpecError`` is a ``ConfigError`` at the key of its ``field``,
+        whose first name ``renamed`` maps from the library's to the key's."""
+        try:
+            made = make(*args)
+        except InvalidSpecError as exc:
+            head, dot, rest = exc.context.get("field", "").partition(".")
+            key = self._key(renamed.get(head, head) + dot + rest) if head else self.path
+            raise ConfigError(f"{key}: {exc.message}", key=key) from None
+        self.close()
+        return made
 
     def close(self) -> dict:
         """The record of what was read; a key nothing read is an error."""
         for name in self.doc:
             if name not in self.record:
-                key = f"{self.path}.{name}" if self.path else str(name)
-                raise ConfigError(f"unexpected key {key}", key=key)
+                raise ConfigError(f"unexpected key {self._key(name)}", key=self._key(name))
         return self.record
 
 
@@ -124,6 +150,7 @@ def _str(choices: Any = None) -> Check:
 
 
 _bool = _typed((bool,), "true or false")
+_integer = _typed((int,), "an integer")
 
 
 def _number(lo: float = -math.inf, strict: bool = False, finite: bool = True) -> Check:
@@ -177,46 +204,23 @@ def _layout(value: Any, key: str) -> str:
 _MODALITIES = [m.value for m in Modality]
 
 
-def _per_modality(check: Check, m: _Mapping) -> dict:
-    for name in _MODALITIES:
-        if name in m.doc:
-            m.read(name, check)
-    return m.close()
-
-
-def _length(m: _Mapping) -> dict:
+def _length(m: _Mapping) -> LengthDistribution:
     if m.read("kind", _str(("uniform", "lognormal"))) == "uniform":
-        # numpy draws int64 lengths
-        low = m.read("low", _typed((int,), "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63))
-        m.read("high", _typed((int,), f"an integer in [low ({low}), 2**63)", lambda v: low <= v < 2**63))
-    else:
-        m.read("mu", _number())
-        m.read("sigma", _number(0))
-        m.read("max_len", _int(1))
-    return m.close()
+        return m.build(UniformLength, m.read("low", _integer), m.read("high", _integer))
+    return m.build(LogNormalLength, m.read("mu", _number()), m.read("sigma", _number()), m.read("max_len", _integer))
 
 
-def _synthetic(m: _Mapping, seed: int) -> dict:
+def _synthetic(m: _Mapping, seed: int) -> SyntheticTraceSpec:
     m.read("name", _str(), "synthetic")
-    m.read("sample_count", _int(1))
-    m.read("seed", _int(0), seed)
-    mixture = m.read("mixture", _mapping(partial(_per_modality, _number(0))))
-    if not 0 < sum(mixture.values()) < math.inf:
-        _fail(f"{m.path}.mixture", "weights with a positive finite sum", mixture)
-    lengths = m.read("lengths", _mapping(partial(_per_modality, _mapping(_length))))
-    for name, weight in mixture.items():
-        if weight > 0 and name not in lengths:
-            key = f"{m.path}.lengths.{name}"
-            raise ConfigError(f"{key} is required", key=key)
-    return m.close()
-
-
-def _trace(m: _Mapping, seed: int) -> dict:
-    if "path" in m.doc:
-        m.read("path", _path)
-    else:
-        m.read("synthetic", _mapping(partial(_synthetic, seed=seed)))
-    return m.close()
+    count = m.read("sample_count", _integer)
+    seed = m.read("seed", _int(0), seed)
+    mixture = m.section("mixture")
+    weights = {Modality(k): mixture.read(k, _number()) for k in _MODALITIES if k in mixture.doc}
+    mixture.close()
+    lengths = m.section("lengths")
+    dists = {Modality(k): _length(lengths.section(k)) for k in _MODALITIES if k in lengths.doc}
+    lengths.close()
+    return m.build(SyntheticTraceSpec, weights, dists, count, seed, weights="mixture")
 
 
 def _encoder(m: _Mapping) -> dict:
@@ -254,27 +258,26 @@ def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[flo
     return _cost_objects(_cost_model(str(path), "cost_model"))
 
 
-def _router(m: _Mapping, seed: int) -> dict:
+def _router(m: _Mapping, seed: int) -> tuple[RouterConfig, GaussianLogitSource]:
     # a step draws a (tokens_per_step, num_experts) float64 array and a run
     # holds (steps, num_experts) ones, which numpy can shape only below 2**63
     # bytes; every size is bounded before any is used
     size = "with {} * num_experts * 8 < 2**63"
-    experts = m.read("num_experts", _typed((int,), "an integer >= 2 " + size.format("tokens_per_step"),
-                                           lambda v: 2 <= v < 2**60), 8)
-    top_k = m.read("top_k", _int(1), 2)
-    m.read("aux_coefficient", _number(0), 0.01)
-    m.read("bias_step", _number(0), 0.01)
+    experts = m.read("num_experts", _typed((int,), "an integer " + size.format("tokens_per_step"),
+                                           lambda v: v < 2**60), 8)
+    top_k = m.read("top_k", _integer, 2)
+    aux, bias = m.read("aux_coefficient", _number(), 0.01), m.read("bias_step", _number(), 0.01)
     for name, default in (("tokens_per_step", 4096), ("steps", 200)):
         fits = _typed((int,), "an integer >= 1 " + size.format(name), lambda v: 1 <= v and v * experts * 8 < 2**63)
         m.read(name, fits, default)
-    offsets = m.read("mean_offsets", _list(_number()), [1.0] + [0.0] * (experts - 1))
+    # RouterConfig rejects a num_experts < 2 (max() only keeps a huge negative
+    # one from overflowing the list repeat) before the offsets' length is checked
+    offsets = m.read("mean_offsets", _list(_number()), [1.0] + [0.0] * max(experts - 1, 0))
+    std, seed = m.read("logit_std", _number(), 1.0), m.read("seed", _int(0), seed)
+    router = m.build(RouterConfig, experts, top_k, aux, bias)
     if len(offsets) != experts:
         _fail(f"{m.path}.mean_offsets", f"a list of {experts} numbers, one per expert", offsets)
-    if top_k >= experts:
-        _fail(f"{m.path}.top_k", f"an integer < num_experts ({experts})", top_k)
-    m.read("logit_std", _number(0, strict=True), 1.0)
-    m.read("seed", _int(0), seed)
-    return m.close()
+    return router, m.build(GaussianLogitSource, offsets, seed, std, std="logit_std")
 
 
 def _memsim(m: _Mapping) -> dict:
@@ -315,7 +318,14 @@ def build_config(doc: dict) -> ExperimentConfig:
     r = _Mapping(doc, "")
     seed = r.read("seed", _int(0), _env_seed())
     r.read("name", _str(), "experiment")
-    trace = r.read("trace", _mapping(partial(_trace, seed=seed))) if "trace" in r.doc else {}
+    trace_path = synthetic = None
+    if "trace" in r.doc:  # a trace file, or a synthetic spec
+        trace = r.section("trace")
+        if "path" in trace.doc:
+            trace_path = Path(trace.read("path", _path))
+        else:
+            synthetic = _synthetic(trace.section("synthetic"), seed)
+        trace.close()
     r.read("capacity", _typed((int,), "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63), 4096)
     r.read("backward_ratio", _number(0, strict=True), 2.0)
     r.read("comm_latency", _number(0), 0.0)
@@ -324,29 +334,14 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True, unique=True),
            ["padded", "stream", "ffd"])
     r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True, unique=True), ["naive", "balanced"])
-    r.read("router", _mapping(partial(_router, seed=seed)), {})
+    router, logits = _router(r.section("router", {}), seed)
     r.read("memsim", _mapping(_memsim), {})
     r.read("output_dir", _str(), "runs/out")
     resolved = r.close()
     output_dir = Path(resolved.pop("output_dir"))  # --out may override it: not recorded
-
-    synthetic = None
-    if "synthetic" in trace:
-        spec = trace["synthetic"]
-        synthetic = SyntheticTraceSpec(
-            weights={Modality(m): w for m, w in spec["mixture"].items()},
-            lengths={
-                Modality(m): UniformLength(d["low"], d["high"])
-                if d["kind"] == "uniform"
-                else LogNormalLength(d["mu"], d["sigma"], d["max_len"])
-                for m, d in spec["lengths"].items()
-            },
-            sample_count=spec["sample_count"],
-            seed=spec["seed"],
-        )
     encoders, layers = _cost_objects(cost)
     return ExperimentConfig(
-        trace_path=Path(trace["path"]) if "path" in trace else None,
+        trace_path=trace_path,
         synthetic=synthetic,
         capacity=resolved["capacity"],
         backward_ratio=resolved["backward_ratio"],
@@ -356,6 +351,8 @@ def build_config(doc: dict) -> ExperimentConfig:
         layouts=tuple(ParallelLayout.parse(label) for label in resolved["layouts"]),
         packing_policies=tuple(resolved["packing_policies"]),
         plan_policies=tuple(resolved["plan_policies"]),
+        router=router,
+        logits=logits,
         output_dir=output_dir,
         resolved=resolved,
     )

@@ -45,15 +45,16 @@ class RouterConfig:
 
     def __post_init__(self):
         if self.num_experts < 2:
-            raise InvalidSpecError(f"num_experts must be >= 2, got {self.num_experts}")
+            raise InvalidSpecError(f"num_experts must be >= 2, got {self.num_experts}", field="num_experts")
         if not (1 <= self.top_k < self.num_experts):
             raise InvalidSpecError(
-                f"top_k must satisfy 1 <= k < num_experts, got k={self.top_k}, E={self.num_experts}"
+                f"top_k must satisfy 1 <= k < num_experts, got k={self.top_k}, E={self.num_experts}", field="top_k"
             )
         if not 0 <= self.aux_coefficient < np.inf:
-            raise InvalidSpecError("aux_coefficient must be finite and >= 0")
+            raise InvalidSpecError(f"aux_coefficient must be finite and >= 0, got {self.aux_coefficient}",
+                                   field="aux_coefficient")
         if not 0 <= self.bias_step < np.inf:
-            raise InvalidSpecError("bias_step must be finite and >= 0")
+            raise InvalidSpecError(f"bias_step must be finite and >= 0, got {self.bias_step}", field="bias_step")
 
 
 def _topk_mask(adjusted: np.ndarray, k: int, part: np.ndarray | None = None,
@@ -156,19 +157,20 @@ class GaussianLogitSource:
     """Seeded stream of per-token logit vectors: N(offset_i, std^2) per expert.
 
     The fixed mean-offset vector models persistent expert preference, the
-    skew the balancer has to correct.
+    skew the balancer has to correct. Each draw continues the seeded stream,
+    so only the one ``route`` run of the config that built a source draws from
+    it. The generator is made at the first draw: building imports no numpy.random.
     """
 
     def __init__(self, mean_offsets: Sequence[float] | np.ndarray, seed: int, std: float = 1.0):
         self.mean_offsets = np.asarray(mean_offsets, dtype=float)
-        if self.mean_offsets.ndim != 1:
-            raise InvalidSpecError("mean_offsets must be a vector")
-        if not np.all(np.isfinite(self.mean_offsets)):
-            raise InvalidSpecError("mean_offsets must be finite")
+        if self.mean_offsets.ndim != 1 or not np.all(np.isfinite(self.mean_offsets)):
+            raise InvalidSpecError("mean_offsets must be a vector of finite numbers", field="mean_offsets")
         if not 0 < std < np.inf:
-            raise InvalidSpecError(f"std must be finite and > 0, got {std}")
+            raise InvalidSpecError(f"std must be finite and > 0, got {std}", field="std")
         self.std = std
-        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._seed = seed
+        self._rng = None
 
     @property
     def num_experts(self) -> int:
@@ -187,6 +189,8 @@ class GaussianLogitSource:
 
     def _fill(self, out: np.ndarray) -> np.ndarray:
         """``draw`` into ``out`` without the shape check."""
+        if self._rng is None:
+            self._rng = np.random.Generator(np.random.PCG64(self._seed))
         self._rng.standard_normal(out=out)
         out *= self.std
         out += self.mean_offsets

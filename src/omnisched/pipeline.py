@@ -29,6 +29,7 @@ so a run that only reads the summary never pays for them.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from collections.abc import Sequence
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
 from .packing import Packing, pack
-from .sharding import EncoderSpec, ParallelLayout, StagePlan, naive_plan, plan_balanced_stages, plan_imbalance
+from .sharding import (EncoderSpec, ParallelLayout, StagePlan, left_sum, naive_plan, plan_balanced_stages,
+                       plan_imbalance)
 from .workload import WorkloadTrace
 
 
@@ -209,13 +211,13 @@ def simulate_1f1b(
     if not (grid_time < math.inf and throughput < math.inf):
         raise InvalidSpecError(f"the schedule leaves the float range: makespan {makespan!r} "
                                f"on {pp} stages, throughput {throughput!r}")
-    busy = tuple(sum([end - start for start, end in zip(st, en)]) for st, en in zip(starts, ends))
+    busy = tuple(left_sum(map(operator.sub, en, st)) for st, en in zip(starts, ends))
     ideal = max(busy)
     return ScheduleResult(
         makespan=makespan,
         ideal_time=ideal,
         bubble_fraction=1.0 - ideal / makespan,
-        idle_fraction=1.0 - sum(busy) / grid_time,
+        idle_fraction=1.0 - left_sum(busy) / grid_time,
         throughput=throughput,
         stage_busy=busy,
         op_starts=starts,

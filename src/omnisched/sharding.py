@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -78,6 +78,15 @@ class ParallelLayout:
         return f"{self.dp}x{self.pp}x{self.tp}"
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` adds floats before
+    Python 3.12, whose compensated ``sum`` would change the output bytes."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float], tp: int) -> list[float]:
     """The unit cost column in unit order, tp-divisible costs divided by ``tp``.
     A non-empty column must have a finite sum > 0, so every stage cost and plan
@@ -91,7 +100,7 @@ def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float
         if not 0 < c < math.inf:
             raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0")
         costs.append(float(c) / tp)
-    total = sum(costs)
+    total = left_sum(costs)
     if costs and not 0 < total < math.inf:
         raise InvalidSpecError(f"unit costs at tp={tp} must have a finite sum > 0, got {total!r}")
     return costs
@@ -128,7 +137,7 @@ def _assemble_plan(costs: list[float], layout: ParallelLayout, cuts: list[int]) 
     starts = [0] + cuts[:-1]
     return StagePlan(
         layout=layout,
-        stage_cost=tuple(sum(costs[a:b]) for a, b in zip(starts, cuts)),
+        stage_cost=tuple(left_sum(costs[a:b]) for a, b in zip(starts, cuts)),
         boundaries=tuple(cuts),
     )
 
@@ -213,5 +222,5 @@ def naive_plan(
 def plan_imbalance(plan: StagePlan) -> float:
     """max stage cost / mean stage cost; 1.0 iff perfectly balanced."""
     costs = plan.stage_cost
-    return max(costs) / (sum(costs) / len(costs))
+    return max(costs) / (left_sum(costs) / len(costs))
 

@@ -83,10 +83,10 @@ class UniformLength:
     high: int
 
     def __post_init__(self):
-        if not (1 <= self.low <= self.high < 2**63):  # numpy draws int64
-            raise InvalidSpecError(
-                f"uniform bounds must satisfy 1 <= low <= high < 2**63, got [{self.low}, {self.high}]"
-            )
+        if not 1 <= self.low < 2**63:  # numpy draws int64
+            raise InvalidSpecError(f"low must be in [1, 2**63), got {self.low}", field="low")
+        if not self.low <= self.high < 2**63:
+            raise InvalidSpecError(f"high must be in [low, 2**63), got [{self.low}, {self.high}]", field="high")
 
     def draw(self, rng: np.random.Generator) -> int:
         return int(rng.integers(self.low, self.high + 1))
@@ -102,11 +102,11 @@ class LogNormalLength:
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
-            raise InvalidSpecError(f"mu must be finite, got {self.mu}")
+            raise InvalidSpecError(f"mu must be finite, got {self.mu}", field="mu")
         if not 0 <= self.sigma < math.inf:
-            raise InvalidSpecError(f"sigma must be finite and >= 0, got {self.sigma}")
+            raise InvalidSpecError(f"sigma must be finite and >= 0, got {self.sigma}", field="sigma")
         if self.max_len < 1:
-            raise InvalidSpecError(f"max_len must be >= 1, got {self.max_len}")
+            raise InvalidSpecError(f"max_len must be >= 1, got {self.max_len}", field="max_len")
 
     def draw(self, rng: np.random.Generator) -> int:
         # exp overflows a float past about 709.78; any draw there is clamped anyway
@@ -133,19 +133,20 @@ class SyntheticTraceSpec:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise InvalidSpecError(f"sample_count must be >= 1, got {self.sample_count}")
+            raise InvalidSpecError(f"sample_count must be >= 1, got {self.sample_count}", field="sample_count")
         if not self.weights:
-            raise InvalidSpecError("mixture weights must not be empty")
+            raise InvalidSpecError("weights must not be empty", field="weights")
         total = 0.0
         for m, w in self.weights.items():
             if not 0 <= w < math.inf:
-                raise InvalidSpecError(f"mixture weight for {m.value} must be finite and >= 0: {w}")
+                raise InvalidSpecError(f"weight of {m.value} must be finite and >= 0, got {w}",
+                                       field=f"weights.{m.value}")
             total += w
         if not 0 < total < math.inf:
-            raise InvalidSpecError("mixture weights must sum to a positive finite value")
+            raise InvalidSpecError(f"weights must sum to a positive finite value, got {total}", field="weights")
         for m, w in self.weights.items():
             if w > 0 and m not in self.lengths:
-                raise InvalidSpecError(f"no length distribution for modality {m.value}")
+                raise InvalidSpecError(f"no length distribution for modality {m.value}", field=f"lengths.{m.value}")
 
 
 def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:

@@ -1,7 +1,10 @@
+import builtins
 import csv
 import errno
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,6 +291,19 @@ def test_router_too_big_for_memory_is_a_domain_error(tokens, steps, tmp_path, ca
     assert not out.exists()
 
 
+def test_default_offsets_too_big_for_memory_is_a_domain_error(tmp_path, capsys):
+    # The sizes pass every bound (1 * 2**59 * 8 < 2**63), but the config's
+    # default mean_offsets, a list of 2**59 floats, asks for 2**62 bytes at
+    # once. The config is read inside the run, so this is not a traceback.
+    out = tmp_path / "out"
+    argv = ["route", "--experts", str(2**59), "--top-k", "1", "--tokens", "1", "--steps", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("out-of-memory", {"command": "route"})
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,policies", [
     ("packing_policies", ["padded", "stream"]),
     ("plan_policies", ["naive"]),
@@ -500,6 +516,53 @@ def test_run_directory_bytes(command, trace_file, cost_model_file, tmp_path, mon
     monkeypatch.delenv("OMNISCHED_SEED", raising=False)
     golden = json.loads((Path(__file__).parent / "data" / "run_digests.json").read_text())
     assert run_digests(command, tmp_path) == golden[command]
+
+
+def sum_python312(iterable, /, start=0):
+    """A port of CPython 3.12's ``builtin_sum_impl``: ints add exactly; once
+    the sum is a float, float items add with Neumaier's compensation, which
+    3.10 and 3.11 do not apply, and ints as C longs; any other item falls back
+    to ``+`` for the rest."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - t) + item
+                else:
+                    compensation += (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                result = total + item
+                break
+        else:
+            return total + compensation if compensation and math.isfinite(compensation) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ARGVS))
+def test_run_directory_bytes_under_python_312_sum(command, trace_file, cost_model_file, tmp_path, monkeypatch):
+    # Python 3.12's sum() compensates float rounding; the pinned bytes must
+    # not depend on it. The port is checked first: ten 0.1s add to 1.0
+    # under it, and one ulp short of 1.0 left to right.
+    expected = 1.0 if sys.version_info >= (3, 12) else 0.9999999999999999
+    assert (sum_python312([0.1] * 10), sum([0.1] * 10)) == (1.0, expected)
+    monkeypatch.setattr(builtins, "sum", sum_python312)
+    test_run_directory_bytes(command, trace_file, cost_model_file, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["config.resolved", "packing.csv"])

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import shutil
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnisched import cli
+from omnisched.errors import InvalidSpecError
+from omnisched.moe import GaussianLogitSource, RouterConfig
+from omnisched.workload import LogNormalLength, Modality, SyntheticTraceSpec, UniformLength
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,6 +165,22 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
      "trace.synthetic.mixture"),
     ("trace: {synthetic: {sample_count: 8, mixture: {text: 1},"
      " lengths: {image: {kind: uniform, low: 1, high: 4}}}}", "trace.synthetic.lengths.text"),
+    # ranges the library constructors check, re-keyed by the config reader
+    ("router: {num_experts: 0}", "router.num_experts"),
+    ("router: {num_experts: 1}", "router.num_experts"),
+    ("router: {num_experts: -1180591620717411303424}", "router.num_experts"),
+    ("router: {top_k: 0}", "router.top_k"),
+    ("router: {aux_coefficient: -1}", "router.aux_coefficient"),
+    ("router: {bias_step: -0.5}", "router.bias_step"),
+    ("router: {logit_std: 0}", "router.logit_std"),
+    ("trace: {synthetic: {sample_count: 0, mixture: {text: 1},"
+     " lengths: {text: {kind: uniform, low: 1, high: 4}}}}", "trace.synthetic.sample_count"),
+    (SYNTHETIC % ("-1", "{kind: uniform, low: 1, high: 4}"), "trace.synthetic.mixture.text"),
+    (SYNTHETIC % ("1", "{kind: uniform, low: 0, high: 4}"), "trace.synthetic.lengths.text.low"),
+    (SYNTHETIC % ("1", "{kind: lognormal, mu: 0, sigma: -1, max_len: 8}"),
+     "trace.synthetic.lengths.text.sigma"),
+    (SYNTHETIC % ("1", "{kind: lognormal, mu: 0, sigma: 1, max_len: 0}"),
+     "trace.synthetic.lengths.text.max_len"),
 ])
 def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     (tmp_path / "cfg.yaml").write_text(text + "\n")
@@ -169,6 +189,51 @@ def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert (err["kind"], err["context"]["key"]) == ("invalid-config", key)
     assert not out.exists()
+
+
+def test_range_error_is_reported_in_the_config_words(tmp_path, capsys):
+    # the library says std where the config says logit_std
+    (tmp_path / "cfg.yaml").write_text("router: {logit_std: 0}\n")
+    assert cli.main(["route", "--config", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "router.logit_std: std must be finite and > 0, got 0.0"
+
+
+UNIFORM = UniformLength(1, 4)
+
+
+# Each range rule of the objects the config reader builds names the field it
+# rejects, in the library's own names; the reader re-keys it.
+@pytest.mark.parametrize("make,field", [
+    (partial(RouterConfig, 1, 1), "num_experts"),
+    (partial(RouterConfig, 8, 0), "top_k"),
+    (partial(RouterConfig, 8, 8), "top_k"),
+    (partial(RouterConfig, 8, 2, aux_coefficient=-1.0), "aux_coefficient"),
+    (partial(RouterConfig, 8, 2, aux_coefficient=math.inf), "aux_coefficient"),
+    (partial(RouterConfig, 8, 2, bias_step=-0.5), "bias_step"),
+    (partial(GaussianLogitSource, [[0.0, 1.0]], 0), "mean_offsets"),
+    (partial(GaussianLogitSource, [0.0, math.nan], 0), "mean_offsets"),
+    (partial(GaussianLogitSource, [0.0, 1.0], 0, std=0.0), "std"),
+    (partial(UniformLength, 0, 4), "low"),
+    (partial(UniformLength, 2**63, 2**63), "low"),
+    (partial(UniformLength, 5, 2), "high"),
+    (partial(UniformLength, 1, 2**63), "high"),
+    (partial(LogNormalLength, math.nan, 1.0, 8), "mu"),
+    (partial(LogNormalLength, 0.0, -1.0, 8), "sigma"),
+    (partial(LogNormalLength, 0.0, math.inf, 8), "sigma"),
+    (partial(LogNormalLength, 0.0, 1.0, 0), "max_len"),
+    (partial(SyntheticTraceSpec, {Modality.TEXT: 1.0}, {Modality.TEXT: UNIFORM}, 0, 0), "sample_count"),
+    (partial(SyntheticTraceSpec, {}, {}, 8, 0), "weights"),
+    (partial(SyntheticTraceSpec, {Modality.TEXT: -1.0}, {Modality.TEXT: UNIFORM}, 8, 0), "weights.text"),
+    (partial(SyntheticTraceSpec, {Modality.TEXT: 0.0}, {Modality.TEXT: UNIFORM}, 8, 0), "weights"),
+    (partial(SyntheticTraceSpec, {Modality.TEXT: 1e308, Modality.IMAGE: 1e308},
+             {Modality.TEXT: UNIFORM, Modality.IMAGE: UNIFORM}, 8, 0), "weights"),
+    (partial(SyntheticTraceSpec, {Modality.TEXT: 1.0, Modality.AUDIO: 0.0}, {}, 8, 0), "lengths.text"),
+])
+def test_constructor_range_error_names_its_field(make, field):
+    with pytest.raises(InvalidSpecError) as exc:
+        make()
+    assert exc.value.context["field"] == field
 
 
 def test_cost_model_file_is_read_like_an_inline_one(tmp_path, capsys):
