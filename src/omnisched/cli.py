@@ -8,6 +8,10 @@ CSV/JSON files and ``summary.json`` written, into a temporary directory in the
 run directory's nearest existing ancestor, and moved into the run directory
 once every write has succeeded. A failed run creates no directory and leaves
 no new or changed file.
+``simulate``'s timeline CSVs are formatted and written by forked worker
+processes, one per usable CPU up to one per file, when that makes two or more,
+``fork`` exists and the run is the process's only thread; else the process
+writes them itself. Every worker has exited before the run returns or fails.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
@@ -27,7 +31,9 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -92,12 +98,12 @@ def _writing(path: Path, what: str = "write"):
         raise OutputError(f"cannot {what} {path}: {exc.strerror or exc}", path=str(path)) from None
 
 
-def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
-    """Write config.resolved and ``files`` (see ``_run``) into a temporary
-    directory in the nearest existing ancestor of ``out``, then create ``out``
-    and its missing parents and move the files into it. Nothing is created or
-    moved until every file is written and no target name has a directory in
-    the way, so a failed write leaves the filesystem as it was."""
+def _write_run(config: ExperimentConfig, out: Path, files: list, timelines: Sequence = ()) -> None:
+    """Write config.resolved, ``files`` and ``timelines`` (see ``_run``) into a
+    temporary directory in the nearest existing ancestor of ``out``, then
+    create ``out`` and its missing parents and move the files into it. Nothing
+    is created or moved until every file is written and no target name has a
+    directory in the way, so a failed write leaves the filesystem as it was."""
     with _writing(out, "create output directory"):
         anchor = next((p for p in out.parents if p.exists()), out.parent)
         stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
@@ -110,7 +116,8 @@ def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
                 if fields is None:
                     _write_json(stage / name, rows)
                 else:
-                    _write_csv(stage / name, fields, rows() if callable(rows) else rows)
+                    _write_csv(stage / name, fields, rows)
+        _write_timelines(stage, out, timelines)
         with _writing(out, "create output directory"):
             out.mkdir(parents=True, exist_ok=True)
         names = sorted(os.listdir(stage))
@@ -122,6 +129,70 @@ def _write_run(config: ExperimentConfig, out: Path, files: list) -> None:
                 os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+_TIMELINE_FIELDS = ["stage", "kind", "start", "end", "microbatch"]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> Optional[OSError]:
+    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or
+    this one. A failed write is returned, not raised."""
+    try:
+        _write_csv(path, fields, schedule.timeline_rows())
+    except OSError as exc:
+        return exc
+    return None
+
+
+def _write_timelines(stage: Path, out: Path, timelines: list) -> None:
+    """Write each (name, schedule) timeline into ``stage``: on forked worker
+    processes, one per usable CPU up to one per file, when that makes two or
+    more, ``fork`` exists and this is the process's only thread; else here, in
+    order. The first failure in file order is raised for its ``out`` path,
+    after every worker has exited."""
+    names = [name for name, _ in timelines]
+    args = ([stage / name for name in names], repeat(_TIMELINE_FIELDS), [s for _, s in timelines])
+    workers = min(_usable_cpus(), len(names))
+    # fork, not spawn: a spawned worker is a fresh interpreter that imports
+    # numpy and omnisched, about as long as its share of the work. Forking is
+    # unsafe while other threads run, hence the thread count. When a worker
+    # dies the executor raises BrokenProcessPool; multiprocessing.Pool.map
+    # would wait forever.
+    context = None
+    if workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+    if context is None:
+        return _raise_first(out, names, map(_write_timeline, *args))
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        _raise_first(out, names, pool.map(_write_timeline, *args))
+    except BrokenProcessPool:
+        raise OutputError(f"cannot write the timelines in {out}: a worker process died",
+                          path=str(out)) from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _raise_first(out: Path, names: list[str], errors) -> None:
+    """Raise the first of ``errors`` (one per name, ``None`` for a written
+    file) as the ``output`` error for ``out / name``."""
+    for name, error in zip(names, errors):
+        if error is not None:
+            with _writing(out / name):
+                raise error
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:
@@ -163,7 +234,7 @@ def _mem_rows(config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
     ]
 
 
-def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     trace = config.load_workload()
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
     rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
@@ -173,10 +244,10 @@ def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
         "capacity": config.capacity,
         "reports": rows,
     }
-    return summary, [("packing.csv", REPORT_CSV_FIELDS, rows)]
+    return summary, [("packing.csv", REPORT_CSV_FIELDS, rows)], []
 
 
-def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     _need_cost_model(config, "plan")
     labels = unit_labels(config.encoders, config.llm_layer_costs)
     plans = {}
@@ -197,10 +268,10 @@ def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
             for label, doc in plans.items()
         },
     }
-    return summary, [("plan.json", None, plans)]
+    return summary, [("plan.json", None, plans)], []
 
 
-def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
     rows, schedules = _comparison(config, trace)
@@ -215,16 +286,13 @@ def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
         },
         "cells": rows,
     }
-    files = [("comparison.csv", COMPARISON_CSV_FIELDS, rows)]
-    fields = ["stage", "kind", "start", "end", "microbatch"]
     # timeline lines are formatted per cell as they are written
-    for row, schedule in zip(rows, schedules):
-        name = f"timeline_{row['layout']}_{row['packing_policy']}_{row['plan_policy']}.csv"
-        files.append((name, fields, schedule.timeline_rows))
-    return summary, files
+    timelines = [(f"timeline_{row['layout']}_{row['packing_policy']}_{row['plan_policy']}.csv", schedule)
+                 for row, schedule in zip(rows, schedules)]
+    return summary, [("comparison.csv", COMPARISON_CSV_FIELDS, rows)], timelines
 
 
-def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     scenario = config.resolved["router"]
     router = config.router
     run = moe_mod.simulate_routing(router, config.logits, scenario["tokens_per_step"], scenario["steps"])
@@ -239,15 +307,15 @@ def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, li
         "aux_first": float(run["aux_loss"][0]),
         "aux_last": float(run["aux_loss"][-1]),
     }
-    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(run))]
+    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(run))], []
 
 
-def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     rows = _mem_rows(config, config.load_workload())
-    return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)]
+    return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)], []
 
 
-def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list]:
+def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     """The scenario end to end, and its baseline-vs-optimized contrast."""
     missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
     missing += [p for p in ("naive", "balanced") if p not in config.plan_policies]
@@ -298,28 +366,30 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
         ("packing.csv", REPORT_CSV_FIELDS, pack_rows),
         ("comparison.csv", COMPARISON_CSV_FIELDS, rows),
         ("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows),
-    ]
+    ], []
 
 
-# Each command maps (config, args) to (summary, files) and writes nothing.
+# Each command maps (config, args) to (summary, files, timelines) and writes nothing.
 _COMMANDS = {"pack": _pack, "plan": _plan, "simulate": _simulate, "route": _route, "mem": _mem,
              "reproduce": _reproduce}
 
 
 def _run(args: argparse.Namespace) -> dict:
     """Resolve the config and compute the command's results; only then write
-    the run directory: config.resolved, the command's files in order, and
-    summary.json. Returns the summary.
+    the run directory: config.resolved, the command's files in order,
+    summary.json and the command's timelines. Returns the summary.
 
-    A file is (name, CSV fields or None for JSON, rows or the JSON object); rows
-    may also be a function that returns them, called when the file is written."""
+    A file is (name, CSV fields or None for JSON, rows or the JSON object); a
+    timeline is (name, ScheduleResult), whose lines are formatted as it is
+    written. A ``MemoryError`` in any of this is the ``out-of-memory`` error."""
     try:
         config = _config_from_args(args)
-        summary, files = _COMMANDS[args.command](config, args)
+        summary, files, timelines = _COMMANDS[args.command](config, args)
+        out = Path(args.out) if args.out else config.output_dir
+        _write_run(config, out, files + [("summary.json", None, summary)], timelines)
     except MemoryError as exc:
-        raise OutOfMemoryError(f"{args.command} does not fit in memory: {exc}", command=args.command) from None
-    out = Path(args.out) if args.out else config.output_dir
-    _write_run(config, out, files + [("summary.json", None, summary)])
+        detail = f": {exc}" if str(exc) else ""
+        raise OutOfMemoryError(f"{args.command} does not fit in memory{detail}", command=args.command) from None
     return summary
 
 

@@ -88,20 +88,29 @@ class ScheduleResult:
     def timeline_rows(self) -> list[str]:
         """The timeline CSV's data lines (stage, kind, start, end, microbatch),
         idle gaps included, each ending in ``"\\r\\n"``: the bytes ``csv.writer``
-        writes for those rows. Each op boundary is formatted once: an op's end
-        text is also the start of the idle row or op that follows it."""
+        writes for those rows. Each op end is formatted once: its text is also
+        the start of the idle row or op that follows it, and an op that waited
+        on another stage's op (with no comm latency, it starts at that op's
+        end) looks its start text up among the ends. Such a start is above the
+        stage's previous end, so it is never -0.0, and equal finite floats have
+        equal ``repr``."""
         pp = len(self.op_starts)
         m = len(self.op_starts[0]) // 2
         makespan = self.makespan
+        end_texts = [list(map(repr, ends)) for ends in self.op_ends]
+        texts: dict[float, str] = {}
+        for ends, stage_texts in zip(self.op_ends, end_texts):
+            texts.update(zip(ends, stage_texts))
+        text_of = texts.get
         rows: list[str] = []
         append = rows.append
-        for s, starts, ends in zip(range(pp), self.op_starts, self.op_ends):
+        for s, starts, ends, stage_texts in zip(range(pp), self.op_starts, self.op_ends, end_texts):
             cursor, cursor_text = 0.0, "0.0"
-            for op, start, end, end_text in zip(stage_op_order(pp, s, m), starts, ends, map(repr, ends)):
+            for op, start, end, end_text in zip(stage_op_order(pp, s, m), starts, ends, stage_texts):
                 if start == cursor:
                     start_text = cursor_text
                 else:
-                    start_text = repr(start)
+                    start_text = text_of(start) or repr(start)
                     if start > cursor:
                         append(f"{s},idle,{cursor_text},{start_text},\r\n")
                 if op >= 0:

@@ -41,3 +41,21 @@ def test_cli_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_route_and_reproduce_load_no_process_pool(tmp_path):
+    # only simulate's timelines go to worker processes, and it imports the
+    # pool when it writes them
+    src = Path(__file__).parent.parent / "src"
+    code = (
+        "import omnisched.cli as cli, sys\n"
+        "loaded = lambda: [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "assert cli.main(['route', '--experts', '4', '--top-k', '2', '--tokens', '8', '--steps', '2',"
+        " '--out', 'route']) == 0\n"
+        "assert cli.main(['reproduce', '--out', 'reproduce']) == 0\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         cwd=tmp_path, env={"PYTHONPATH": str(src)})
+    assert out.stdout.splitlines() == ["[]", "[]"]

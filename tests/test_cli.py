@@ -4,7 +4,10 @@ import errno
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -449,6 +452,7 @@ def test_csv_bytes_match_dict_writer(trace_file, cost_model_file, tmp_path, monk
         results.append(result)
         return timeline_rows(result)
 
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)  # the spies see no worker process's calls
     monkeypatch.setattr(cli, "_write_csv", spy)
     monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", timeline_spy)
     out = tmp_path / "out"
@@ -578,3 +582,152 @@ def test_output_file_that_is_a_directory_is_an_output_error(name, trace_file, tm
     assert doc["kind"] == "output"
     assert doc["context"]["path"] == str(out / name)
     assert sorted(tmp_path.rglob("*")) == before  # nothing written, no temporary directory left
+
+
+# Timeline files are written by forked worker processes when there are two or
+# more usable CPUs; ``_usable_cpus`` is patched to force the worker count.
+
+SIM_ARGV = ["simulate", "--config", "sim.yaml", "--trace", "trace.ndjson", "--capacity", "8",
+            "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1,2x2x2"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool started, in order."""
+    import concurrent.futures
+
+    sizes = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return sizes
+
+
+@pytest.fixture
+def sim_dir(trace_file, cost_model_file, tmp_path, monkeypatch):
+    """The working directory of ``SIM_ARGV``: trace.ndjson, cost.json, and a
+    sim.yaml whose comm_latency > 0 gives idle rows and non-integer times."""
+    (tmp_path / "sim.yaml").write_text(yaml.safe_dump({"comm_latency": 0.3, "backward_ratio": 1.7}))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def sim_run(monkeypatch, workers, out="out"):
+    """``simulate`` in ``sim_dir`` with ``workers`` usable CPUs."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    return main(SIM_ARGV + ["--out", out])
+
+
+def assert_nothing_left(directory, before, threads):
+    """No new path under ``directory``, no child process, no new thread."""
+    assert sorted(directory.rglob("*")) == before
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("comm", [0.3, 0.0])
+def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes):
+    schedules = []
+    comparison = cli._comparison
+
+    def comparison_spy(config, trace):
+        rows, results = comparison(config, trace)
+        schedules.extend(results)
+        return rows, results
+
+    monkeypatch.setattr(cli, "_comparison", comparison_spy)
+    (sim_dir / "sim.yaml").write_text(yaml.safe_dump({"comm_latency": comm, "backward_ratio": 1.7}))
+    threads = threading.active_count()
+    runs = {}
+    for workers in (1, 2, 3):
+        assert sim_run(monkeypatch, workers, out=f"out{workers}") == 0
+        runs[workers] = {p.name: p.read_bytes() for p in sorted((sim_dir / f"out{workers}").iterdir())}
+    assert pool_sizes == [2, 3]
+    assert len([name for name in runs[1] if name.startswith("timeline_")]) == 3 * 3 * 2
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+    # with no comm latency, an op that waited on another stage starts at that
+    # op's end: its start text is looked up among the formatted ends
+    looked_up = 0
+    for schedule in schedules[:18]:  # the one-worker run's cells
+        ends = {t for stage_ends in schedule.op_ends for t in stage_ends}
+        for starts, stage_ends in zip(schedule.op_starts, schedule.op_ends):
+            waited = [start for start, prev in zip(starts[1:], stage_ends) if start != prev]
+            looked_up += sum(start in ends for start in waited)
+        rows = timeline_rows_reference(schedule)
+        assert "".join(schedule.timeline_rows()) == "".join(
+            f"{s},{kind},{start!r},{end!r},{mb}\r\n" for s, kind, start, end, mb in rows)
+    assert (looked_up > 0) == (comm == 0.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_error_writing_timelines_is_out_of_memory(workers, sim_dir, monkeypatch, capsys, pool_sizes):
+    def no_memory(result):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", no_memory)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert sim_run(monkeypatch, workers) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("out-of-memory", {"command": "simulate"})
+    assert err["message"] == "simulate does not fit in memory"
+    assert pool_sizes == ([2] if workers == 2 else [])
+    assert_nothing_left(sim_dir, before, threads)
+
+
+def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch, capsys, pool_sizes):
+    write_csv = cli._write_csv
+
+    def full_disk_for_one(path, fields, rows):
+        if path.name == "timeline_1x4x1_stream_naive.csv":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, fields, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk_for_one)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    errors = []
+    for workers in (1, 2):
+        assert sim_run(monkeypatch, workers) == 2
+        line, = capsys.readouterr().err.splitlines()
+        errors.append(json.loads(line))
+        assert_nothing_left(sim_dir, before, threads)
+    assert pool_sizes == [2]
+    assert errors[0]["kind"] == "output"
+    assert errors[0]["context"]["path"] == str(Path("out") / "timeline_1x4x1_stream_naive.csv")
+    assert errors[1] == errors[0]
+
+
+def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_sizes):
+    parent = os.getpid()
+    timeline_rows = pipeline.ScheduleResult.timeline_rows
+
+    def die_in_worker(result):
+        if os.getpid() != parent:
+            os._exit(1)
+        return timeline_rows(result)
+
+    monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", die_in_worker)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert sim_run(monkeypatch, 2) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("output", {"path": "out"})
+    assert pool_sizes == [2]
+    assert_nothing_left(sim_dir, before, threads)
+
+
+def test_default_offsets_out_of_memory_message_ends_in_the_command(tmp_path, capsys):
+    # the failed list allocation raises a MemoryError with no text
+    out = tmp_path / "out"
+    argv = ["route", "--experts", "576460752303423488", "--top-k", "1", "--tokens", "1", "--steps", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"kind": "out-of-memory", "message": "route does not fit in memory",
+                   "context": {"command": "route"}}
+    assert not out.exists()
