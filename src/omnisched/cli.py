@@ -200,9 +200,11 @@ def _need_cost_model(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
 
 
-def _comparison(config: ExperimentConfig, trace: WorkloadTrace) -> tuple[list[dict], list[ScheduleResult]]:
+def _comparison(
+    config: ExperimentConfig, trace: WorkloadTrace, schedules: bool = True
+) -> tuple[list[dict], list[ScheduleResult]]:
     """Every (layout, packing, plan) cell of the config: its comparison rows
-    and schedules."""
+    and, if ``schedules``, its schedules."""
     return compare_configs(
         trace,
         config.capacity,
@@ -213,6 +215,7 @@ def _comparison(config: ExperimentConfig, trace: WorkloadTrace) -> tuple[list[di
         config.plan_policies,
         config.backward_ratio,
         config.comm_latency,
+        schedules=schedules,
     )
 
 
@@ -329,7 +332,7 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
     trace = config.load_workload()
 
     pack_rows = [pack(trace, config.capacity, name)[1].to_dict() for name in config.packing_policies]
-    rows = _comparison(config, trace)[0]  # the schedules' op arrays are freed here
+    rows = _comparison(config, trace, schedules=False)[0]
     mem_rows = _mem_rows(config, trace)
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 

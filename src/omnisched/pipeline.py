@@ -23,7 +23,12 @@ one stage.
 The simulator runs each op once, in a fixed tick order, into flat arrays of
 op start and end times per stage in ``ScheduleResult``; the timeline CSV
 lines are formatted from them only when a caller asks (``timeline_rows()``),
-so a run that only reads the summary never pays for them.
+so a run that only reads the summary never pays for them. Besides those
+arrays it keeps each stage's forward and backward finish times in a ring of
+``W`` slots, ``W`` the smallest power of two ``>= pp``: 1F1B has at most
+``pp`` microbatches in flight per stage, so its working set does not grow
+with the microbatch count. ``compare_configs`` keeps a cell's schedule past
+its row only for a caller that asks for it (one that writes timelines).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
 from .packing import Packing, pack
@@ -146,6 +152,15 @@ def simulate_1f1b(
     Each op's dependencies (the stage's previous op, F(s-1, i), F(s, i),
     B(s+1, i)) lie on earlier ticks whatever the costs, so none checks
     readiness; its start is the latest of their finish times by ``>`` tests.
+
+    The F and B finish times live in per-stage rings of ``W`` slots (``W``
+    the smallest power of two ``>= pp``), microbatch ``i`` in slot
+    ``i & (W - 1)``. That is enough: B(s, i), the last reader of F(s, i),
+    runs at tick ``2pp - 1 - s + 2i``, before F(s, i + W) overwrites the slot
+    at tick ``s + 2(i + W)`` (``W >= pp``, so that op is past warmup), and
+    B(s, i + W) overwrites B(s, i) at tick ``2pp - 1 - s + 2(i + W)``, after
+    its reader B(s - 1, i) at ``2pp - s + 2i``.
+
     Costs that take ``pp * makespan`` or the throughput out of the float range
     are an ``InvalidSpecError``, checked once after the walk.
     """
@@ -159,11 +174,12 @@ def simulate_1f1b(
     pp = plan.layout.pp
     m = len(microbatches)
     tokens = microbatches.tokens
-    f_end = [[0.0] * m for _ in range(pp)]
-    b_end = [[0.0] * m for _ in range(pp)]
+    mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
+    f_end = [[0.0] * (mask + 1) for _ in range(pp)]
+    b_end = [[0.0] * (mask + 1) for _ in range(pp)]
     starts = tuple(array("d") for _ in range(pp))
     ends = tuple(array("d") for _ in range(pp))
-    # per stage: index, cost, finish lists (own F and B, upstream F, downstream B), appenders, ends
+    # per stage: index, cost, finish rings (own F and B, upstream F, downstream B), appenders, ends
     stages = [
         (s, plan.stage_cost[s], f_end[s], b_end[s],
          f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None,
@@ -177,7 +193,7 @@ def simulate_1f1b(
             if i < m:
                 ready = en[-1] if i else 0.0
                 if prev_fe is not None:
-                    dep = prev_fe[i] + comm_latency
+                    dep = prev_fe[i] + comm_latency  # i < pp - s <= W: no wrap yet
                     if dep > ready:  # ready = max(ready, dep), bit for bit
                         ready = dep
                 fe[i] = free = ready + cost * tokens[i]
@@ -191,25 +207,27 @@ def simulate_1f1b(
             i = (t - s) >> 1
             if pp - s <= i < m:
                 ready = en[-1]
+                j = i & mask
                 if prev_fe is not None:
-                    dep = prev_fe[i] + comm_latency
+                    dep = prev_fe[j] + comm_latency
                     if dep > ready:
                         ready = dep
-                fe[i] = free = ready + cost * tokens[i]
+                fe[j] = free = ready + cost * tokens[i]
                 add_start(ready)
                 add_end(free)
         for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in backwards:
             i = (u + s) >> 1
             if 0 <= i < m:
                 ready = en[-1]
-                dep = fe[i]
+                j = i & mask
+                dep = fe[j]
                 if dep > ready:
                     ready = dep
                 if next_be is not None:
-                    dep = next_be[i] + comm_latency
+                    dep = next_be[j] + comm_latency
                     if dep > ready:
                         ready = dep
-                be[i] = free = ready + backward_ratio * (cost * tokens[i])
+                be[j] = free = ready + backward_ratio * (cost * tokens[i])
                 add_start(ready)
                 add_end(free)
 
@@ -265,6 +283,8 @@ def compare_configs(
     plan_policies: Sequence[str] = ("naive", "balanced"),
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
+    *,
+    schedules: bool = True,
 ) -> tuple[list[dict], list[ScheduleResult]]:
     """Run packing x planning x simulation over every cell and normalize each
     cell's throughput by the (padded, naive) baseline of the same layout.
@@ -273,6 +293,10 @@ def compare_configs(
     ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
     then packing policies, then plan policies, each as given. Per layout, the
     requested cells are simulated, then the baseline cell if not among them.
+
+    With ``schedules=False`` the schedule list is empty: each cell keeps only
+    the four numbers its row reads, and its ``ScheduleResult`` (with the op
+    arrays) is freed before the next cell is simulated.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -286,12 +310,14 @@ def compare_configs(
     packed = {name: pack(trace, capacity, name) for name in pack_names}
     microbatches = {name: microbatches_from_batches(batches) for name, (batches, _) in packed.items()}
 
+    keep = (lambda result: result) if schedules else _RowNumbers.of
     rows: list[dict] = []
-    schedules: list[ScheduleResult] = []
+    kept: list[ScheduleResult] = []
     for layout in layouts:
         plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
+        # without schedules, each cell's op arrays are freed here, before the next cell is simulated
         results = {
-            (pname, plname): simulate_1f1b(plans[plname], microbatches[pname], backward_ratio, comm_latency)
+            (pname, plname): keep(simulate_1f1b(plans[plname], microbatches[pname], backward_ratio, comm_latency))
             for pname, plname in cells
         }
         base_thr = results[BASELINE_CELL].throughput
@@ -313,5 +339,19 @@ def compare_configs(
                     "throughput": result.throughput,
                     "ratio_vs_baseline": result.throughput / base_thr,
                 })
-                schedules.append(result)
-    return rows, schedules
+                if schedules:
+                    kept.append(result)
+    return rows, kept
+
+
+class _RowNumbers(NamedTuple):
+    """What a ``comparison.csv`` row reads from a cell's schedule."""
+
+    makespan: float
+    bubble_fraction: float
+    idle_fraction: float
+    throughput: float
+
+    @classmethod
+    def of(cls, result: ScheduleResult) -> _RowNumbers:
+        return cls(result.makespan, result.bubble_fraction, result.idle_fraction, result.throughput)

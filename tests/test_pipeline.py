@@ -1,5 +1,8 @@
 import dataclasses
+import sys
 import tempfile
+import tracemalloc
+import weakref
 from array import array
 from pathlib import Path
 
@@ -187,6 +190,49 @@ class TestMatchesDictReference:
                 costs = rng.uniform(0.05, 3.0, size=pp).tolist()
                 tokens = rng.integers(1, 4097, size=m).tolist()
                 assert_matches_reference(costs, tokens, float(rng.uniform(0.5, 2.5)), 0.3)
+
+
+class TestDependencyRing:
+    """The F and B finish times live in per-stage rings of W slots, W the
+    smallest power of two >= pp; m far above W wraps each ring many times."""
+
+    @pytest.mark.parametrize("comm", [0.0, 0.45])
+    @pytest.mark.parametrize("pp", [1, 2, 4, 8, 16, 3, 5, 9, 17])
+    def test_wrapping_ring_matches_reference(self, pp, comm):
+        ring = 1 << (pp - 1).bit_length()
+        rng = np.random.default_rng(pp * 10 + int(comm > 0))
+        costs = rng.uniform(0.05, 3.0, size=pp).tolist()
+        tokens = rng.integers(1, 4097, size=6 * ring + 3).tolist()
+        assert_matches_reference(costs, tokens, 1.37, comm)
+
+    @pytest.mark.parametrize("comm", [0.0, 0.3])
+    def test_wrapping_ring_makespan_is_the_longest_path(self, comm):
+        # pp = 5 rounds up to a ring of 8 slots; 150 microbatches wrap it 18 times
+        rng = np.random.default_rng(5)
+        costs = rng.uniform(0.1, 5.0, size=5)
+        tokens = rng.integers(1, 50, size=150)
+        beta = 1.6
+        result = simulate_1f1b(plan_with_costs(costs), microbatches_of(tokens), backward_ratio=beta,
+                               comm_latency=comm)
+        fwd = [[c * t for t in tokens] for c in costs]
+        bwd = [[beta * f for f in row] for row in fwd]
+        assert result.makespan == onef1b_longest_path(5, fwd, bwd, comm)
+
+    def test_working_set_does_not_grow_with_m(self):
+        # peak traced bytes of one call, less the op arrays it returns: the
+        # dependency times take W slots per stage whatever m is
+        def working_set(m):
+            plan = plan_with_costs([1.0, 0.5, 2.0, 1.5])
+            mbs = microbatches_of(np.random.default_rng(m).integers(1, 4097, size=m))
+            tracemalloc.start()
+            try:
+                result = simulate_1f1b(plan, mbs, backward_ratio=1.7, comm_latency=0.3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(map(sys.getsizeof, result.op_starts + result.op_ends))
+
+        assert working_set(40_000) - working_set(20_000) < 256 * 1024
 
 
 class TestScheduleResult:
@@ -378,6 +424,52 @@ class TestCompareConfigs:
         # per layout, the one requested cell, then the baseline: not the 2 x 2
         # product of the requested and the baseline policies
         assert simulated == ["1x2x1", "1x2x1", "1x4x1", "1x4x1"]
+
+
+def simulate_spy(monkeypatch):
+    """Wrap ``pipeline.simulate_1f1b``: each call first records how many of
+    the earlier results are still alive, then keeps a weak reference to its
+    own."""
+    refs, alive = [], []
+    simulate = pipeline.simulate_1f1b
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        result = simulate(*args)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(pipeline, "simulate_1f1b", spy)
+    return refs, alive
+
+
+class TestCellsAlive:
+    def compare(self, **kwargs):
+        encoders, llm = cost_model()
+        return compare_configs(
+            small_trace(3), 32, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
+            packing_policies=("ffd", "stream"), plan_policies=("balanced",), **kwargs,
+        )
+
+    def test_without_schedules_one_cell_is_alive_at_a_time(self, monkeypatch):
+        _, alive = simulate_spy(monkeypatch)
+        rows, schedules = self.compare(schedules=False)
+        assert schedules == [] and len(rows) == 4
+        assert alive == [0] * 6  # 2 layouts x (2 cells + the baseline)
+
+    def test_schedules_are_kept_and_rows_unchanged(self, monkeypatch):
+        without, _ = self.compare(schedules=False)
+        refs, _ = simulate_spy(monkeypatch)
+        rows, schedules = self.compare()
+        assert rows == without
+        assert [row["throughput"] for row in rows] == [s.throughput for s in schedules]
+        # the requested cells' results are returned themselves, in cell order
+        assert [id(s) for s in schedules] == [id(ref()) for ref in refs if ref() is not None]
+
+    def test_reproduce_holds_one_cell_at_a_time(self, monkeypatch, tmp_path):
+        _, alive = simulate_spy(monkeypatch)
+        assert cli.main(["reproduce", "--out", str(tmp_path / "out")]) == 0
+        assert len(alive) > 1 and alive == [0] * len(alive)
 
 
 def test_microbatches_from_batches_padded_cost():
