@@ -141,14 +141,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> Optional[OSError]:
-    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or
-    this one. A failed write is returned, not raised."""
-    try:
-        _write_csv(path, fields, schedule.timeline_rows())
-    except OSError as exc:
-        return exc
-    return None
+def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> None:
+    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or this one."""
+    _write_csv(path, fields, schedule.timeline_rows())
 
 
 def _write_timelines(stage: Path, out: Path, timelines: list) -> None:
@@ -165,34 +160,28 @@ def _write_timelines(stage: Path, out: Path, timelines: list) -> None:
     # unsafe while other threads run, hence the thread count. When a worker
     # dies the executor raises BrokenProcessPool; multiprocessing.Pool.map
     # would wait forever.
-    context = None
+    pool, broken = None, ()  # broken: what a pool raises when a worker dies; () catches nothing
     if workers >= 2 and threading.active_count() == 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    if context is None:
-        return _raise_first(out, names, map(_write_timeline, *args))
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(workers, mp_context=context)
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            broken = BrokenProcessPool
     try:
-        _raise_first(out, names, pool.map(_write_timeline, *args))
-    except BrokenProcessPool:
+        # either map raises a file's error when its result is taken, in file order
+        written = map(_write_timeline, *args) if pool is None else pool.map(_write_timeline, *args)
+        for name in names:
+            with _writing(out / name):
+                next(written)
+    except broken:
         raise OutputError(f"cannot write the timelines in {out}: a worker process died",
                           path=str(out)) from None
     finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _raise_first(out: Path, names: list[str], errors) -> None:
-    """Raise the first of ``errors`` (one per name, ``None`` for a written
-    file) as the ``output`` error for ``out / name``."""
-    for name, error in zip(names, errors):
-        if error is not None:
-            with _writing(out / name):
-                raise error
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:

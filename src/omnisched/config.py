@@ -302,7 +302,7 @@ def _load_file(path: Union[str, Path], parse: Callable[[str], Any], what: str, *
         raise ConfigError(f"{what} file not found: {path}", path=str(path), **context)
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:  # also: bad JSON, UTF-8 or int, deep nesting
         raise ConfigError(f"{what} file is not valid: {exc}", path=str(path), **context) from None
 
 

@@ -176,19 +176,13 @@ class GaussianLogitSource:
     def num_experts(self) -> int:
         return self.mean_offsets.shape[0]
 
-    def draw(self, tokens: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``tokens`` logit vectors, written into ``out`` (a C-contiguous
-        float64 ``(tokens, num_experts)`` array) when it is given.
-        ``std * z + offset`` is what ``normal(0, std) + offset`` computes
-        from the same stream."""
-        if out is None:
-            out = np.empty((tokens, self.num_experts))
-        elif out.shape != (tokens, self.num_experts):
-            raise InvalidSpecError(f"out must have shape {(tokens, self.num_experts)}, got {out.shape}")
-        return self._fill(out)
+    def draw(self, tokens: int) -> np.ndarray:
+        """``tokens`` logit vectors. ``std * z + offset`` is what
+        ``normal(0, std) + offset`` computes from the same stream."""
+        return self._fill(np.empty((tokens, self.num_experts)))
 
     def _fill(self, out: np.ndarray) -> np.ndarray:
-        """``draw`` into ``out`` without the shape check."""
+        """``draw`` into ``out``, a C-contiguous float64 ``(tokens, num_experts)`` array."""
         if self._rng is None:
             self._rng = np.random.Generator(np.random.PCG64(self._seed))
         self._rng.standard_normal(out=out)

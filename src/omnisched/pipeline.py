@@ -20,15 +20,17 @@ busiest stage. ``idle_fraction`` additionally reports the idle share across
 the whole stage grid, which is the quantity that grows when work piles onto
 one stage.
 
-The simulator runs each op once, in a fixed tick order, into flat arrays of
-op start and end times per stage in ``ScheduleResult``; the timeline CSV
-lines are formatted from them only when a caller asks (``timeline_rows()``),
-so a run that only reads the summary never pays for them. Besides those
-arrays it keeps each stage's forward and backward finish times in a ring of
-``W`` slots, ``W`` the smallest power of two ``>= pp``: 1F1B has at most
-``pp`` microbatches in flight per stage, so its working set does not grow
-with the microbatch count. ``compare_configs`` keeps a cell's schedule past
-its row only for a caller that asks for it (one that writes timelines).
+The simulator runs each op once, in one tick order (forward ``i`` of stage
+``s`` at tick ``s + 2i``, backward ``i`` at ``2pp - 1 - s + 2i``), into flat
+arrays of op start and end times per stage in ``ScheduleResult``; the
+timeline CSV lines are formatted from them only when a caller asks
+(``timeline_rows()``), so a run that only reads the summary never pays for
+them. Besides those arrays it keeps each stage's forward and backward finish
+times in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
+1F1B has at most ``pp`` microbatches in flight per stage, so its working set
+does not grow with the microbatch count. ``compare_configs`` keeps a cell's
+schedule past its row only for a caller that asks for it (one that writes
+timelines).
 """
 
 from __future__ import annotations
@@ -147,19 +149,21 @@ def simulate_1f1b(
     comm_latency: float = 0.0,
 ) -> ScheduleResult:
     """Run each op once, in the tick order of the unit-cost schedule (F = B = 1,
-    no comm latency): forward ``i`` of stage ``s`` at tick ``s + i`` in warmup
-    (``i < pp - s``), else ``s + 2i``; backward ``i`` at ``2pp - 1 - s + 2i``.
-    Each op's dependencies (the stage's previous op, F(s-1, i), F(s, i),
-    B(s+1, i)) lie on earlier ticks whatever the costs, so none checks
-    readiness; its start is the latest of their finish times by ``>`` tests.
+    no comm latency): forward ``i`` of stage ``s`` at tick ``s + 2i``, backward
+    ``i`` at ``2pp - 1 - s + 2i``. A stage's forward ticks (``= s``) and
+    backward ticks (``= s + 1``, mod 2) never meet, and sorting its ops by tick
+    gives ``stage_op_order``. Each op's dependencies (the stage's previous op,
+    F(s-1, i) at ``s - 1 + 2i``, F(s, i), B(s+1, i) at ``2pp - 2 - s + 2i``)
+    lie on earlier ticks whatever the costs, so none checks readiness; its
+    start is the latest of their finish times by ``>`` tests.
 
     The F and B finish times live in per-stage rings of ``W`` slots (``W``
     the smallest power of two ``>= pp``), microbatch ``i`` in slot
     ``i & (W - 1)``. That is enough: B(s, i), the last reader of F(s, i),
     runs at tick ``2pp - 1 - s + 2i``, before F(s, i + W) overwrites the slot
-    at tick ``s + 2(i + W)`` (``W >= pp``, so that op is past warmup), and
-    B(s, i + W) overwrites B(s, i) at tick ``2pp - 1 - s + 2(i + W)``, after
-    its reader B(s - 1, i) at ``2pp - s + 2i``.
+    at tick ``s + 2(i + W)`` (``W >= pp``), and B(s, i + W) overwrites B(s, i)
+    at tick ``2pp - 1 - s + 2(i + W)``, after its reader B(s - 1, i) at
+    ``2pp - s + 2i``.
 
     Costs that take ``pp * makespan`` or the throughput out of the float range
     are an ``InvalidSpecError``, checked once after the walk.
@@ -187,26 +191,14 @@ def simulate_1f1b(
         for s in range(pp)
     ]
 
-    for t in range(pp):  # warmup: stage s runs forward t - s
-        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in stages[:t + 1]:
-            i = t - s
-            if i < m:
-                ready = en[-1] if i else 0.0
-                if prev_fe is not None:
-                    dep = prev_fe[i] + comm_latency  # i < pp - s <= W: no wrap yet
-                    if dep > ready:  # ready = max(ready, dep), bit for bit
-                        ready = dep
-                fe[i] = free = ready + cost * tokens[i]
-                add_start(ready)
-                add_end(free)
     parity = [(stages[p::2], stages[1 - p::2]) for p in (0, 1)]
-    for t in range(pp, 2 * (m + pp - 1)):  # forwards at s = t (mod 2), backwards elsewhere
+    for t in range(2 * (m + pp - 1)):  # forwards at s = t (mod 2), backwards elsewhere
         forwards, backwards = parity[t & 1]
         u = t + 1 - 2 * pp  # backward i runs at tick 2pp - 1 - s + 2i: i = (u + s) / 2
         for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in forwards:
             i = (t - s) >> 1
-            if pp - s <= i < m:
-                ready = en[-1]
+            if 0 <= i < m:
+                ready = en[-1] if i else 0.0
                 j = i & mask
                 if prev_fe is not None:
                     dep = prev_fe[j] + comm_latency

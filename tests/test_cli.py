@@ -397,6 +397,24 @@ def test_huge_integer_in_trace_is_a_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,name", [("--config", "deep.yaml"), ("--cost-model", "deep.json")])
+def test_deeply_nested_file_is_a_config_error(flag, name, trace_file, tmp_path, capsys):
+    # past the parsers' recursion limit: a RecursionError, not a parse error
+    deep = tmp_path / name
+    deep.write_text(("a: " if flag == "--config" else "") + "[" * 1000 + "]" * 1000 + "\n")
+    out = tmp_path / "out"
+    if flag == "--config":
+        argv = ["pack", "--config", str(deep), "--trace", str(trace_file)]
+    else:
+        argv = ["plan", "--cost-model", str(deep), "--layouts", "1x2x1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    err = json.loads(err[0])
+    assert (err["kind"], err["context"]["path"]) == ("invalid-config", str(deep))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["afile", "afile/sub"])
 def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, tmp_path, capsys):
     (tmp_path / "afile").write_text("keep\n")

@@ -246,17 +246,6 @@ class TestSimulateRoutingMatchesReference:
         rng = np.random.Generator(np.random.PCG64(4))
         assert np.array_equal(drawn, rng.normal(0.0, 1.7, size=(50, 6)) + offsets)
 
-    def test_draw_into_buffer(self):
-        offsets = np.linspace(-1.0, 2.0, 6)
-        buf = np.empty((50, 6))
-        drawn = GaussianLogitSource(offsets, seed=4, std=1.7).draw(50, out=buf)
-        assert drawn is buf
-        assert np.array_equal(buf, GaussianLogitSource(offsets, seed=4, std=1.7).draw(50))
-        rng = np.random.Generator(np.random.PCG64(4))
-        assert np.array_equal(buf, rng.normal(0.0, 1.7, size=(50, 6)) + offsets)
-        with pytest.raises(InvalidSpecError):
-            GaussianLogitSource(offsets, seed=4).draw(49, out=buf)
-
 
 class TestSimulateRoutingThread:
     """The helper thread that draws the next step's logits."""

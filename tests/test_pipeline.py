@@ -235,6 +235,45 @@ class TestDependencyRing:
         assert working_set(40_000) - working_set(20_000) < 256 * 1024
 
 
+class TestTickRule:
+    """The walk's one tick rule: forward i of stage s at tick s + 2i, backward
+    i at 2pp - 1 - s + 2i, in the op codes of ``stage_op_order``."""
+
+    @staticmethod
+    def tick(pp, s, op):
+        return s + 2 * op if op >= 0 else 2 * pp - 1 - s + 2 * ~op
+
+    @staticmethod
+    def dependencies(pp, s, op):
+        """The (stage, op) pairs whose finish times op reads from the rings."""
+        if op >= 0:
+            return [(s - 1, op)] if s > 0 else []
+        return [(s, ~op)] + ([(s + 1, op)] if s < pp - 1 else [])
+
+    @pytest.mark.parametrize("pp", range(1, 10))
+    def test_ticks_order_each_stage_and_its_dependencies(self, pp):
+        ring = 1 << (pp - 1).bit_length()
+        for m in [*range(1, 14), 6 * ring + 3]:
+            readers = {}  # (stage, op) -> ticks of the ops that read its finish time
+            for s in range(pp):
+                order = stage_op_order(pp, s, m)
+                ticks = [self.tick(pp, s, op) for op in order]
+                # sorting by tick gives the order, and each op follows the stage's previous one
+                assert all(a < b for a, b in zip(ticks, ticks[1:]))
+                forward_ticks = {t for t, op in zip(ticks, order) if op >= 0}
+                assert forward_ticks.isdisjoint(t for t, op in zip(ticks, order) if op < 0)
+                for op, t in zip(order, ticks):
+                    for dep in self.dependencies(pp, s, op):
+                        assert self.tick(pp, *dep) < t
+                        readers.setdefault(dep, []).append(t)
+            # op i + W of a stage overwrites op i's ring slot after its last reader
+            for (s, op), reader_ticks in readers.items():
+                i = op if op >= 0 else ~op
+                if i + ring < m:
+                    overwriter = op + ring if op >= 0 else op - ring
+                    assert max(reader_ticks) < self.tick(pp, s, overwriter)
+
+
 class TestScheduleResult:
     def test_equality_covers_op_times(self):
         result = simulate_1f1b(plan_with_costs([1.0, 2.0]), unit_microbatches(3))
