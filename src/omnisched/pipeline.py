@@ -21,27 +21,23 @@ the whole stage grid, which is the quantity that grows when work piles onto
 one stage.
 
 The simulator runs each op once, in one tick order (forward ``i`` of stage
-``s`` at tick ``s + 2i``, backward ``i`` at ``2pp - 1 - s + 2i``), into flat
-arrays of op start and end times per stage in ``ScheduleResult``; the
-timeline CSV lines are formatted from them only when a caller asks
-(``timeline_rows()``), so a run that only reads the summary never pays for
-them. Besides those arrays it keeps each stage's forward and backward finish
-times in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
-1F1B has at most ``pp`` microbatches in flight per stage, so its working set
-does not grow with the microbatch count. ``compare_configs`` keeps a cell's
-schedule past its row only for a caller that asks for it (one that writes
-timelines).
+``s`` at tick ``s + 2i``, backward ``i`` at ``2pp - 1 - s + 2i``), summing
+each stage's busy time as it goes. Only a recording walk (``record=True``, as
+``simulate`` runs it) also keeps flat arrays of op start and end times per
+stage, from which ``timeline_rows()`` formats the timeline CSV lines;
+``reproduce`` builds no op arrays. Each stage's forward and backward finish
+times live in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
+1F1B has at most ``pp`` microbatches in flight per stage, so an unrecorded
+walk's working set does not grow with the microbatch count.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
 from .packing import Packing, pack
@@ -81,8 +77,9 @@ def microbatches_from_batches(packing: Packing) -> MicroBatches:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """One simulated schedule. ``op_starts[s]`` and ``op_ends[s]`` hold stage
-    ``s``'s op times in ``stage_op_order``; the timelines are built from them."""
+    """One simulated schedule. In a recorded schedule ``op_starts[s]`` and
+    ``op_ends[s]`` hold stage ``s``'s op times in ``stage_op_order``, and the
+    timelines are built from them; an unrecorded one has ``()`` for both."""
 
     makespan: float
     ideal_time: float
@@ -102,6 +99,8 @@ class ScheduleResult:
         end) looks its start text up among the ends. Such a start is above the
         stage's previous end, so it is never -0.0, and equal finite floats have
         equal ``repr``."""
+        if not self.op_starts:
+            raise InvalidSpecError("the schedule was not recorded (simulate_1f1b with record=False)")
         pp = len(self.op_starts)
         m = len(self.op_starts[0]) // 2
         makespan = self.makespan
@@ -147,6 +146,7 @@ def simulate_1f1b(
     microbatches: MicroBatches,
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
+    record: bool = True,
 ) -> ScheduleResult:
     """Run each op once, in the tick order of the unit-cost schedule (F = B = 1,
     no comm latency): forward ``i`` of stage ``s`` at tick ``s + 2i``, backward
@@ -165,6 +165,10 @@ def simulate_1f1b(
     at tick ``2pp - 1 - s + 2(i + W)``, after its reader B(s - 1, i) at
     ``2pp - s + 2i``.
 
+    Each op adds ``end - start`` to its stage's busy time, in op order, and is
+    the stage's last end; a stage's op ends never decrease, so the makespan is
+    the latest last end. Only with ``record`` are the op times kept as well.
+
     Costs that take ``pp * makespan`` or the throughput out of the float range
     are an ``InvalidSpecError``, checked once after the walk.
     """
@@ -181,13 +185,15 @@ def simulate_1f1b(
     mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
     f_end = [[0.0] * (mask + 1) for _ in range(pp)]
     b_end = [[0.0] * (mask + 1) for _ in range(pp)]
-    starts = tuple(array("d") for _ in range(pp))
-    ends = tuple(array("d") for _ in range(pp))
-    # per stage: index, cost, finish rings (own F and B, upstream F, downstream B), appenders, ends
+    last = [0.0] * pp  # each stage's latest op end
+    busy = [0.0] * pp
+    starts = tuple(array("d") for _ in range(pp)) if record else ()
+    ends = tuple(array("d") for _ in range(pp)) if record else ()
+    # per stage: index, cost, finish rings (own F and B, upstream F, downstream B), op time appenders
     stages = [
         (s, plan.stage_cost[s], f_end[s], b_end[s],
          f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None,
-         starts[s].append, ends[s].append, ends[s])
+         starts[s].append if record else None, ends[s].append if record else None)
         for s in range(pp)
     ]
 
@@ -195,22 +201,24 @@ def simulate_1f1b(
     for t in range(2 * (m + pp - 1)):  # forwards at s = t (mod 2), backwards elsewhere
         forwards, backwards = parity[t & 1]
         u = t + 1 - 2 * pp  # backward i runs at tick 2pp - 1 - s + 2i: i = (u + s) / 2
-        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in forwards:
+        for s, cost, fe, be, prev_fe, next_be, add_start, add_end in forwards:
             i = (t - s) >> 1
             if 0 <= i < m:
-                ready = en[-1] if i else 0.0
+                ready = last[s]
                 j = i & mask
                 if prev_fe is not None:
                     dep = prev_fe[j] + comm_latency
                     if dep > ready:
                         ready = dep
-                fe[j] = free = ready + cost * tokens[i]
-                add_start(ready)
-                add_end(free)
-        for s, cost, fe, be, prev_fe, next_be, add_start, add_end, en in backwards:
+                fe[j] = last[s] = free = ready + cost * tokens[i]
+                busy[s] += free - ready
+                if record:
+                    add_start(ready)
+                    add_end(free)
+        for s, cost, fe, be, prev_fe, next_be, add_start, add_end in backwards:
             i = (u + s) >> 1
             if 0 <= i < m:
-                ready = en[-1]
+                ready = last[s]
                 j = i & mask
                 dep = fe[j]
                 if dep > ready:
@@ -219,18 +227,19 @@ def simulate_1f1b(
                     dep = next_be[j] + comm_latency
                     if dep > ready:
                         ready = dep
-                be[j] = free = ready + backward_ratio * (cost * tokens[i])
-                add_start(ready)
-                add_end(free)
+                be[j] = last[s] = free = ready + backward_ratio * (cost * tokens[i])
+                busy[s] += free - ready
+                if record:
+                    add_start(ready)
+                    add_end(free)
 
-    makespan = max(max(en) for en in ends)
+    makespan = max(last)
     # pp * makespan bounds the stages' summed busy time: finite, it keeps idle_fraction finite
     grid_time = pp * makespan
     throughput = plan.layout.dp * sum(microbatches.useful_tokens) / makespan
     if not (grid_time < math.inf and throughput < math.inf):
         raise InvalidSpecError(f"the schedule leaves the float range: makespan {makespan!r} "
                                f"on {pp} stages, throughput {throughput!r}")
-    busy = tuple(left_sum(map(operator.sub, en, st)) for st, en in zip(starts, ends))
     ideal = max(busy)
     return ScheduleResult(
         makespan=makespan,
@@ -238,7 +247,7 @@ def simulate_1f1b(
         bubble_fraction=1.0 - ideal / makespan,
         idle_fraction=1.0 - left_sum(busy) / grid_time,
         throughput=throughput,
-        stage_busy=busy,
+        stage_busy=tuple(busy),
         op_starts=starts,
         op_ends=ends,
     )
@@ -283,12 +292,14 @@ def compare_configs(
 
     Returns each cell's ``comparison.csv`` row (a dict keyed by
     ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
-    then packing policies, then plan policies, each as given. Per layout, the
-    requested cells are simulated, then the baseline cell if not among them.
+    then packing policies, then plan policies, each as given (a repeated name
+    counts once). Per layout, the requested cells are simulated, then the
+    baseline cell if not among them; each cell's row is built as soon as it is
+    simulated, and its ``ratio_vs_baseline`` once the layout's cells are done.
 
-    With ``schedules=False`` the schedule list is empty: each cell keeps only
-    the four numbers its row reads, and its ``ScheduleResult`` (with the op
-    arrays) is freed before the next cell is simulated.
+    With ``schedules=False`` the schedule list is empty: the cells are
+    simulated without recording (no op arrays), and each cell's
+    ``ScheduleResult`` is freed before the next cell is simulated.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -302,21 +313,18 @@ def compare_configs(
     packed = {name: pack(trace, capacity, name) for name in pack_names}
     microbatches = {name: microbatches_from_batches(batches) for name, (batches, _) in packed.items()}
 
-    keep = (lambda result: result) if schedules else _RowNumbers.of
     rows: list[dict] = []
     kept: list[ScheduleResult] = []
     for layout in layouts:
         plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
-        # without schedules, each cell's op arrays are freed here, before the next cell is simulated
-        results = {
-            (pname, plname): keep(simulate_1f1b(plans[plname], microbatches[pname], backward_ratio, comm_latency))
-            for pname, plname in cells
-        }
-        base_thr = results[BASELINE_CELL].throughput
-        for pname in packing_policies:
-            report = packed[pname][1]
-            for plname in plan_policies:
-                plan, result = plans[plname], results[(pname, plname)]
+        first = len(rows)
+        for pname, plname in cells:
+            plan = plans[plname]
+            result = simulate_1f1b(plan, microbatches[pname], backward_ratio, comm_latency, schedules)
+            if (pname, plname) == BASELINE_CELL:
+                base_thr = result.throughput
+            if pname in packing_policies and plname in plan_policies:
+                report = packed[pname][1]
                 rows.append({
                     "layout": layout.label(),
                     "packing_policy": pname,
@@ -329,21 +337,10 @@ def compare_configs(
                     "bubble_fraction": result.bubble_fraction,
                     "idle_fraction": result.idle_fraction,
                     "throughput": result.throughput,
-                    "ratio_vs_baseline": result.throughput / base_thr,
                 })
                 if schedules:
                     kept.append(result)
+            del result  # without schedules, freed before the next cell is simulated
+        for row in rows[first:]:
+            row["ratio_vs_baseline"] = row["throughput"] / base_thr
     return rows, kept
-
-
-class _RowNumbers(NamedTuple):
-    """What a ``comparison.csv`` row reads from a cell's schedule."""
-
-    makespan: float
-    bubble_fraction: float
-    idle_fraction: float
-    throughput: float
-
-    @classmethod
-    def of(cls, result: ScheduleResult) -> _RowNumbers:
-        return cls(result.makespan, result.bubble_fraction, result.idle_fraction, result.throughput)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import tempfile
 import tracemalloc
@@ -142,29 +143,46 @@ class TestSimulate1f1b:
 
 
 def assert_matches_reference(costs, tokens, beta, comm):
+    """The recorded walk's every event, and each walk's busy times and
+    makespan, equal the reference's exactly."""
     mbs = microbatches_of(tokens)
     plan = plan_with_costs(costs)
-    result = simulate_1f1b(plan, mbs, backward_ratio=beta, comm_latency=comm)
     timelines, busy, makespan = simulate_1f1b_reference(plan.stage_cost, tokens, beta, comm)
-    # exact float equality of every event, not approx
     pp, m = len(costs), len(tokens)
-    got = [
-        [("F", op, start, end) if op >= 0 else ("B", ~op, start, end)
-         for op, start, end in zip(stage_op_order(pp, s, m), result.op_starts[s], result.op_ends[s])]
-        for s in range(pp)
-    ]
-    assert got == timelines
-    assert result.stage_busy == busy
-    assert result.makespan == makespan
+    for record in (True, False):
+        result = simulate_1f1b(plan, mbs, beta, comm, record)
+        if record:
+            # exact float equality of every event, not approx
+            got = [
+                [("F", op, start, end) if op >= 0 else ("B", ~op, start, end)
+                 for op, start, end in zip(stage_op_order(pp, s, m), result.op_starts[s], result.op_ends[s])]
+                for s in range(pp)
+            ]
+            assert got == timelines
+        else:
+            assert result.op_starts == result.op_ends == ()
+        assert result.stage_busy == busy
+        assert result.makespan == makespan
+
+
+SCHEDULE_CASES = dict(
+    costs=st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=9),
+    tokens=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=40),
+    beta=st.floats(min_value=0.1, max_value=4.0),
+    comm=st.sampled_from([0.0, 0.1, 0.3, 1.7]),
+)
+
+
+def summary_bits(result):
+    """The result's summary numbers as ``float.hex`` strings: equal lists are
+    equal bit for bit (``==`` would take -0.0 for 0.0)."""
+    numbers = (result.makespan, result.ideal_time, result.bubble_fraction, result.idle_fraction,
+               result.throughput, *result.stage_busy)
+    return [float.hex(x) for x in numbers]
 
 
 class TestMatchesDictReference:
-    @given(
-        costs=st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=9),
-        tokens=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=40),
-        beta=st.floats(min_value=0.1, max_value=4.0),
-        comm=st.sampled_from([0.0, 0.1, 0.3, 1.7]),
-    )
+    @given(**SCHEDULE_CASES)
     @example(costs=[1.3], tokens=[7], beta=2.0, comm=0.3)  # pp = m = 1
     @example(costs=[0.5, 2.0, 1.1, 0.7, 3.0], tokens=[4, 9], beta=1.5, comm=0.1)  # m < pp
     @example(costs=[1.0, 2.5, 0.3, 1.7], tokens=[3, 1, 4, 1], beta=2.0, comm=1.7)  # m = pp
@@ -192,6 +210,72 @@ class TestMatchesDictReference:
                 assert_matches_reference(costs, tokens, float(rng.uniform(0.5, 2.5)), 0.3)
 
 
+class TestUnrecordedWalk:
+    """``record=False`` keeps no op times and changes no summary number."""
+
+    @given(**SCHEDULE_CASES)
+    @example(costs=[0.5, 2.0, 1.1, 0.7, 3.0], tokens=[4, 9, 2, 7, 7, 1, 3], beta=1.5, comm=0.0)
+    @example(costs=[0.5, 2.0, 1.1, 0.7, 3.0], tokens=[4, 9, 2, 7, 7, 1, 3], beta=1.5, comm=0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_same_summary_as_the_recorded_walk(self, costs, tokens, beta, comm):
+        plan, mbs = plan_with_costs(costs), microbatches_of(tokens)
+        recorded = simulate_1f1b(plan, mbs, beta, comm, True)
+        unrecorded = simulate_1f1b(plan, mbs, beta, comm, False)
+        assert summary_bits(unrecorded) == summary_bits(recorded)
+        assert unrecorded == dataclasses.replace(recorded, op_starts=(), op_ends=())
+
+    def test_timeline_rows_need_a_recorded_schedule(self):
+        result = simulate_1f1b(plan_with_costs([1.0, 2.0]), unit_microbatches(3), 2.0, 0.0, False)
+        with pytest.raises(InvalidSpecError, match="not recorded"):
+            result.timeline_rows()
+
+    def test_working_set_does_not_grow_with_m(self):
+        # the whole call's peak traced bytes, nothing subtracted: without op
+        # arrays, the walk keeps W ring slots and one busy time per stage
+        def peak(m):
+            plan = plan_with_costs([1.0, 0.5, 2.0, 1.5])
+            mbs = microbatches_of(np.random.default_rng(m).integers(1, 4097, size=m))
+            tracemalloc.start()
+            try:
+                simulate_1f1b(plan, mbs, 1.7, 0.3, False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(40_000) - peak(20_000) < 256 * 1024
+
+
+class TestPowerOfTwoScaling:
+    """Stage costs and ``comm_latency`` times ``2**j``, every value normal:
+    each time scales exactly, and each fraction is bit-identical (rounding
+    commutes with a power-of-two scale in the normal range)."""
+
+    @given(
+        costs=SCHEDULE_CASES["costs"],
+        tokens=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=20),
+        beta=SCHEDULE_CASES["beta"],
+        comm=SCHEDULE_CASES["comm"],
+        j=st.integers(min_value=-40, max_value=40),
+        record=st.booleans(),
+    )
+    @example(costs=[1.3, 0.2, 2.7], tokens=[5, 1, 8, 3], beta=1.5, comm=0.3, j=-7, record=True)
+    @example(costs=[1.3, 0.2, 2.7], tokens=[5, 1, 8, 3], beta=1.5, comm=0.3, j=9, record=False)
+    @settings(max_examples=150, deadline=None)
+    def test_times_scale_and_fractions_stay(self, costs, tokens, beta, comm, j, record):
+        def times(r):
+            return [r.makespan, r.ideal_time, *r.stage_busy, *(t for ops in r.op_starts + r.op_ends for t in ops)]
+
+        scale = math.ldexp(1.0, j)
+        mbs = microbatches_of(tokens)
+        base = simulate_1f1b(plan_with_costs(costs), mbs, beta, comm, record)
+        scaled = simulate_1f1b(plan_with_costs([c * scale for c in costs]), mbs, beta, comm * scale, record)
+        assert [float.hex(t) for t in times(scaled)] == [float.hex(t * scale) for t in times(base)]
+        assert float.hex(scaled.throughput) == float.hex(base.throughput / scale)
+        assert float.hex(scaled.bubble_fraction) == float.hex(base.bubble_fraction)
+        assert float.hex(scaled.idle_fraction) == float.hex(base.idle_fraction)
+        assert len(scaled.op_starts) == (len(costs) if record else 0)
+
+
 class TestDependencyRing:
     """The F and B finish times live in per-stage rings of W slots, W the
     smallest power of two >= pp; m far above W wraps each ring many times."""
@@ -203,7 +287,7 @@ class TestDependencyRing:
         rng = np.random.default_rng(pp * 10 + int(comm > 0))
         costs = rng.uniform(0.05, 3.0, size=pp).tolist()
         tokens = rng.integers(1, 4097, size=6 * ring + 3).tolist()
-        assert_matches_reference(costs, tokens, 1.37, comm)
+        assert_matches_reference(costs, tokens, 1.37, comm)  # recorded and unrecorded
 
     @pytest.mark.parametrize("comm", [0.0, 0.3])
     def test_wrapping_ring_makespan_is_the_longest_path(self, comm):
@@ -212,11 +296,11 @@ class TestDependencyRing:
         costs = rng.uniform(0.1, 5.0, size=5)
         tokens = rng.integers(1, 50, size=150)
         beta = 1.6
-        result = simulate_1f1b(plan_with_costs(costs), microbatches_of(tokens), backward_ratio=beta,
-                               comm_latency=comm)
         fwd = [[c * t for t in tokens] for c in costs]
         bwd = [[beta * f for f in row] for row in fwd]
-        assert result.makespan == onef1b_longest_path(5, fwd, bwd, comm)
+        for record in (True, False):
+            result = simulate_1f1b(plan_with_costs(costs), microbatches_of(tokens), beta, comm, record)
+            assert result.makespan == onef1b_longest_path(5, fwd, bwd, comm)
 
     def test_working_set_does_not_grow_with_m(self):
         # peak traced bytes of one call, less the op arrays it returns: the
