@@ -4,21 +4,27 @@ Every subcommand runs the same way. Its config is resolved (flags > config
 file > OMNISCHED_SEED > defaults; ``reproduce``'s config file is
 ``--scenario``, the shipped scenario when none is given) and the command
 computes all of its results. Only then are ``config.resolved``, the command's
-CSV/JSON files and ``summary.json`` written, into a temporary directory in the
-run directory's nearest existing ancestor, and moved into the run directory
-once every write has succeeded. A failed run creates no directory and leaves
-no new or changed file.
-``simulate``'s timeline CSVs are formatted and written by forked worker
-processes, one per usable CPU up to one per file, when that makes two or more,
-``fork`` exists and the run is the process's only thread; else the process
-writes them itself. Every worker has exited before the run returns or fails.
+CSV/JSON files and ``summary.json`` written, into a new directory inside a
+temporary one in the run directory's nearest existing ancestor. A new run
+directory is that directory, renamed into place in one step; into an existing
+one the files are moved once every write has succeeded. A failed run creates
+no directory and leaves no new or changed file.
+Independent work can run on forked worker processes (``_worker_pool``), one
+per usable CPU, when that makes two or more, ``fork`` exists and the run is
+the process's only thread; else the process does it itself, in order.
+``simulate`` writes its timeline CSVs that way; ``reproduce`` computes its
+packing report, its allocator rows and its cells that way once the cells'
+summed ``pp * m`` reaches ``_FORK_CELL_WORK``. Every worker has exited before
+the run returns or fails, and the bytes written do not depend on the worker
+count.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
 one-line JSON object ``{"kind", "message", "context"}`` on stderr; a failed
 write is kind ``output`` with the path in ``context.path``, and a command
 whose results do not fit in memory is kind ``out-of-memory`` with the
-command in ``context.command``.
+command in ``context.command``, and a ``reproduce`` worker that dies is kind
+``worker-died``.
 """
 
 from __future__ import annotations
@@ -32,9 +38,11 @@ import shutil
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager
-from itertools import repeat
+from contextlib import contextmanager, suppress
+from functools import partial
+from itertools import repeat, takewhile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import yaml
@@ -47,7 +55,7 @@ from .config import (
     load_config_file,
     reproduce_scenario_doc,
 )
-from .errors import ConfigError, OmniSchedError, OutOfMemoryError, OutputError
+from .errors import ConfigError, OmniSchedError, OutOfMemoryError, OutputError, WorkerDiedError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
 from .pipeline import COMPARISON_CSV_FIELDS, ScheduleResult, compare_configs
 from .sharding import naive_plan, plan_balanced_stages, unit_labels
@@ -100,35 +108,66 @@ def _writing(path: Path, what: str = "write"):
 
 def _write_run(config: ExperimentConfig, out: Path, files: list, timelines: Sequence = ()) -> None:
     """Write config.resolved, ``files`` and ``timelines`` (see ``_run``) into a
-    temporary directory in the nearest existing ancestor of ``out``, then
-    create ``out`` and its missing parents and move the files into it. Nothing
-    is created or moved until every file is written and no target name has a
-    directory in the way, so a failed write leaves the filesystem as it was."""
+    new directory inside a temporary one in the nearest existing ancestor of
+    ``out``; nothing else is touched until every file is written. Then a new
+    ``out`` is that directory, renamed in one step once ``out``'s missing
+    parents are made (they are removed again if that fails), and into an
+    existing ``out`` the files are moved one at a time, once no target name
+    has a directory in the way. So a failed write leaves the filesystem as it
+    was, and so does any failure into a new ``out``."""
     with _writing(out, "create output directory"):
         anchor = next((p for p in out.parents if p.exists()), out.parent)
         stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
     try:
+        run = stage / "run"
+        with _writing(out, "create output directory"):
+            run.mkdir()  # with mkdir's mode, which a new out keeps (mkdtemp's is 0o700)
         resolved = yaml.safe_dump(config.resolved, sort_keys=True)
         with _writing(out / "config.resolved"):
-            (stage / "config.resolved").write_text(resolved, encoding="utf-8")
+            (run / "config.resolved").write_text(resolved, encoding="utf-8")
         for name, fields, rows in files:
             with _writing(out / name):
                 if fields is None:
-                    _write_json(stage / name, rows)
+                    _write_json(run / name, rows)
                 else:
-                    _write_csv(stage / name, fields, rows)
-        _write_timelines(stage, out, timelines)
-        with _writing(out, "create output directory"):
-            out.mkdir(parents=True, exist_ok=True)
-        names = sorted(os.listdir(stage))
-        for target in (out / name for name in names):
-            if target.is_dir():
-                raise OutputError(f"cannot write {target}: it is a directory", path=str(target))
-        for name in names:
-            with _writing(out / name):
-                os.replace(stage / name, out / name)
+                    _write_csv(run / name, fields, rows)
+        _write_timelines(run, out, timelines)
+        if out.exists():
+            _move_into(run, out)
+        else:
+            _rename_into_place(run, out, anchor)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _move_into(run: Path, out: Path) -> None:
+    """Move every file of ``run`` into the existing directory ``out``."""
+    with _writing(out, "create output directory"):
+        out.mkdir(exist_ok=True)  # an error if out is not a directory
+    names = sorted(os.listdir(run))
+    for target in (out / name for name in names):
+        if target.is_dir():
+            raise OutputError(f"cannot write {target}: it is a directory", path=str(target))
+    for name in names:
+        with _writing(out / name):
+            os.replace(run / name, out / name)
+
+
+def _rename_into_place(run: Path, out: Path, anchor: Path) -> None:
+    """Make ``out``'s parents below ``anchor`` and rename ``run`` to ``out``;
+    on failure, remove the parents made."""
+    made = []
+    try:
+        with _writing(out, "create output directory"):
+            for parent in reversed(list(takewhile(anchor.__ne__, out.parents))):
+                parent.mkdir()
+                made.append(parent)
+            os.rename(run, out)
+    except OutputError:
+        for parent in reversed(made):
+            with suppress(OSError):
+                parent.rmdir()
+        raise
 
 
 _TIMELINE_FIELDS = ["stage", "kind", "start", "end", "microbatch"]
@@ -141,47 +180,69 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> None:
-    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or this one."""
-    _write_csv(path, fields, schedule.timeline_rows())
+class _InProcess:
+    """The executor of one process: ``map`` is the built-in ``map``, and
+    ``submit(fn, *args)`` makes the call here when its ``result()`` is taken,
+    so an error is raised where it would be from a worker. (A
+    ``concurrent.futures.Future`` would cost a small run its import.)"""
+
+    map = staticmethod(map)
+
+    @staticmethod
+    def submit(fn, *args):
+        return SimpleNamespace(result=partial(fn, *args))
 
 
-def _write_timelines(stage: Path, out: Path, timelines: list) -> None:
-    """Write each (name, schedule) timeline into ``stage``: on forked worker
-    processes, one per usable CPU up to one per file, when that makes two or
-    more, ``fork`` exists and this is the process's only thread; else here, in
-    order. The first failure in file order is raised for its ``out`` path,
-    after every worker has exited."""
-    names = [name for name, _ in timelines]
-    args = ([stage / name for name in names], repeat(_TIMELINE_FIELDS), [s for _, s in timelines])
-    workers = min(_usable_cpus(), len(names))
+@contextmanager
+def _worker_pool(workers: int, died: OmniSchedError):
+    """An executor (``map`` and ``submit``) for calls that share no state: a
+    pool of ``workers`` forked processes when that is two or more, ``fork``
+    exists and this is the process's only thread; else ``_InProcess``. A call's
+    error is raised where its result is taken; ``died`` is raised if a worker
+    dies. Every worker has exited when the block is left."""
     # fork, not spawn: a spawned worker is a fresh interpreter that imports
     # numpy and omnisched, about as long as its share of the work. Forking is
     # unsafe while other threads run, hence the thread count. When a worker
     # dies the executor raises BrokenProcessPool; multiprocessing.Pool.map
     # would wait forever.
-    pool, broken = None, ()  # broken: what a pool raises when a worker dies; () catches nothing
+    pool = None
     if workers >= 2 and threading.active_count() == 1:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
-            from concurrent.futures.process import BrokenProcessPool
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            broken = BrokenProcessPool
+    if pool is None:
+        yield _InProcess
+        return
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
-        # either map raises a file's error when its result is taken, in file order
-        written = map(_write_timeline, *args) if pool is None else pool.map(_write_timeline, *args)
-        for name in names:
+        yield pool
+    except BrokenProcessPool:
+        raise died from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> None:
+    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or this one."""
+    _write_csv(path, fields, schedule.timeline_rows())
+
+
+def _write_timelines(run: Path, out: Path, timelines: list) -> None:
+    """Write each (name, schedule) timeline into ``run``, on up to one worker
+    per file (``_worker_pool``). The first failure in file order is raised
+    for its ``out`` path."""
+    names = [name for name, _ in timelines]
+    died = OutputError(f"cannot write the timelines in {out}: a worker process died", path=str(out))
+    with _worker_pool(min(_usable_cpus(), len(names)), died) as pool:
+        written = pool.map(_write_timeline, [run / name for name in names], repeat(_TIMELINE_FIELDS),
+                           [s for _, s in timelines])
+        for name in names:  # map raises a file's error when its result is taken, in file order
             with _writing(out / name):
                 next(written)
-    except broken:
-        raise OutputError(f"cannot write the timelines in {out}: a worker process died",
-                          path=str(out)) from None
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:
@@ -190,10 +251,10 @@ def _need_cost_model(config: ExperimentConfig, command: str) -> None:
 
 
 def _comparison(
-    config: ExperimentConfig, trace: WorkloadTrace, schedules: bool = True
+    config: ExperimentConfig, trace: WorkloadTrace, schedules: bool = True, map=map
 ) -> tuple[list[dict], list[ScheduleResult]]:
-    """Every (layout, packing, plan) cell of the config: its comparison rows
-    and, if ``schedules``, its schedules."""
+    """Every (layout, packing, plan) cell of the config, simulated through
+    ``map``: its comparison rows and, if ``schedules``, its schedules."""
     return compare_configs(
         trace,
         config.capacity,
@@ -205,18 +266,23 @@ def _comparison(
         config.backward_ratio,
         config.comm_latency,
         schedules=schedules,
+        map=map,
     )
 
 
-def _mem_rows(config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
+def _pack_rows(trace: WorkloadTrace, capacity: int, policies: Sequence[str]) -> list[dict]:
+    """``packing.csv`` rows: each policy's packing report."""
+    return [pack(trace, capacity, name)[1].to_dict() for name in policies]
+
+
+def _mem_rows(trace: WorkloadTrace, capacity: int, mem: dict) -> list[dict]:
     """``memsim.csv`` rows: allocator reports for per-sample buffers vs
-    FFD-packed batches."""
-    mem = config.resolved["memsim"]
+    FFD-packed batches, with the config's ``memsim`` section ``mem``."""
     per_sample = memsim_mod.simulate_allocator(
         memsim_mod.events_from_samples(trace, mem["bytes_per_token"], mem["round_to"]),
         mem["allocator"],
     )
-    batches, _ = pack(trace, config.capacity, "ffd")
+    batches, _ = pack(trace, capacity, "ffd")
     packed = memsim_mod.simulate_allocator(
         memsim_mod.events_from_batches(batches, mem["bytes_per_token"]), mem["allocator"]
     )
@@ -228,8 +294,7 @@ def _mem_rows(config: ExperimentConfig, trace: WorkloadTrace) -> list[dict]:
 
 def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
     trace = config.load_workload()
-    policies = list(POLICIES) if args.policy == "all" else [args.policy]
-    rows = [pack(trace, config.capacity, name)[1].to_dict() for name in policies]
+    rows = _pack_rows(trace, config.capacity, list(POLICIES) if args.policy == "all" else [args.policy])
     summary = {
         "command": "pack",
         "trace": trace_stats(trace),
@@ -303,8 +368,29 @@ def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, li
 
 
 def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
-    rows = _mem_rows(config, config.load_workload())
+    rows = _mem_rows(config.load_workload(), config.capacity, config.resolved["memsim"])
     return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)], []
+
+
+# reproduce computes on worker processes once its cells' summed pp * m
+# (stages times microbatches) reaches this; below it, starting the workers
+# costs more than they save
+_FORK_CELL_WORK = 64_000
+
+
+def _reproduce_workers(config: ExperimentConfig, trace: WorkloadTrace) -> int:
+    """How many processes ``reproduce`` may compute on: one per usable CPU, up
+    to one per task (the packing report, the allocator rows, each cell), once
+    its cells' summed ``pp * m`` reaches ``_FORK_CELL_WORK``; else one. A
+    padded cell's ``m`` is the sample count, and a packed one's is taken at its
+    floor, the trace's tokens over the capacity."""
+    packed = -(-sum(trace.lengths) // config.capacity)
+    m = sum(len(trace) if name == "padded" else packed for name in config.packing_policies)
+    work = m * len(config.plan_policies) * sum(layout.pp for layout in config.layouts)
+    if work < _FORK_CELL_WORK:
+        return 1
+    cells = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
+    return min(_usable_cpus(), 2 + cells)
 
 
 def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
@@ -320,9 +406,12 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
     _need_cost_model(config, "reproduce")
     trace = config.load_workload()
 
-    pack_rows = [pack(trace, config.capacity, name)[1].to_dict() for name in config.packing_policies]
-    rows = _comparison(config, trace, schedules=False)[0]
-    mem_rows = _mem_rows(config, trace)
+    died = WorkerDiedError("reproduce lost a worker process", command="reproduce")
+    with _worker_pool(_reproduce_workers(config, trace), died) as pool:
+        pack_rows = pool.submit(_pack_rows, trace, config.capacity, config.packing_policies)
+        mem_rows = pool.submit(_mem_rows, trace, config.capacity, config.resolved["memsim"])
+        rows = _comparison(config, trace, schedules=False, map=pool.map)[0]
+        pack_rows, mem_rows = pack_rows.result(), mem_rows.result()
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
     cells = {(row["layout"], row["packing_policy"], row["plan_policy"]): row for row in rows}

@@ -85,3 +85,7 @@ class OutputError(OmniSchedError):
 
 class OutOfMemoryError(OmniSchedError):
     kind = "out-of-memory"
+
+
+class WorkerDiedError(OmniSchedError):
+    kind = "worker-died"

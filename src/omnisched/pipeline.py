@@ -38,6 +38,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
 from .packing import Packing, pack
@@ -286,6 +287,7 @@ def compare_configs(
     comm_latency: float = 0.0,
     *,
     schedules: bool = True,
+    map=map,
 ) -> tuple[list[dict], list[ScheduleResult]]:
     """Run packing x planning x simulation over every cell and normalize each
     cell's throughput by the (padded, naive) baseline of the same layout.
@@ -294,12 +296,18 @@ def compare_configs(
     ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
     then packing policies, then plan policies, each as given (a repeated name
     counts once). Per layout, the requested cells are simulated, then the
-    baseline cell if not among them; each cell's row is built as soon as it is
-    simulated, and its ``ratio_vs_baseline`` once the layout's cells are done.
+    baseline cell if not among them. Every layout's plans are built first;
+    then one ``map(simulate_1f1b, plans, microbatches, backward_ratio,
+    comm_latency, record)`` runs the cells, and each cell's row is built as its
+    result is taken, its ``ratio_vs_baseline`` once the layout's cells are
+    done. ``map`` must yield the results in cell order: the built-in ``map``
+    (the default) simulates each cell as its result is taken, and a process
+    pool's ``map`` (as ``omnisched reproduce`` passes) on its workers. The
+    library itself never starts a process.
 
     With ``schedules=False`` the schedule list is empty: the cells are
     simulated without recording (no op arrays), and each cell's
-    ``ScheduleResult`` is freed before the next cell is simulated.
+    ``ScheduleResult`` is freed before the next one is taken.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -313,14 +321,19 @@ def compare_configs(
     packed = {name: pack(trace, capacity, name) for name in pack_names}
     microbatches = {name: microbatches_from_batches(batches) for name, (batches, _) in packed.items()}
 
+    plans = [{name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
+             for layout in layouts]
+    results = map(simulate_1f1b, [layout_plans[plname] for layout_plans in plans for _, plname in cells],
+                  [microbatches[pname] for _ in layouts for pname, _ in cells],
+                  repeat(backward_ratio), repeat(comm_latency), repeat(schedules))
+
     rows: list[dict] = []
     kept: list[ScheduleResult] = []
-    for layout in layouts:
-        plans = {name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
+    for layout, layout_plans in zip(layouts, plans):
         first = len(rows)
         for pname, plname in cells:
-            plan = plans[plname]
-            result = simulate_1f1b(plan, microbatches[pname], backward_ratio, comm_latency, schedules)
+            plan = layout_plans[plname]
+            result = next(results)
             if (pname, plname) == BASELINE_CELL:
                 base_thr = result.throughput
             if pname in packing_policies and plname in plan_policies:
@@ -340,7 +353,7 @@ def compare_configs(
                 })
                 if schedules:
                     kept.append(result)
-            del result  # without schedules, freed before the next cell is simulated
+            del result  # without schedules, freed before the next cell's is taken
         for row in rows[first:]:
             row["ratio_vs_baseline"] = row["throughput"] / base_thr
     return rows, kept

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import sys
 import threading
 from pathlib import Path
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from omnisched import cli, pipeline
+from omnisched import cli, memsim, pipeline
 from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
+from omnisched.errors import OmniSchedError
 from omnisched.workload import (
     Modality,
     WorkloadTrace,
@@ -738,6 +740,149 @@ def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_s
     assert (err["kind"], err["context"]) == ("output", {"path": "out"})
     assert pool_sizes == [2]
     assert_nothing_left(sim_dir, before, threads)
+
+
+# reproduce computes its packing report, allocator rows and cells on forked
+# workers once its cells' summed pp * m reaches cli._FORK_CELL_WORK; patching
+# that to 0 and _usable_cpus forces the worker count on the shipped scenario.
+
+def rep_run(monkeypatch, workers, scenario=None, out="out"):
+    """``reproduce`` in the working directory with ``workers`` usable CPUs and
+    forking forced, on the shipped scenario changed by ``scenario``."""
+    monkeypatch.setattr(cli, "_FORK_CELL_WORK", 0)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    argv = ["reproduce", "--out", out]
+    if scenario is not None:
+        Path("scenario.yaml").write_text(yaml.safe_dump({**reproduce_scenario_doc(), **scenario}))
+        argv += ["--scenario", "scenario.yaml"]
+    return main(argv)
+
+
+def test_reproduce_bytes_do_not_depend_on_the_worker_count(sim_dir, monkeypatch, pool_sizes):
+    threads = threading.active_count()
+    runs = {}
+    for workers in (1, 2, 3):
+        assert rep_run(monkeypatch, workers, out=f"out{workers}") == 0
+        runs[workers] = {p.name: p.read_bytes() for p in sorted((sim_dir / f"out{workers}").iterdir())}
+    assert pool_sizes == [2, 3]
+    assert len(runs[1]) == 5 and runs[2] == runs[1] and runs[3] == runs[1]
+    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+
+def test_shipped_reproduce_starts_no_pool_on_two_cpus(sim_dir, monkeypatch, pool_sizes):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["reproduce", "--out", "out"]) == 0
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("scenario,kind", [
+    ({"backward_ratio": 1.0e308}, "invalid-spec"),  # a cell's schedule leaves the float range, on a worker
+    ({"capacity": 64}, "oversize-sample"),  # in the workers' packings and the parent's
+], ids=["float-range", "oversize-sample"])
+def test_error_on_a_worker_is_the_one_process_error(scenario, kind, sim_dir, monkeypatch, capsys, pool_sizes):
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    errors = []
+    for workers in (1, 2):
+        assert rep_run(monkeypatch, workers, scenario) == 2
+        line, = capsys.readouterr().err.splitlines()
+        errors.append(json.loads(line))
+        (sim_dir / "scenario.yaml").unlink()
+        assert_nothing_left(sim_dir, before, threads)
+    assert pool_sizes == [2]
+    assert errors[0]["kind"] == kind
+    assert errors[1] == errors[0]
+
+
+def test_memory_error_on_a_reproduce_worker_is_out_of_memory(sim_dir, monkeypatch, capsys, pool_sizes):
+    parent = os.getpid()
+    simulate_allocator = memsim.simulate_allocator
+
+    def no_memory_in_worker(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return simulate_allocator(*args)
+
+    monkeypatch.setattr(memsim, "simulate_allocator", no_memory_in_worker)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert rep_run(monkeypatch, 2) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"kind": "out-of-memory", "message": "reproduce does not fit in memory",
+                                "context": {"command": "reproduce"}}
+    assert pool_sizes == [2]
+    assert_nothing_left(sim_dir, before, threads)
+
+
+def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_sizes):
+    parent = os.getpid()
+    left_sum = pipeline.left_sum
+
+    def die_in_worker(values):  # simulate_1f1b's last step
+        if os.getpid() != parent:
+            os._exit(1)
+        return left_sum(values)
+
+    monkeypatch.setattr(pipeline, "left_sum", die_in_worker)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert rep_run(monkeypatch, 2) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("worker-died", {"command": "reproduce"})
+    assert "`worker-died`" in (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert pool_sizes == [2]
+    assert_nothing_left(sim_dir, before, threads)
+
+
+def error_classes(cls=OmniSchedError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in error_classes(child)]
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda cls: cls.__name__)
+def test_errors_survive_pickling(cls):
+    # a worker's error reaches the parent pickled
+    error = cls("a message", path="out", positions=[1, 2])
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is cls
+    assert (copy.kind, copy.message, copy.context) == (cls.kind, "a message", {"path": "out", "positions": [1, 2]})
+    assert copy.to_dict() == error.to_dict()
+
+
+@pytest.mark.parametrize("command,workers", [("reproduce", 1), ("simulate", 1), ("simulate", 2)])
+def test_failed_call_into_a_new_out_leaves_nothing(command, workers, sim_dir, monkeypatch, capsys):
+    # fail the k-th os.mkdir (mkdtemp's too), os.rename or os.replace of a
+    # clean run into a new nested out, for every k of that run
+    calls, fail_at = [], [0]
+
+    def failing(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            if len(calls) == fail_at[0]:
+                raise OSError(errno.EIO, "Input/output error")
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("mkdir", "rename", "replace"):
+        monkeypatch.setattr(os, name, failing(getattr(os, name)))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    argv = ["reproduce"] if command == "reproduce" else SIM_ARGV
+    assert main(argv + ["--out", "clean/a/run"]) == 0
+    clean = list(calls)
+    assert clean.count("rename") == 1 and clean.count("replace") == 0
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    for k in range(1, len(clean) + 1):
+        calls.clear()
+        fail_at[0] = k
+        assert main(argv + ["--out", "new/a/run"]) == 2
+        line, = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["kind"] == "output"
+        assert_nothing_left(sim_dir, before, threads)
+
+
+def test_new_out_has_the_mode_mkdir_gives(sim_dir):
+    assert main(["reproduce", "--out", "new/run"]) == 0
+    (sim_dir / "probe").mkdir()
+    mode = (sim_dir / "probe").stat().st_mode & 0o777
+    assert (sim_dir / "new" / "run").stat().st_mode & 0o777 == mode
+    assert (sim_dir / "new").stat().st_mode & 0o777 == mode
 
 
 def test_default_offsets_out_of_memory_message_ends_in_the_command(tmp_path, capsys):
