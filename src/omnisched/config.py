@@ -302,6 +302,10 @@ def _load_file(path: Union[str, Path], parse: Callable[[str], Any], what: str, *
         raise ConfigError(f"{what} file not found: {path}", path=str(path), **context)
     try:
         return parse(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # no permission, a directory, an I/O error, ...
+        raise ConfigError(
+            f"cannot read {what} file {path}: {exc.strerror or exc}", path=str(path), **context
+        ) from None
     except (yaml.YAMLError, ValueError, RecursionError) as exc:  # also: bad JSON, UTF-8 or int, deep nesting
         raise ConfigError(f"{what} file is not valid: {exc}", path=str(path), **context) from None
 

@@ -4,7 +4,10 @@ A trace is three equal-length columns of variable-length samples, in order:
 ids, modalities (one of four) and lengths; no per-sample object is built.
 Traces live in NDJSON files (one flat JSON object per line, ``#`` comments
 ignored) and can be generated synthetically from a seeded spec with
-per-modality mixture weights and length distributions.
+per-modality mixture weights and length distributions. ``load_trace``
+parses a file one block of lines per ``json`` call and checks the block's
+columns; a file that fails any check is read again one line at a time,
+and that reader's error names the first bad line.
 
 The synthetic generator draws from numpy's PCG64 stream seeded with a single
 64-bit integer; for each sample it draws the modality first, then the length,
@@ -17,8 +20,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -57,7 +62,9 @@ class WorkloadTrace:
         sizes = (len(self.ids), len(self.modalities), len(self.lengths))
         if len(set(sizes)) > 1:
             raise InvalidSpecError(f"trace columns (ids, modalities, lengths) differ in length: {sizes}")
-        seen: dict[int, int] = {}
+        if not self.lengths or (min(self.lengths) >= 1 and len(set(self.ids)) == len(self.ids)):
+            return
+        seen: dict[int, int] = {}  # a bad column: walk it to name the first offender
         for pos, (sid, n) in enumerate(zip(self.ids, self.lengths)):
             if n < 1:
                 raise InvalidSpecError(f"sample {sid}: length must be >= 1, got {n}", sample_id=sid)
@@ -210,18 +217,12 @@ def _parse_record(obj: dict, lineno: int) -> tuple[int, Modality, int]:
     return obj["id"], modality, obj["length"]
 
 
-def load_trace(path: Union[str, Path]) -> WorkloadTrace:
-    """Load a trace from an NDJSON file, preserving record order.
-
-    Blank lines and ``#`` comment lines are skipped. Raises a parse error
-    naming the offending line (a field given twice is one), a duplicate-id
-    error, or an empty-file error when no records are present.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise TraceNotFoundError(f"trace file not found: {path}", path=str(path))
-
-    records: list[tuple[int, Modality, int]] = []
+def _read_lines(path: Path) -> tuple[list, list, list]:
+    """The columns of the trace at ``path``, one decode per line; raises the
+    error naming the first bad line."""
+    ids: list[int] = []
+    modalities: list[Modality] = []
+    lengths: list[int] = []
     seen: dict[int, int] = {}
     # a byte that is not UTF-8 becomes U+FFFD, so its line fails as a record
     with path.open("r", encoding="utf-8", errors="replace") as fh:
@@ -234,8 +235,7 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
             except (ValueError, RecursionError) as exc:  # also: int past the digit limit, deep nesting
                 msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
                 raise TraceParseError(f"line {lineno}: invalid record: {msg}", line=lineno) from None
-            record = _parse_record(obj, lineno)
-            sid = record[0]
+            sid, modality, length = _parse_record(obj, lineno)
             if sid in seen:
                 raise DuplicateIdError(
                     f"duplicate sample id {sid} on lines {seen[sid]} and {lineno}",
@@ -243,10 +243,95 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
                     lines=[seen[sid], lineno],
                 )
             seen[sid] = lineno
-            records.append(record)
-    if not records:
+            ids.append(sid)
+            modalities.append(modality)
+            lengths.append(length)
+    return ids, modalities, lengths
+
+
+# Lines per block of _read_blocks: one parse call per block, while the joined
+# text and its decoded records stay bounded as the file grows.
+_BLOCK_LINES = 1024
+_MODALITIES = {m.value: m for m in Modality}
+_FIELDS = itemgetter("id", "modality", "length")
+# a field given twice stays visible as one more pair
+_decode_block = json.JSONDecoder(object_pairs_hook=tuple).decode
+
+
+def _block_columns(lines: list[str]) -> Optional[tuple]:
+    """The columns of ``lines``, stripped record lines, or None if any line is
+    not exactly one valid record."""
+    try:
+        records = _decode_block("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    # One record per line. Two records on one line raise the count, a record
+    # split over two lines lowers it; both at once keep it, but then a comma
+    # this join put in separates two fields of a record, so the line before it
+    # ends in a field value, and a valid value never ends in "}".
+    if len(records) != len(lines) or not all(s[-1] == "}" for s in lines):
+        return None
+    if set(map(type, records)) != {tuple} or set(map(len, records)) != {3}:  # three pairs, no more
+        return None
+    try:
+        ids, names, lengths = zip(*map(_FIELDS, map(dict, records)))
+        modalities = list(map(_MODALITIES.__getitem__, names))
+    except (KeyError, TypeError):  # a field missing (or given twice), an unknown modality
+        return None
+    if set(map(type, ids)) != {int} or set(map(type, lengths)) != {int} or min(lengths) < 1:
+        return None  # bool, float and int are distinct types
+    return ids, modalities, lengths
+
+
+def _read_blocks(path: Path) -> Optional[tuple[list, list, list]]:
+    """The columns of the trace at ``path``, one parse per block of lines, or
+    None if any check fails anywhere in the file."""
+    ids: list[int] = []
+    modalities: list[Modality] = []
+    lengths: list[int] = []
+    with path.open("r", encoding="utf-8", errors="replace") as fh:
+        # iterating the file splits lines as _read_lines does (a lone "\r"
+        # ends one, "\x0c" and "\u2028" do not), unlike str.splitlines
+        for block in iter(lambda: list(islice(fh, _BLOCK_LINES)), []):
+            lines = [s for s in map(str.strip, block) if s and s[0] != "#"]
+            if not lines:
+                continue
+            columns = _block_columns(lines)
+            if columns is None:
+                return None
+            ids += columns[0]
+            modalities += columns[1]
+            lengths += columns[2]
+    if len(set(ids)) != len(ids):
+        return None
+    return ids, modalities, lengths
+
+
+def load_trace(path: Union[str, Path]) -> WorkloadTrace:
+    """Load a trace from an NDJSON file, preserving record order.
+
+    Blank lines and ``#`` comment lines are skipped. The file is parsed one
+    block of lines per ``json`` call, and each block is checked column by
+    column. If any check fails anywhere, the file is read again one line at a
+    time, and that reader raises the error: a parse error naming the first
+    offending line (a field given twice is one) or a duplicate-id error
+    naming both lines. A file with no records is an empty-file error; one
+    that is missing, or that cannot be opened or read, a trace-not-found error.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise TraceNotFoundError(f"trace file not found: {path}", path=str(path))
+    try:
+        columns = _read_blocks(path)
+        if columns is None:
+            columns = _read_lines(path)
+    except OSError as exc:  # no permission, a directory, an I/O error, ...
+        raise TraceNotFoundError(
+            f"cannot read trace file {path}: {exc.strerror or exc}", path=str(path)
+        ) from None
+    if not columns[0]:
         raise EmptyTraceError(f"trace file contains no records: {path}", path=str(path))
-    return WorkloadTrace(*zip(*records))
+    return WorkloadTrace(*columns)
 
 
 def dump_trace(trace: WorkloadTrace) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -419,3 +420,79 @@ def simulate_routing_reference(
         out.append((f, pbar, bias, cov, aux))
         bias = bias + bias_step * np.sign(1.0 / num_experts - f)
     return out
+
+
+class TraceErrorReference(Exception):
+    """The error ``load_trace_reference`` raises: a kind slug, message and context."""
+
+    def __init__(self, kind: str, message: str, **context):
+        super().__init__(message)
+        self.kind, self.message, self.context = kind, message, context
+
+
+_TRACE_MODALITIES = ("text", "image", "audio", "video")
+_TRACE_FIELDS = {"id", "modality", "length"}
+
+
+def _unique_fields_reference(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate field {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+def _parse_record_reference(obj, lineno: int) -> tuple:
+    def fail(message, **context):
+        return TraceErrorReference("trace-parse", f"line {lineno}: {message}", line=lineno, **context)
+
+    if not isinstance(obj, dict):
+        raise fail("record must be an object")
+    unknown = set(obj) - _TRACE_FIELDS
+    if unknown:
+        raise fail(f"unknown fields {sorted(unknown)}", fields=sorted(unknown))
+    missing = _TRACE_FIELDS - set(obj)
+    if missing:
+        raise fail(f"missing fields {sorted(missing)}", fields=sorted(missing))
+    if not isinstance(obj["id"], int) or isinstance(obj["id"], bool):
+        raise fail("id must be an integer")
+    if not isinstance(obj["modality"], str) or obj["modality"] not in _TRACE_MODALITIES:
+        raise fail(f"unknown modality {obj['modality']!r}")
+    if not isinstance(obj["length"], int) or isinstance(obj["length"], bool) or obj["length"] < 1:
+        raise fail("length must be a positive integer")
+    return obj["id"], obj["modality"], obj["length"]
+
+
+def load_trace_reference(path) -> tuple[list, list, list]:
+    """The per-line NDJSON trace reader: one decode per stripped line of the
+    text-mode file, ``#`` and blank lines skipped. Returns the id, modality
+    (its string) and length columns, or raises ``TraceErrorReference`` with
+    the library's kind, message and context for the first bad line."""
+    decode = json.JSONDecoder(object_pairs_hook=_unique_fields_reference).decode
+    ids, modalities, lengths = [], [], []
+    seen = {}
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            try:
+                obj = decode(stripped)
+            except (ValueError, RecursionError) as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise TraceErrorReference(
+                    "trace-parse", f"line {lineno}: invalid record: {msg}", line=lineno
+                ) from None
+            sid, modality, length = _parse_record_reference(obj, lineno)
+            if sid in seen:
+                raise TraceErrorReference(
+                    "duplicate-id", f"duplicate sample id {sid} on lines {seen[sid]} and {lineno}",
+                    sample_id=sid, lines=[seen[sid], lineno],
+                )
+            seen[sid] = lineno
+            ids.append(sid)
+            modalities.append(modality)
+            lengths.append(length)
+    if not ids:
+        raise TraceErrorReference("empty-file", f"trace file contains no records: {path}", path=str(path))
+    return ids, modalities, lengths

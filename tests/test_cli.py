@@ -2,6 +2,7 @@ import builtins
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -415,6 +416,88 @@ def test_deeply_nested_file_is_a_config_error(flag, name, trace_file, tmp_path, 
     err = json.loads(err[0])
     assert (err["kind"], err["context"]["path"]) == ("invalid-config", str(deep))
     assert not out.exists()
+
+
+UNREADABLE = [
+    PermissionError(errno.EACCES, os.strerror(errno.EACCES)),
+    IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)),
+    OSError(errno.EIO, os.strerror(errno.EIO)),
+]
+
+
+class _FailingRead(io.RawIOBase):
+    """A readable stream whose every read fails with ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise self.exc
+
+
+def assert_one_error(capsys, out, kind, path):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert (doc["kind"], doc["context"]["path"]) == (kind, str(path))
+    assert not out.exists()
+    return doc
+
+
+@pytest.mark.parametrize("exc", UNREADABLE, ids=["EACCES", "EISDIR", "EIO"])
+@pytest.mark.parametrize("fail_at", ["open", "read", "fallback-open"])
+def test_unreadable_trace_is_trace_not_found(fail_at, exc, tmp_path, monkeypatch, capsys):
+    # the suite may run as root, which no file mode stops, so Path.open fails on purpose
+    trace = tmp_path / "trace.ndjson"
+    bad_line = "not json\n" if fail_at == "fallback-open" else ""  # sends load_trace to its per-line reader
+    trace.write_text('{"id": 0, "modality": "text", "length": 5}\n' + bad_line)
+    opens = []
+    real_open = Path.open
+
+    def failing_open(self, *args, **kwargs):
+        if self != trace:
+            return real_open(self, *args, **kwargs)
+        opens.append(self)
+        if fail_at == "read":
+            return io.TextIOWrapper(io.BufferedReader(_FailingRead(exc)), encoding="utf-8")
+        if fail_at == "open" or len(opens) == 2:
+            raise exc
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    out = tmp_path / "out"
+    assert main(["pack", "--trace", str(trace), "--capacity", "8", "--out", str(out)]) == 2
+    doc = assert_one_error(capsys, out, "trace-not-found", trace)
+    assert doc["message"] == f"cannot read trace file {trace}: {exc.strerror}"
+    assert len(opens) == (2 if fail_at == "fallback-open" else 1)
+
+
+@pytest.mark.parametrize("exc", UNREADABLE, ids=["EACCES", "EISDIR", "EIO"])
+@pytest.mark.parametrize("flag,what", [("--config", "config"), ("--cost-model", "cost model")])
+def test_unreadable_config_file_is_a_config_error(flag, what, exc, trace_file, cost_model_file, tmp_path,
+                                                  monkeypatch, capsys):
+    if flag == "--config":
+        target = tmp_path / "cfg.yaml"
+        target.write_text(yaml.safe_dump({"capacity": 8}))
+        argv = ["pack", "--config", str(target), "--trace", str(trace_file)]
+    else:
+        target = cost_model_file
+        argv = ["plan", "--cost-model", str(target), "--layouts", "1x2x1"]
+    real_read_text = Path.read_text
+
+    def failing_read_text(self, *args, **kwargs):
+        if self == target:
+            raise exc
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", failing_read_text)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    doc = assert_one_error(capsys, out, "invalid-config", target)
+    assert doc["message"] == f"cannot read {what} file {target}: {exc.strerror}"
 
 
 @pytest.mark.parametrize("target", ["afile", "afile/sub"])

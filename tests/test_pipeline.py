@@ -24,7 +24,7 @@ from omnisched.pipeline import (
     stage_op_order,
 )
 from omnisched.sharding import EncoderSpec, ParallelLayout, StagePlan
-from omnisched.workload import Modality, WorkloadTrace
+from omnisched.workload import Modality, WorkloadTrace, load_trace, save_trace
 
 from oracles import (
     csv_bytes_reference,
@@ -547,6 +547,35 @@ class TestCompareConfigs:
         # per layout, the one requested cell, then the baseline: not the 2 x 2
         # product of the requested and the baseline policies
         assert simulated == ["1x2x1", "1x2x1", "1x4x1", "1x4x1"]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_shuffled_trace_lines_keep_ffd_and_padded(tmp_path_factory, data):
+    """Trace order is metamorphic for FFD (it sorts by length, ties by id) and
+    for padded batches (each costs the full capacity): shuffling the file's
+    lines leaves the FFD packing and every padded and ffd row bit for bit."""
+    n = data.draw(st.integers(1, 40))
+    ids = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n, unique=True))
+    modalities = data.draw(st.lists(st.sampled_from(list(Modality)), min_size=n, max_size=n))
+    lengths = data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))  # many equal lengths
+    order = data.draw(st.permutations(range(n)))
+    d = tmp_path_factory.mktemp("order")
+    save_trace(WorkloadTrace(ids, modalities, lengths), d / "trace.ndjson")
+    lines = (d / "trace.ndjson").read_text().splitlines(keepends=True)
+    (d / "shuffled.ndjson").write_text("".join(lines[k] for k in order))
+    encoders, llm = cost_model()
+    packings, rows = [], []
+    for name in ("trace.ndjson", "shuffled.ndjson"):
+        trace = load_trace(d / name)
+        packing, _ = pack_ffd(trace, 16)
+        packings.append(dataclasses.astuple(packing))
+        cells, _ = compare_configs(trace, 16, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
+                                   schedules=False)
+        # repr round-trips a float, so equal texts are equal bits
+        rows.append([repr(row) for row in cells if row["packing_policy"] != "stream"])
+    assert packings[0] == packings[1]
+    assert len(rows[0]) == 8 and rows[0] == rows[1]
 
 
 def simulate_spy(monkeypatch):

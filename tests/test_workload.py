@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from omnisched import workload
 from omnisched.errors import (
     DuplicateIdError,
     EmptyTraceError,
     InvalidSpecError,
+    OmniSchedError,
     TraceNotFoundError,
     TraceParseError,
 )
@@ -22,6 +26,8 @@ from omnisched.workload import (
     save_trace,
     trace_stats,
 )
+
+from oracles import TraceErrorReference, load_trace_reference
 
 
 def make_spec(weights, lengths, count, seed):
@@ -159,6 +165,145 @@ def test_round_trip_over_drawn_columns(tmp_path_factory, trace):
     loaded = load_trace(p)
     assert columns(loaded) == columns(trace)
     assert dump_trace(loaded) == dump_trace(trace) == p.read_text()
+
+
+FIELDS = ("id", "modality", "length")
+BAD_VALUES = {
+    "id": [b"NaN", b"Infinity", b"true", b"false", b"null", b"1.0", b"1e2", b'"1"', b"[1]", b'{"a": 1}',
+           b"-0", b"1" * 5000, b"[" * 1000 + b"]" * 1000],
+    "modality": [b'"smell"', b'"TEXT"', b"1", b"null", b'["text"]', b'{"text": 1}', b'"te\\u0078t"'],
+    "length": [b"0", b"-1", b"1.5", b"true", b"NaN", b'"5"', b"1" * 5000, b"2" * 40],
+}
+
+
+def record_line(draw, sid, fields=None):
+    """One record's line: the fields in a drawn order, ``fields`` overriding
+    the drawn values by raw JSON text."""
+    values = {"id": str(sid).encode(), "modality": json.dumps(draw(st.sampled_from(list(Modality))).value).encode(),
+              "length": str(draw(st.integers(1, 60))).encode()}
+    pairs = list(values.items()) if fields is None else fields(values)
+    order = draw(st.permutations(range(len(pairs))))
+    spaced = draw(st.booleans())
+    sep, colon = (b", ", b": ") if spaced else (b",", b":")
+    return b"{" + sep.join(json.dumps(pairs[k][0]).encode() + colon + pairs[k][1] for k in order) + b"}"
+
+
+def split_at_field(draw, line):
+    """A record line cut into two lines just before one of its field commas."""
+    cuts = [k for k, c in enumerate(line) if c == ord(",")]
+    cut = draw(st.sampled_from(cuts))
+    return line[:cut], line[cut + 1:]
+
+
+def odd_lines(draw, fresh, used):
+    """One anomaly: lines no valid trace holds, or lines that are valid only
+    where a per-line reader and a careless block reader disagree. ``fresh()``
+    is an unused id, ``used`` the ids so far."""
+    kind = draw(st.sampled_from([
+        "stray", "attached", "two-on-a-line", "split", "split-beside-two", "comment", "blank",
+        "odd-whitespace", "not-utf8", "repeated-field", "bad-value", "unknown-field", "missing-field",
+        "deep", "duplicate-id", "array-record", "escaped-key",
+    ]))
+    rec = record_line(draw, fresh())
+    if kind == "stray":
+        return [draw(st.sampled_from([b",", b"[", b"]", b"{", b"}", b"[]", b"{}", b"null", b"1", b'"x"']))]
+    if kind == "attached":
+        return [draw(st.sampled_from([rec + b",", b"," + rec, b"[" + rec, rec + b"]", b"[" + rec + b"]"]))]
+    if kind == "two-on-a-line":
+        return [rec + draw(st.sampled_from([b",", b", ", b" , ", b" ", b""])) + record_line(draw, fresh())]
+    if kind == "split":
+        return list(split_at_field(draw, rec))
+    if kind == "split-beside-two":  # the count of records matches the count of lines
+        head, tail = split_at_field(draw, rec)
+        other = record_line(draw, fresh())
+        return draw(st.sampled_from([[head, tail + b", " + other], [other + b", " + head, tail]]))
+    if kind == "comment":
+        return [draw(st.sampled_from([b"#", b"# " + rec, b"  #" + rec, b"#{"]))]
+    if kind == "blank":
+        return [draw(st.sampled_from([c.encode() for c in ("", "   ", "\t", "\x0c", "\x1c", "\u2028", "\u00a0")]))]
+    if kind == "odd-whitespace":  # str.splitlines would end a line at each of these; the file does not
+        space = draw(st.sampled_from([c.encode() for c in ("\x0c", "\x1c", "\x85", "\u2028", "\u00a0")]))
+        return [draw(st.sampled_from([space + rec, rec + space, rec + space + record_line(draw, fresh())]))]
+    if kind == "not-utf8":
+        at = draw(st.integers(0, len(rec)))
+        return [rec[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xef\xbb"])) + rec[at:]]
+    if kind == "repeated-field":
+        field = draw(st.sampled_from(FIELDS))
+        again = draw(st.sampled_from([None, b"7", b'"image"', b"0"]))
+        return [record_line(draw, fresh(), lambda v: [*v.items(), (field, again or v[field])])]
+    if kind == "bad-value":
+        field = draw(st.sampled_from(FIELDS))
+        bad = draw(st.sampled_from(BAD_VALUES[field]))
+        return [record_line(draw, fresh(), lambda v: [(k, bad if k == field else x) for k, x in v.items()])]
+    if kind == "unknown-field":
+        return [record_line(draw, fresh(), lambda v: [*v.items(), ("extra", b"1")])]
+    if kind == "missing-field":
+        field = draw(st.sampled_from(FIELDS))
+        return [record_line(draw, fresh(), lambda v: [(k, x) for k, x in v.items() if k != field])]
+    if kind == "deep":
+        return [b"[" * 1000 + b"]" * 1000]
+    if kind == "duplicate-id":
+        return [record_line(draw, draw(st.sampled_from(sorted(used)))) if used else rec]
+    if kind == "array-record":
+        return [b'[["id", %d], ["modality", "text"], ["length", 5]]' % fresh()]
+    return [b'{"\\u0069d": %d, "modality": "text", "length": 5}' % fresh()]
+
+
+@st.composite
+def trace_files(draw):
+    """The bytes of an NDJSON trace file: valid records, sometimes more than
+    one block of them, with up to three anomalies among them."""
+    ids = iter(range(10**6, 2 * 10**6))
+    used = set()
+
+    def fresh():
+        used.add(sid := next(ids))
+        return sid
+
+    lines = [record_line(draw, fresh()) for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.integers(0, 3)) == 0:  # past one block of the real size
+        lines[draw(st.integers(0, len(lines))):0] = [b'{"id": %d, "modality": "text", "length": 3}' % fresh()
+                                                      for _ in range(1100)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = odd_lines(draw, fresh, used)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=1, max_size=4))
+    text = b"".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    if draw(st.integers(0, 7)) == 0:
+        text = b"\xef\xbb\xbf" + text  # a UTF-8 byte order mark
+    return text
+
+
+def outcome(load, path):
+    """A load's columns, or its error's kind, message and context."""
+    try:
+        ids, modalities, lengths = load(path)
+    except (OmniSchedError, TraceErrorReference) as exc:
+        return exc.kind, exc.message, exc.context
+    return list(ids), [getattr(m, "value", m) for m in modalities], list(lengths)
+
+
+def load_columns(path):
+    trace = load_trace(path)
+    return trace.ids, trace.modalities, trace.lengths
+
+
+R1, R2, R3 = (b'{"id": %d, "modality": "text", "length": 5}' % k for k in (1, 2, 3))
+
+
+@given(trace_files(), st.sampled_from([1, 2, 3, workload._BLOCK_LINES]))
+@example(R1 + b", " + R2 + b"\n", 3)  # two records on one line
+@example(R1[:-1] + b', "length": 9}\n', 3)  # a field given twice
+@example(R1.replace(b",", b"\n", 1) + b", " + R2 + b"\n", 3)  # split beside two: as many records as lines
+@example(R1 + "\u2028".encode() + R2 + b"\n", 3)  # not a line end in a file
+@example(R1 + b"\n" + R2 + b"\n" + R3 + b"\n" + R1 + b"\n", 2)  # a duplicate id in another block
+@settings(max_examples=400, deadline=None)
+def test_load_trace_matches_per_line_reader(tmp_path_factory, text, block_lines):
+    p = tmp_path_factory.mktemp("diff") / "t.ndjson"
+    p.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_BLOCK_LINES", block_lines)
+        assert outcome(load_columns, p) == outcome(load_trace_reference, p)
 
 
 class TestGenerateTrace:
