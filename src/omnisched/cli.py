@@ -2,35 +2,37 @@
 
 Every subcommand runs the same way. Its config is resolved (flags > config
 file > OMNISCHED_SEED > defaults; ``reproduce``'s config file is
-``--scenario``, the shipped scenario when none is given) and the command
-computes all of its results. Only then are ``config.resolved``, the command's
-CSV/JSON files and ``summary.json`` written, into a new directory inside a
-temporary one in the run directory's nearest existing ancestor. A new run
-directory is that directory, renamed into place in one step; into an existing
-one the files are moved once every write has succeeded. A failed run creates
-no directory and leaves no new or changed file.
+``--scenario``, the shipped scenario when none is given), a new directory is
+made inside a temporary one in the run directory's nearest existing ancestor,
+and the command computes all of its results (``simulate`` writes each
+timeline CSV there as its cell is simulated). Only then are
+``config.resolved``, the command's CSV/JSON files and ``summary.json`` written
+there. A new run directory is that directory, renamed into place in one step;
+into an existing one the files are moved once every write has succeeded. A
+failed run creates no directory and leaves no new or changed file.
 Independent work can run on forked worker processes (``_worker_pool``), one
 per usable CPU, when that makes two or more, ``fork`` exists and the run is
 the process's only thread; else the process does it itself, in order.
-``simulate`` writes its timeline CSVs that way; ``reproduce`` computes its
-packing report, its allocator rows and its cells that way once the cells'
-summed ``pp * m`` reaches ``_FORK_CELL_WORK``. Every worker has exited before
-the run returns or fails, and the bytes written do not depend on the worker
-count.
+``simulate`` runs its cells that way, each simulated and its timeline written
+on one worker; ``reproduce`` computes its packing report, its allocator rows
+and its cells that way once the cells' summed ``pp * m`` reaches
+``_FORK_CELL_WORK``. Every worker has exited before the run returns or fails,
+and the bytes written do not depend on the worker count.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
 one-line JSON object ``{"kind", "message", "context"}`` on stderr; a failed
 write is kind ``output`` with the path in ``context.path``, and a command
 whose results do not fit in memory is kind ``out-of-memory`` with the
-command in ``context.command``, and a ``reproduce`` worker that dies is kind
-``worker-died``.
+command in ``context.command``, and a worker that dies is kind ``worker-died``,
+also with the command in ``context.command``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import operator
 import os
@@ -40,7 +42,7 @@ import tempfile
 import threading
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import repeat, takewhile
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
@@ -57,7 +59,7 @@ from .config import (
 )
 from .errors import ConfigError, OmniSchedError, OutOfMemoryError, OutputError, WorkerDiedError
 from .packing import REPORT_CSV_FIELDS, POLICIES, pack
-from .pipeline import COMPARISON_CSV_FIELDS, ScheduleResult, compare_configs
+from .pipeline import COMPARISON_CSV_FIELDS, ScheduleResult, compare_configs, simulate_cell
 from .sharding import naive_plan, plan_balanced_stages, unit_labels
 from .workload import WorkloadTrace, trace_stats
 
@@ -106,15 +108,11 @@ def _writing(path: Path, what: str = "write"):
         raise OutputError(f"cannot {what} {path}: {exc.strerror or exc}", path=str(path)) from None
 
 
-def _write_run(config: ExperimentConfig, out: Path, files: list, timelines: Sequence = ()) -> None:
-    """Write config.resolved, ``files`` and ``timelines`` (see ``_run``) into a
-    new directory inside a temporary one in the nearest existing ancestor of
-    ``out``; nothing else is touched until every file is written. Then a new
-    ``out`` is that directory, renamed in one step once ``out``'s missing
-    parents are made (they are removed again if that fails), and into an
-    existing ``out`` the files are moved one at a time, once no target name
-    has a directory in the way. So a failed write leaves the filesystem as it
-    was, and so does any failure into a new ``out``."""
+@contextmanager
+def _staging(out: Path):
+    """A new directory ``run`` inside a temporary one in the nearest existing
+    ancestor of ``out``, for the run's files until ``_write_run`` puts them in
+    place; the temporary directory is removed when the block is left."""
     with _writing(out, "create output directory"):
         anchor = next((p for p in out.parents if p.exists()), out.parent)
         stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
@@ -122,22 +120,31 @@ def _write_run(config: ExperimentConfig, out: Path, files: list, timelines: Sequ
         run = stage / "run"
         with _writing(out, "create output directory"):
             run.mkdir()  # with mkdir's mode, which a new out keeps (mkdtemp's is 0o700)
-        resolved = yaml.safe_dump(config.resolved, sort_keys=True)
-        with _writing(out / "config.resolved"):
-            (run / "config.resolved").write_text(resolved, encoding="utf-8")
-        for name, fields, rows in files:
-            with _writing(out / name):
-                if fields is None:
-                    _write_json(run / name, rows)
-                else:
-                    _write_csv(run / name, fields, rows)
-        _write_timelines(run, out, timelines)
-        if out.exists():
-            _move_into(run, out)
-        else:
-            _rename_into_place(run, out, anchor)
+        yield run
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_run(config: ExperimentConfig, run: Path, out: Path, files: list) -> None:
+    """Write config.resolved and ``files`` (see ``_run``) into ``out``'s
+    ``_staging`` directory ``run``. Then a new ``out`` is ``run``, renamed in
+    one step once ``out``'s missing parents are made (they are removed again
+    if that fails), and into an existing ``out`` the files are moved one at a
+    time, once no target name has a directory in the way. So a failed write
+    leaves the filesystem as it was, and so does any failure into a new ``out``."""
+    resolved = yaml.safe_dump(config.resolved, sort_keys=True)
+    with _writing(out / "config.resolved"):
+        (run / "config.resolved").write_text(resolved, encoding="utf-8")
+    for name, fields, rows in files:
+        with _writing(out / name):
+            if fields is None:
+                _write_json(run / name, rows)
+            else:
+                _write_csv(run / name, fields, rows)
+    if out.exists():
+        _move_into(run, out)
+    else:
+        _rename_into_place(run, out, run.parent.parent)
 
 
 def _move_into(run: Path, out: Path) -> None:
@@ -170,9 +177,6 @@ def _rename_into_place(run: Path, out: Path, anchor: Path) -> None:
         raise
 
 
-_TIMELINE_FIELDS = ["stage", "kind", "start", "end", "microbatch"]
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -194,12 +198,13 @@ class _InProcess:
 
 
 @contextmanager
-def _worker_pool(workers: int, died: OmniSchedError):
+def _worker_pool(workers: int, command: str):
     """An executor (``map`` and ``submit``) for calls that share no state: a
     pool of ``workers`` forked processes when that is two or more, ``fork``
     exists and this is the process's only thread; else ``_InProcess``. A call's
-    error is raised where its result is taken; ``died`` is raised if a worker
-    dies. Every worker has exited when the block is left."""
+    error is raised where its result is taken; a worker that dies is
+    ``command``'s ``worker-died`` error. Every worker has exited when the block
+    is left."""
     # fork, not spawn: a spawned worker is a fresh interpreter that imports
     # numpy and omnisched, about as long as its share of the work. Forking is
     # unsafe while other threads run, hence the thread count. When a worker
@@ -221,28 +226,24 @@ def _worker_pool(workers: int, died: OmniSchedError):
     try:
         yield pool
     except BrokenProcessPool:
-        raise died from None
+        raise WorkerDiedError(f"{command} lost a worker process", command=command) from None
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _write_timeline(path: Path, fields: list[str], schedule: ScheduleResult) -> None:
-    """Write ``schedule``'s timeline CSV at ``path``, in a worker process or this one."""
-    _write_csv(path, fields, schedule.timeline_rows())
-
-
-def _write_timelines(run: Path, out: Path, timelines: list) -> None:
-    """Write each (name, schedule) timeline into ``run``, on up to one worker
-    per file (``_worker_pool``). The first failure in file order is raised
-    for its ``out`` path."""
-    names = [name for name, _ in timelines]
-    died = OutputError(f"cannot write the timelines in {out}: a worker process died", path=str(out))
-    with _worker_pool(min(_usable_cpus(), len(names)), died) as pool:
-        written = pool.map(_write_timeline, [run / name for name in names], repeat(_TIMELINE_FIELDS),
-                           [s for _, s in timelines])
-        for name in names:  # map raises a file's error when its result is taken, in file order
-            with _writing(out / name):
-                next(written)
+def _timeline_cell(run: Path, out: Path, key, *simulation) -> ScheduleResult:
+    """A ``simulate`` cell (see ``compare_configs``), on a worker or in this
+    process: simulate it recorded, write its timeline CSV into ``run`` (a
+    failure is reported under ``out``) and return the schedule without its op
+    arrays, which never leave the process that made them. The baseline cell
+    simulated only for the ratio (``key`` None) is not recorded."""
+    schedule = simulate_cell(key, *simulation, record=key is not None)
+    if key is None:
+        return schedule
+    name = "timeline_{}_{}_{}.csv".format(*key)
+    with _writing(out / name):
+        _write_csv(run / name, ["stage", "kind", "start", "end", "microbatch"], schedule.timeline_rows())
+    return dataclasses.replace(schedule, op_starts=(), op_ends=())
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:
@@ -250,24 +251,12 @@ def _need_cost_model(config: ExperimentConfig, command: str) -> None:
         raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
 
 
-def _comparison(
-    config: ExperimentConfig, trace: WorkloadTrace, schedules: bool = True, map=map
-) -> tuple[list[dict], list[ScheduleResult]]:
-    """Every (layout, packing, plan) cell of the config, simulated through
-    ``map``: its comparison rows and, if ``schedules``, its schedules."""
-    return compare_configs(
-        trace,
-        config.capacity,
-        config.encoders,
-        config.llm_layer_costs,
-        config.layouts,
-        config.packing_policies,
-        config.plan_policies,
-        config.backward_ratio,
-        config.comm_latency,
-        schedules=schedules,
-        map=map,
-    )
+def _comparison(config: ExperimentConfig, trace: WorkloadTrace, cell, map) -> list[dict]:
+    """The comparison rows of every (layout, packing, plan) cell of the
+    config, each run by ``cell`` through ``map`` (see ``compare_configs``)."""
+    return compare_configs(trace, config.capacity, config.encoders, config.llm_layer_costs, config.layouts,
+                           config.packing_policies, config.plan_policies, config.backward_ratio,
+                           config.comm_latency, cell=cell, map=map)[0]
 
 
 def _pack_rows(trace: WorkloadTrace, capacity: int, policies: Sequence[str]) -> list[dict]:
@@ -292,7 +281,7 @@ def _mem_rows(trace: WorkloadTrace, capacity: int, mem: dict) -> list[dict]:
     ]
 
 
-def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _pack(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     trace = config.load_workload()
     rows = _pack_rows(trace, config.capacity, list(POLICIES) if args.policy == "all" else [args.policy])
     summary = {
@@ -301,10 +290,10 @@ def _pack(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
         "capacity": config.capacity,
         "reports": rows,
     }
-    return summary, [("packing.csv", REPORT_CSV_FIELDS, rows)], []
+    return summary, [("packing.csv", REPORT_CSV_FIELDS, rows)]
 
 
-def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _plan(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     _need_cost_model(config, "plan")
     labels = unit_labels(config.encoders, config.llm_layer_costs)
     plans = {}
@@ -325,13 +314,15 @@ def _plan(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, lis
             for label, doc in plans.items()
         },
     }
-    return summary, [("plan.json", None, plans)], []
+    return summary, [("plan.json", None, plans)]
 
 
-def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _simulate(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
-    rows, schedules = _comparison(config, trace)
+    timelines = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
+    with _worker_pool(min(_usable_cpus(), timelines), "simulate") as pool:
+        rows = _comparison(config, trace, partial(_timeline_cell, run, out), pool.map)
     summary = {
         "command": "simulate",
         "trace": trace_stats(trace),
@@ -343,33 +334,30 @@ def _simulate(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict,
         },
         "cells": rows,
     }
-    # timeline lines are formatted per cell as they are written
-    timelines = [(f"timeline_{row['layout']}_{row['packing_policy']}_{row['plan_policy']}.csv", schedule)
-                 for row, schedule in zip(rows, schedules)]
-    return summary, [("comparison.csv", COMPARISON_CSV_FIELDS, rows)], timelines
+    return summary, [("comparison.csv", COMPARISON_CSV_FIELDS, rows)]
 
 
-def _route(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _route(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     scenario = config.resolved["router"]
     router = config.router
-    run = moe_mod.simulate_routing(router, config.logits, scenario["tokens_per_step"], scenario["steps"])
+    routing = moe_mod.simulate_routing(router, config.logits, scenario["tokens_per_step"], scenario["steps"])
     summary = {
         "command": "route",
         "num_experts": router.num_experts,
         "top_k": router.top_k,
         "steps": scenario["steps"],
         "tokens_per_step": scenario["tokens_per_step"],
-        "cov_first": float(run["cov"][0]),
-        "cov_last": float(run["cov"][-1]),
-        "aux_first": float(run["aux_loss"][0]),
-        "aux_last": float(run["aux_loss"][-1]),
+        "cov_first": float(routing["cov"][0]),
+        "cov_last": float(routing["cov"][-1]),
+        "aux_first": float(routing["aux_loss"][0]),
+        "aux_last": float(routing["aux_loss"][-1]),
     }
-    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(run))], []
+    return summary, [("route.csv", moe_mod.ROUTE_CSV_FIELDS, moe_mod.load_report_rows(routing))]
 
 
-def _mem(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _mem(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     rows = _mem_rows(config.load_workload(), config.capacity, config.resolved["memsim"])
-    return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)], []
+    return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)]
 
 
 # reproduce computes on worker processes once its cells' summed pp * m
@@ -393,7 +381,7 @@ def _reproduce_workers(config: ExperimentConfig, trace: WorkloadTrace) -> int:
     return min(_usable_cpus(), 2 + cells)
 
 
-def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict, list, list]:
+def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     """The scenario end to end, and its baseline-vs-optimized contrast."""
     missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
     missing += [p for p in ("naive", "balanced") if p not in config.plan_policies]
@@ -406,11 +394,10 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
     _need_cost_model(config, "reproduce")
     trace = config.load_workload()
 
-    died = WorkerDiedError("reproduce lost a worker process", command="reproduce")
-    with _worker_pool(_reproduce_workers(config, trace), died) as pool:
+    with _worker_pool(_reproduce_workers(config, trace), "reproduce") as pool:
         pack_rows = pool.submit(_pack_rows, trace, config.capacity, config.packing_policies)
         mem_rows = pool.submit(_mem_rows, trace, config.capacity, config.resolved["memsim"])
-        rows = _comparison(config, trace, schedules=False, map=pool.map)[0]
+        rows = _comparison(config, trace, partial(simulate_cell, record=False), pool.map)
         pack_rows, mem_rows = pack_rows.result(), mem_rows.result()
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
@@ -447,27 +434,28 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace) -> tuple[dict
         ("packing.csv", REPORT_CSV_FIELDS, pack_rows),
         ("comparison.csv", COMPARISON_CSV_FIELDS, rows),
         ("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, mem_rows),
-    ], []
+    ]
 
 
-# Each command maps (config, args) to (summary, files, timelines) and writes nothing.
+# Each command maps (config, args, run, out) to (summary, files); only simulate
+# writes, its timelines into run, the _staging directory of out.
 _COMMANDS = {"pack": _pack, "plan": _plan, "simulate": _simulate, "route": _route, "mem": _mem,
              "reproduce": _reproduce}
 
 
 def _run(args: argparse.Namespace) -> dict:
-    """Resolve the config and compute the command's results; only then write
-    the run directory: config.resolved, the command's files in order,
-    summary.json and the command's timelines. Returns the summary.
+    """Resolve the config, make the run's ``_staging`` directory and compute
+    the command's results; only then write the run directory: config.resolved,
+    the command's files in order and summary.json. Returns the summary.
 
-    A file is (name, CSV fields or None for JSON, rows or the JSON object); a
-    timeline is (name, ScheduleResult), whose lines are formatted as it is
-    written. A ``MemoryError`` in any of this is the ``out-of-memory`` error."""
+    A file is (name, CSV fields or None for JSON, rows or the JSON object). A
+    ``MemoryError`` in any of this is the ``out-of-memory`` error."""
     try:
         config = _config_from_args(args)
-        summary, files, timelines = _COMMANDS[args.command](config, args)
         out = Path(args.out) if args.out else config.output_dir
-        _write_run(config, out, files + [("summary.json", None, summary)], timelines)
+        with _staging(out) as run:
+            summary, files = _COMMANDS[args.command](config, args, run, out)
+            _write_run(config, run, out, files + [("summary.json", None, summary)])
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         raise OutOfMemoryError(f"{args.command} does not fit in memory{detail}", command=args.command) from None

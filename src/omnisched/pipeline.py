@@ -22,9 +22,9 @@ one stage.
 
 The simulator runs each op once, in one tick order (forward ``i`` of stage
 ``s`` at tick ``s + 2i``, backward ``i`` at ``2pp - 1 - s + 2i``), summing
-each stage's busy time as it goes. Only a recording walk (``record=True``, as
-``simulate`` runs it) also keeps flat arrays of op start and end times per
-stage, from which ``timeline_rows()`` formats the timeline CSV lines;
+each stage's busy time as it goes. Only a recording walk (``record=True``,
+as ``simulate``'s cells run it) also keeps flat arrays of op start and end
+times per stage, from which ``timeline_rows()`` formats the timeline CSV lines;
 ``reproduce`` builds no op arrays. Each stage's forward and backward finish
 times live in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
 1F1B has at most ``pp`` microbatches in flight per stage, so an unrecorded
@@ -261,6 +261,11 @@ def bubble_fraction_analytic(pp: int, m: int) -> float:
     return (pp - 1) / (m + pp - 1)
 
 
+def simulate_cell(key, plan, microbatches, backward_ratio, comm_latency, record=True) -> ScheduleResult:
+    """``compare_configs``' default cell function: ``simulate_1f1b``; ``key`` is not read."""
+    return simulate_1f1b(plan, microbatches, backward_ratio, comm_latency, record)
+
+
 PLAN_POLICIES = {
     "naive": naive_plan,
     "balanced": plan_balanced_stages,
@@ -286,28 +291,28 @@ def compare_configs(
     backward_ratio: float = 2.0,
     comm_latency: float = 0.0,
     *,
-    schedules: bool = True,
+    cell=simulate_cell,
     map=map,
 ) -> tuple[list[dict], list[ScheduleResult]]:
     """Run packing x planning x simulation over every cell and normalize each
     cell's throughput by the (padded, naive) baseline of the same layout.
 
     Returns each cell's ``comparison.csv`` row (a dict keyed by
-    ``COMPARISON_CSV_FIELDS``) and its schedule, both in cell order: layouts,
-    then packing policies, then plan policies, each as given (a repeated name
-    counts once). Per layout, the requested cells are simulated, then the
-    baseline cell if not among them. Every layout's plans are built first;
-    then one ``map(simulate_1f1b, plans, microbatches, backward_ratio,
-    comm_latency, record)`` runs the cells, and each cell's row is built as its
-    result is taken, its ``ratio_vs_baseline`` once the layout's cells are
-    done. ``map`` must yield the results in cell order: the built-in ``map``
-    (the default) simulates each cell as its result is taken, and a process
-    pool's ``map`` (as ``omnisched reproduce`` passes) on its workers. The
-    library itself never starts a process.
-
-    With ``schedules=False`` the schedule list is empty: the cells are
-    simulated without recording (no op arrays), and each cell's
-    ``ScheduleResult`` is freed before the next one is taken.
+    ``COMPARISON_CSV_FIELDS``) and its schedule if recorded, both in cell
+    order: layouts, then packing policies, then plan policies, each as given
+    (a repeated name counts once). Per layout, the requested cells are
+    simulated, then the baseline cell if not among them. Every layout's plans
+    are built first; then one ``map(cell, keys, plans, microbatches,
+    backward_ratio, comm_latency)`` runs the cells, and each cell's row is
+    built as its result is taken, its ``ratio_vs_baseline`` once the layout's
+    cells are done. A cell's key is its row's (layout, packing policy, plan
+    policy), or ``None`` for a baseline cell that has no row. ``cell`` returns
+    a ``ScheduleResult``; the default records it. A result without op arrays
+    (as ``omnisched``'s cell functions return) is not returned, and is freed
+    before the next cell's is taken. ``map`` must yield the results in cell
+    order: the built-in ``map`` (the default) runs each cell as its result is
+    taken, and a process pool's ``map`` (as ``omnisched`` passes) on its
+    workers. The library itself never starts a process.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -323,23 +328,26 @@ def compare_configs(
 
     plans = [{name: PLAN_POLICIES[name](encoders, llm_layer_costs, layout) for name in plan_names}
              for layout in layouts]
-    results = map(simulate_1f1b, [layout_plans[plname] for layout_plans in plans for _, plname in cells],
+    keys = [(layout.label(), pname, plname) if pname in packing_policies and plname in plan_policies else None
+            for layout in layouts for pname, plname in cells]
+    results = map(cell, keys, [layout_plans[plname] for layout_plans in plans for _, plname in cells],
                   [microbatches[pname] for _ in layouts for pname, _ in cells],
-                  repeat(backward_ratio), repeat(comm_latency), repeat(schedules))
+                  repeat(backward_ratio), repeat(comm_latency))
 
     rows: list[dict] = []
     kept: list[ScheduleResult] = []
-    for layout, layout_plans in zip(layouts, plans):
+    keys_left = iter(keys)
+    for layout_plans in plans:
         first = len(rows)
-        for pname, plname in cells:
+        for (pname, plname), key in zip(cells, keys_left):
             plan = layout_plans[plname]
             result = next(results)
             if (pname, plname) == BASELINE_CELL:
                 base_thr = result.throughput
-            if pname in packing_policies and plname in plan_policies:
+            if key is not None:
                 report = packed[pname][1]
                 rows.append({
-                    "layout": layout.label(),
+                    "layout": key[0],
                     "packing_policy": pname,
                     "plan_policy": plname,
                     "batch_count": report.batch_count,
@@ -351,9 +359,9 @@ def compare_configs(
                     "idle_fraction": result.idle_fraction,
                     "throughput": result.throughput,
                 })
-                if schedules:
+                if result.op_starts:
                     kept.append(result)
-            del result  # without schedules, freed before the next cell's is taken
+            del result  # unless kept, freed before the next cell's is taken
         for row in rows[first:]:
             row["ratio_vs_baseline"] = row["throughput"] / base_thr
     return rows, kept

@@ -283,9 +283,9 @@ def _block_columns(lines: list[str]) -> Optional[tuple]:
     return ids, modalities, lengths
 
 
-def _read_blocks(path: Path) -> Optional[tuple[list, list, list]]:
+def _read_blocks(path: Path) -> Optional[tuple[tuple, tuple, tuple]]:
     """The columns of the trace at ``path``, one parse per block of lines, or
-    None if any check fails anywhere in the file."""
+    None if any check but the ids' uniqueness (``WorkloadTrace``'s) fails."""
     ids: list[int] = []
     modalities: list[Modality] = []
     lengths: list[int] = []
@@ -302,9 +302,10 @@ def _read_blocks(path: Path) -> Optional[tuple[list, list, list]]:
             ids += columns[0]
             modalities += columns[1]
             lengths += columns[2]
-    if len(set(ids)) != len(ids):
-        return None
-    return ids, modalities, lengths
+    # each list is freed as its tuple is made, and WorkloadTrace keeps the tuples
+    ids = tuple(ids)
+    modalities = tuple(modalities)
+    return ids, modalities, tuple(lengths)
 
 
 def load_trace(path: Union[str, Path]) -> WorkloadTrace:
@@ -322,16 +323,18 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
     if not path.is_file():
         raise TraceNotFoundError(f"trace file not found: {path}", path=str(path))
     try:
-        columns = _read_blocks(path)
-        if columns is None:
-            columns = _read_lines(path)
+        columns = _read_blocks(path) or _read_lines(path)
+        try:
+            trace = WorkloadTrace(*columns)  # which checks the ids, once
+        except DuplicateIdError:  # in the blocks' columns: the line reader's error names the lines
+            trace = WorkloadTrace(*_read_lines(path))
     except OSError as exc:  # no permission, a directory, an I/O error, ...
         raise TraceNotFoundError(
             f"cannot read trace file {path}: {exc.strerror or exc}", path=str(path)
         ) from None
     if not columns[0]:
         raise EmptyTraceError(f"trace file contains no records: {path}", path=str(path))
-    return WorkloadTrace(*columns)
+    return trace
 
 
 def dump_trace(trace: WorkloadTrace) -> str:

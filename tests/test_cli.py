@@ -18,7 +18,7 @@ import yaml
 from omnisched import cli, memsim, pipeline
 from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
-from omnisched.errors import OmniSchedError
+from omnisched.errors import InvalidSpecError, OmniSchedError
 from omnisched.workload import (
     Modality,
     WorkloadTrace,
@@ -516,6 +516,20 @@ def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, t
     assert (tmp_path / "afile").read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("target,kind", [
+    ("afile/sub", "output"),  # no staging directory can be made: before the command computes
+    ("afile", "trace-not-found"),  # out is a file: found only as the files are moved, after the compute
+])
+def test_output_error_before_the_compute_wins(target, kind, tmp_path, capsys):
+    (tmp_path / "afile").write_text("keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["pack", "--trace", str(tmp_path / "missing.ndjson"), "--capacity", "8", "--out", str(tmp_path / target)]
+    assert main(argv) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["kind"] == kind
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_failed_run_leaves_no_missing_parent_of_out(trace_file, tmp_path, monkeypatch, capsys):
     def full_disk(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -687,8 +701,9 @@ def test_output_file_that_is_a_directory_is_an_output_error(name, trace_file, tm
     assert sorted(tmp_path.rglob("*")) == before  # nothing written, no temporary directory left
 
 
-# Timeline files are written by forked worker processes when there are two or
-# more usable CPUs; ``_usable_cpus`` is patched to force the worker count.
+# simulate's cells are simulated and their timeline files written by forked
+# worker processes when there are two or more usable CPUs; ``_usable_cpus`` is
+# patched to force the worker count.
 
 SIM_ARGV = ["simulate", "--config", "sim.yaml", "--trace", "trace.ndjson", "--capacity", "8",
             "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1,2x2x2"]
@@ -734,15 +749,16 @@ def assert_nothing_left(directory, before, threads):
 
 @pytest.mark.parametrize("comm", [0.3, 0.0])
 def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes):
-    schedules = []
-    comparison = cli._comparison
+    schedules = []  # the recorded schedules, seen only where they are made: in this process with one worker
+    simulate = pipeline.simulate_1f1b
 
-    def comparison_spy(config, trace):
-        rows, results = comparison(config, trace)
-        schedules.extend(results)
-        return rows, results
+    def simulate_spy(*args):
+        result = simulate(*args)
+        if result.op_starts:
+            schedules.append(result)
+        return result
 
-    monkeypatch.setattr(cli, "_comparison", comparison_spy)
+    monkeypatch.setattr(pipeline, "simulate_1f1b", simulate_spy)
     (sim_dir / "sim.yaml").write_text(yaml.safe_dump({"comm_latency": comm, "backward_ratio": 1.7}))
     threads = threading.active_count()
     runs = {}
@@ -757,7 +773,8 @@ def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes
     # with no comm latency, an op that waited on another stage starts at that
     # op's end: its start text is looked up among the formatted ends
     looked_up = 0
-    for schedule in schedules[:18]:  # the one-worker run's cells
+    assert len(schedules) == 18  # the one-worker run's cells
+    for schedule in schedules:
         ends = {t for stage_ends in schedule.op_ends for t in stage_ends}
         for starts, stage_ends in zip(schedule.op_starts, schedule.op_ends):
             waited = [start for start, prev in zip(starts[1:], stage_ends) if start != prev]
@@ -806,6 +823,35 @@ def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch
     assert errors[1] == errors[0]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fail_pp,unwritable,kind", [
+    (4, "timeline_1x2x1_padded_naive.csv", "output"),  # the write fails in an earlier cell
+    (2, "timeline_1x4x1_padded_naive.csv", "invalid-spec"),  # the compute fails in an earlier cell
+])
+def test_first_failure_in_cell_order_wins(fail_pp, unwritable, kind, workers, sim_dir, monkeypatch, capsys,
+                                          pool_sizes):
+    simulate, write_csv = pipeline.simulate_1f1b, cli._write_csv
+
+    def failing_simulate(plan, *args):
+        if plan.layout.pp == fail_pp:
+            raise InvalidSpecError("the schedule leaves the float range")
+        return simulate(plan, *args)
+
+    def full_disk_for_one(path, fields, rows):
+        if path.name == unwritable:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, fields, rows)
+
+    monkeypatch.setattr(pipeline, "simulate_1f1b", failing_simulate)
+    monkeypatch.setattr(cli, "_write_csv", full_disk_for_one)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert sim_run(monkeypatch, workers) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["kind"] == kind
+    assert pool_sizes == ([2] if workers == 2 else [])
+    assert_nothing_left(sim_dir, before, threads)
+
+
 def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_sizes):
     parent = os.getpid()
     timeline_rows = pipeline.ScheduleResult.timeline_rows
@@ -820,9 +866,36 @@ def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_s
     assert sim_run(monkeypatch, 2) == 2
     line, = capsys.readouterr().err.splitlines()
     err = json.loads(line)
-    assert (err["kind"], err["context"]) == ("output", {"path": "out"})
+    assert (err["kind"], err["context"]) == ("worker-died", {"command": "simulate"})
     assert pool_sizes == [2]
     assert_nothing_left(sim_dir, before, threads)
+
+
+def test_parent_formats_no_timeline(sim_dir, monkeypatch, pool_sizes):
+    # each cell is simulated recorded and its timeline written on a worker;
+    # the parent takes back only the numbers of its comparison row
+    parent, formatted, taken = os.getpid(), [], []
+    timeline_rows = pipeline.ScheduleResult.timeline_rows
+    comparison = cli._comparison
+
+    def count_in_parent(result):
+        formatted.append(os.getpid())
+        return timeline_rows(result)
+
+    def comparison_spy(config, trace, cell, map):
+        def taking(*args):
+            for result in map(*args):
+                taken.append(result)
+                yield result
+        return comparison(config, trace, cell, taking)
+
+    monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", count_in_parent)
+    monkeypatch.setattr(cli, "_comparison", comparison_spy)
+    assert sim_run(monkeypatch, 2) == 0
+    assert pool_sizes == [2]
+    assert formatted.count(parent) == 0
+    assert len(taken) == 18 and all(result.op_starts == () == result.op_ends for result in taken)
+    assert len(list((sim_dir / "out").glob("timeline_*.csv"))) == 18
 
 
 # reproduce computes its packing report, allocator rows and cells on forked
@@ -957,6 +1030,59 @@ def test_failed_call_into_a_new_out_leaves_nothing(command, workers, sim_dir, mo
         assert main(argv + ["--out", "new/a/run"]) == 2
         line, = capsys.readouterr().err.splitlines()
         assert json.loads(line)["kind"] == "output"
+        assert_nothing_left(sim_dir, before, threads)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_timeline_open_or_write_into_a_new_out_leaves_nothing(workers, sim_dir, monkeypatch, capsys):
+    # fail the k-th open, write or writelines of a timeline file, counted
+    # across the forked workers, for every k of a clean run into a new nested out
+    count, fail_at = multiprocessing.Value("i", 0), [0]
+
+    def tick():
+        with count.get_lock():
+            count.value += 1
+            if count.value == fail_at[0]:
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            tick()
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            tick()
+            return self.fh.writelines(lines)
+
+    real_open = Path.open
+
+    def failing_open(path, *args, **kwargs):
+        if not path.name.startswith("timeline_"):
+            return real_open(path, *args, **kwargs)
+        tick()
+        return FailingFile(real_open(path, *args, **kwargs))
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    assert sim_run(monkeypatch, workers, out="clean/a/run") == 0
+    clean = count.value
+    assert clean == 18 * 3  # per timeline: the open, the header's write, the lines' writelines
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    for k in range(1, clean + 1):
+        count.value, fail_at[0] = 0, k
+        assert sim_run(monkeypatch, workers, out="new/a/run") == 2
+        line, = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["kind"] == "output"
+        assert err["context"]["path"].startswith(str(Path("new/a/run/timeline_")))
         assert_nothing_left(sim_dir, before, threads)
 
 

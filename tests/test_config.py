@@ -76,7 +76,8 @@ def flagged_resolved(tmp_path, monkeypatch) -> bytes:
     for argv in FLAG_ARGVS:
         flags.update(vars(cli._build_parser().parse_args(argv + ["--config", "cfg.yaml"])))
     config = cli._config_from_args(argparse.Namespace(**flags))
-    cli._write_run(config, Path("out"), [])
+    with cli._staging(Path("out")) as run:
+        cli._write_run(config, run, Path("out"), [])
     return (tmp_path / "out" / "config.resolved").read_bytes()
 
 
@@ -96,7 +97,8 @@ def defaults_resolved(tmp_path, monkeypatch) -> bytes:
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("OMNISCHED_SEED", raising=False)
     (tmp_path / "cfg.yaml").write_text(DEFAULTS_CONFIG)
-    cli._write_run(cli._config_from_args(argparse.Namespace(config="cfg.yaml")), Path("out"), [])
+    with cli._staging(Path("out")) as run:
+        cli._write_run(cli._config_from_args(argparse.Namespace(config="cfg.yaml")), run, Path("out"), [])
     return (tmp_path / "out" / "config.resolved").read_bytes()
 
 

@@ -5,6 +5,7 @@ import tempfile
 import tracemalloc
 import weakref
 from array import array
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,9 @@ from oracles import (
     simulate_1f1b_reference,
     timeline_rows_reference,
 )
+
+# compare_configs' cell function that records nothing, as omnisched reproduce passes
+UNRECORDED = partial(pipeline.simulate_cell, record=False)
 
 
 def plan_with_costs(costs, dp=1, tp=1):
@@ -549,6 +553,56 @@ class TestCompareConfigs:
         assert simulated == ["1x2x1", "1x2x1", "1x4x1", "1x4x1"]
 
 
+COSTS = st.lists(st.floats(min_value=0.05, max_value=8.0), min_size=1, max_size=4)
+
+
+@given(
+    encoder_costs=st.lists(COSTS, min_size=1, max_size=3),
+    divisible=st.lists(st.booleans(), min_size=4, max_size=4),
+    llm=st.lists(st.floats(min_value=0.05, max_value=8.0), min_size=4, max_size=10),
+    layouts=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3,
+                     unique=True),
+    beta=st.floats(min_value=0.5, max_value=3.0),
+    comm=st.sampled_from([0.0, 0.3]) | st.floats(min_value=0.01, max_value=2.0),
+    seed=st.integers(0, 2**16),
+    j=st.integers(min_value=-40, max_value=40),
+)
+@example(encoder_costs=[[1.0, 1.0, 1.0], [0.5, 0.5]], divisible=[False, True, True, True], llm=[1.0] * 8,
+         layouts=[(1, 2, 1), (1, 4, 2)], beta=2.0, comm=0.0, seed=1, j=-40)
+@settings(max_examples=60, deadline=None)
+def test_cost_scaling_through_compare_configs(encoder_costs, divisible, llm, layouts, beta, comm, seed, j):
+    """Every unit cost, LLM layer cost and ``comm_latency`` times ``2**j``,
+    every value normal: the planners cut at the same boundaries, stage costs
+    and makespans scale by ``2**j`` and throughputs by ``2**-j``, and every
+    other column of each row is bit-identical."""
+    scale = math.ldexp(1.0, j)
+
+    def compare(factor):
+        encoders = [EncoderSpec(modality, tuple(c * factor for c in costs), tuple(divisible[:len(costs)]))
+                    for modality, costs in zip(Modality, encoder_costs)]
+        plans = []
+
+        def cell(key, plan, *simulation):  # a plan as the cell function receives it
+            plans.append(plan)
+            return UNRECORDED(key, plan, *simulation)
+
+        rows, _ = compare_configs(small_trace(seed), 32, encoders, [c * factor for c in llm],
+                                  [ParallelLayout(*layout) for layout in layouts], backward_ratio=beta,
+                                  comm_latency=comm * factor, cell=cell)
+        return rows, plans
+
+    (rows, plans), (scaled_rows, scaled_plans) = compare(1.0), compare(scale)
+    assert [p.boundaries for p in scaled_plans] == [p.boundaries for p in plans]
+    assert [[c.hex() for c in p.stage_cost] for p in scaled_plans] == [
+        [(c * scale).hex() for c in p.stage_cost] for p in plans]
+    for row, scaled in zip(rows, scaled_rows, strict=True):
+        for key in ("max_stage_cost", "makespan"):
+            assert scaled[key].hex() == (row[key] * scale).hex()
+        assert scaled["throughput"].hex() == (row["throughput"] / scale).hex()
+        same = [k for k in row if k not in ("max_stage_cost", "makespan", "throughput")]
+        assert [repr(scaled[k]) for k in same] == [repr(row[k]) for k in same]
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_shuffled_trace_lines_keep_ffd_and_padded(tmp_path_factory, data):
@@ -571,7 +625,7 @@ def test_shuffled_trace_lines_keep_ffd_and_padded(tmp_path_factory, data):
         packing, _ = pack_ffd(trace, 16)
         packings.append(dataclasses.astuple(packing))
         cells, _ = compare_configs(trace, 16, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
-                                   schedules=False)
+                                   cell=UNRECORDED)
         # repr round-trips a float, so equal texts are equal bits
         rows.append([repr(row) for row in cells if row["packing_policy"] != "stream"])
     assert packings[0] == packings[1]
@@ -605,12 +659,12 @@ class TestCellsAlive:
 
     def test_without_schedules_one_cell_is_alive_at_a_time(self, monkeypatch):
         _, alive = simulate_spy(monkeypatch)
-        rows, schedules = self.compare(schedules=False)
+        rows, schedules = self.compare(cell=UNRECORDED)
         assert schedules == [] and len(rows) == 4
         assert alive == [0] * 6  # 2 layouts x (2 cells + the baseline)
 
     def test_schedules_are_kept_and_rows_unchanged(self, monkeypatch):
-        without, _ = self.compare(schedules=False)
+        without, _ = self.compare(cell=UNRECORDED)
         refs, _ = simulate_spy(monkeypatch)
         rows, schedules = self.compare()
         assert rows == without
