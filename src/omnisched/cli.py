@@ -10,9 +10,12 @@ timeline CSV there as its cell is simulated). Only then are
 there. A new run directory is that directory, renamed into place in one step;
 into an existing one the files are moved once every write has succeeded. A
 failed run creates no directory and leaves no new or changed file.
-Independent work can run on forked worker processes (``_worker_pool``), one
-per usable CPU, when that makes two or more, ``fork`` exists and the run is
-the process's only thread; else the process does it itself, in order.
+Independent work runs through one ``map`` (``_worker_pool``): that of a pool
+of forked worker processes, one per usable CPU up to one per task, when that
+makes two or more, ``fork`` exists, the run is the process's only thread and
+the pool starts; else the built-in ``map``, and the process does the work
+itself, in order. A pool that cannot start (no working POSIX semaphores, or a
+fork or thread that fails) is no pool: the workers already forked are ended.
 ``simulate`` runs its cells that way, each simulated and its timeline written
 on one worker; ``reproduce`` computes its packing report, its allocator rows
 and its cells that way once the cells' summed ``pp * m`` reaches
@@ -44,7 +47,6 @@ from contextlib import contextmanager, suppress
 from functools import partial
 from itertools import takewhile
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import yaml
@@ -184,51 +186,60 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _InProcess:
-    """The executor of one process: ``map`` is the built-in ``map``, and
-    ``submit(fn, *args)`` makes the call here when its ``result()`` is taken,
-    so an error is raised where it would be from a worker. (A
-    ``concurrent.futures.Future`` would cost a small run its import.)"""
-
-    map = staticmethod(map)
-
-    @staticmethod
-    def submit(fn, *args):
-        return SimpleNamespace(result=partial(fn, *args))
-
-
 @contextmanager
-def _worker_pool(workers: int, command: str):
-    """An executor (``map`` and ``submit``) for calls that share no state: a
-    pool of ``workers`` forked processes when that is two or more, ``fork``
-    exists and this is the process's only thread; else ``_InProcess``. A call's
-    error is raised where its result is taken; a worker that dies is
-    ``command``'s ``worker-died`` error. Every worker has exited when the block
-    is left."""
+def _worker_pool(tasks: int, command: str):
+    """A ``map`` for ``tasks`` calls that share no state: a process pool's,
+    with one forked worker per usable CPU up to ``tasks``, when that makes two
+    or more, ``fork`` exists, this is the process's only thread and the pool
+    starts (see ``_fork_pool``); else the built-in ``map``, which makes each
+    call here as its result is taken. A call's error is raised where its
+    result is taken; a worker that dies is ``command``'s ``worker-died`` error.
+    Every worker has exited when the block is left."""
     # fork, not spawn: a spawned worker is a fresh interpreter that imports
     # numpy and omnisched, about as long as its share of the work. Forking is
     # unsafe while other threads run, hence the thread count. When a worker
     # dies the executor raises BrokenProcessPool; multiprocessing.Pool.map
     # would wait forever.
-    pool = None
-    if workers >= 2 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    workers = min(_usable_cpus(), tasks)
+    pool = _fork_pool(workers) if workers >= 2 and threading.active_count() == 1 else None
     if pool is None:
-        yield _InProcess
+        yield map
         return
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        yield pool
+        yield pool.map
     except BrokenProcessPool:
         raise WorkerDiedError(f"{command} lost a worker process", command=command) from None
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _fork_pool(workers: int):
+    """A process pool whose ``workers`` forked workers have started, or None
+    when there is no ``fork``, the pool cannot be made (no working POSIX
+    semaphores), or forking a worker or starting the pool's thread fails
+    (``EAGAIN``, ``ENOMEM``); the workers already forked are then ended."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    except (NotImplementedError, OSError):
+        return None
+    children = set(multiprocessing.active_children())
+    try:
+        pool.map(int, [0])  # a fork pool forks all of its workers at its first task
+    except (OSError, RuntimeError):  # RuntimeError: "can't start new thread"
+        pool.shutdown(wait=False)  # there is no thread to wait for
+        for worker in set(multiprocessing.active_children()) - children:
+            worker.terminate()
+            worker.join()
+        return None
+    return pool
 
 
 def _timeline_cell(run: Path, out: Path, key, *simulation) -> ScheduleResult:
@@ -320,9 +331,9 @@ def _plan(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Pa
 def _simulate(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
-    timelines = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
-    with _worker_pool(min(_usable_cpus(), timelines), "simulate") as pool:
-        rows = _comparison(config, trace, partial(_timeline_cell, run, out), pool.map)
+    cells = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
+    with _worker_pool(cells, "simulate") as map:
+        rows = _comparison(config, trace, partial(_timeline_cell, run, out), map)
     summary = {
         "command": "simulate",
         "trace": trace_stats(trace),
@@ -366,19 +377,23 @@ def _mem(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Pat
 _FORK_CELL_WORK = 64_000
 
 
-def _reproduce_workers(config: ExperimentConfig, trace: WorkloadTrace) -> int:
-    """How many processes ``reproduce`` may compute on: one per usable CPU, up
-    to one per task (the packing report, the allocator rows, each cell), once
-    its cells' summed ``pp * m`` reaches ``_FORK_CELL_WORK``; else one. A
-    padded cell's ``m`` is the sample count, and a packed one's is taken at its
-    floor, the trace's tokens over the capacity."""
+def _reproduce_tasks(config: ExperimentConfig, trace: WorkloadTrace) -> int:
+    """The tasks ``reproduce`` gives its ``_worker_pool``: the packing report,
+    the allocator rows and each cell once its cells' summed ``pp * m`` reaches
+    ``_FORK_CELL_WORK``; else one, so it starts no pool. A padded cell's ``m``
+    is the sample count, and a packed one's is taken at its floor, the trace's
+    tokens over the capacity."""
     packed = -(-sum(trace.lengths) // config.capacity)
     m = sum(len(trace) if name == "padded" else packed for name in config.packing_policies)
     work = m * len(config.plan_policies) * sum(layout.pp for layout in config.layouts)
     if work < _FORK_CELL_WORK:
         return 1
-    cells = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
-    return min(_usable_cpus(), 2 + cells)
+    return 2 + len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
+
+
+def _call(fn):
+    """``fn()``, for a ``map`` over ``partial`` objects."""
+    return fn()
 
 
 def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
@@ -394,11 +409,12 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, ou
     _need_cost_model(config, "reproduce")
     trace = config.load_workload()
 
-    with _worker_pool(_reproduce_workers(config, trace), "reproduce") as pool:
-        pack_rows = pool.submit(_pack_rows, trace, config.capacity, config.packing_policies)
-        mem_rows = pool.submit(_mem_rows, trace, config.capacity, config.resolved["memsim"])
-        rows = _comparison(config, trace, partial(simulate_cell, record=False), pool.map)
-        pack_rows, mem_rows = pack_rows.result(), mem_rows.result()
+    with _worker_pool(_reproduce_tasks(config, trace), "reproduce") as map:
+        # the built-in map makes these two calls only as they are taken, after the cells
+        reports = map(_call, [partial(_pack_rows, trace, config.capacity, config.packing_policies),
+                              partial(_mem_rows, trace, config.capacity, config.resolved["memsim"])])
+        rows = _comparison(config, trace, partial(simulate_cell, record=False), map)
+        pack_rows, mem_rows = reports
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
     cells = {(row["layout"], row["packing_policy"], row["plan_policy"]): row for row in rows}

@@ -45,7 +45,7 @@ def test_cli_import_loads_no_thread_pool():
 
 def test_cli_import_route_and_reproduce_load_no_process_pool(tmp_path):
     # the pool is imported only when a command starts one: simulate for its
-    # timelines, reproduce only above cli._FORK_CELL_WORK, which the shipped
+    # cells, reproduce only above cli._FORK_CELL_WORK, which the shipped
     # scenario is far below
     src = Path(__file__).parent.parent / "src"
     code = (

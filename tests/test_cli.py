@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import random
 import sys
 import threading
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from omnisched import cli, memsim, pipeline
+from omnisched import cli, memsim, packing, pipeline
 from omnisched.cli import main
 from omnisched.config import reproduce_scenario_doc
 from omnisched.errors import InvalidSpecError, OmniSchedError
@@ -988,6 +989,99 @@ def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, caps
     assert_nothing_left(sim_dir, before, threads)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fails,error", [
+    (("cell", "allocator"), "a cell fails"),
+    (("packing report", "allocator"), "the packing report fails"),
+], ids=["cell", "packing-report"])
+def test_reproduce_first_failure_in_work_order_wins(fails, error, workers, sim_dir, monkeypatch, capsys,
+                                                    pool_sizes):
+    # the work order: the cells, then the packing report, then the allocator rows
+    def failing(what):
+        def fail(*args):
+            raise InvalidSpecError(f"{'a' if what == 'cell' else 'the'} {what} fails")
+        return fail
+
+    targets = {"cell": (pipeline, "simulate_1f1b"), "packing report": (packing.PackingReport, "to_dict"),
+               "allocator": (memsim, "simulate_allocator")}
+    for what in fails:
+        monkeypatch.setattr(*targets[what], failing(what))
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert rep_run(monkeypatch, workers) == 2
+    line, = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"kind": "invalid-spec", "message": error, "context": {}}
+    assert pool_sizes == ([2] if workers == 2 else [])
+    assert_nothing_left(sim_dir, before, threads)
+
+
+def run_files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
+@pytest.mark.parametrize("fallback", ["other-thread", "no-fork"])
+def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir, monkeypatch, pool_sizes):
+    # two usable CPUs, but a library caller's thread is alive or the platform has no fork
+    threads = threading.active_count()
+    assert run(monkeypatch, 1, out="out1") == 0
+    if fallback == "no-fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        assert run(monkeypatch, 2, out="out2") == 0
+    else:
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert run(monkeypatch, 2, out="out2") == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert pool_sizes == []
+    assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
+    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
+@pytest.mark.parametrize("fault", ["first-fork", "second-fork", "thread", "no-semaphores", "semaphore-error"])
+def test_pool_that_cannot_start_is_no_pool(fault, run, sim_dir, monkeypatch):
+    # a fork that fails (os.fork patched, EAGAIN), a pool thread that cannot
+    # start, or a pool that cannot be made (no working POSIX semaphores): the
+    # run does the work itself, and the workers already forked are ended
+    import concurrent.futures
+
+    threads = threading.active_count()
+    assert run(monkeypatch, 1, out="out1") == 0
+    names = set(os.listdir(sim_dir))
+    forks, fork, fail_at = [0], os.fork, {"first-fork": 1, "second-fork": 2}.get(fault)
+
+    def fork_or_fail():
+        forks[0] += 1
+        if forks[0] == fail_at:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    if fault == "thread":  # after the pool has forked its workers
+        def no_thread(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+    elif fail_at is None:
+        error = (NotImplementedError("This Python build lacks multiprocessing.synchronize")
+                 if fault == "no-semaphores" else OSError(errno.ENOSYS, "Function not implemented"))
+
+        def no_pool(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run(monkeypatch, 2, out="out2") == 0
+    assert forks[0] == {"first-fork": 1, "second-fork": 2, "thread": 2}.get(fault, 0)
+    assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
+    assert set(os.listdir(sim_dir)) == names | {"out2"}  # no staging directory left
+    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+
+
 def error_classes(cls=OmniSchedError):
     return [cls] + [sub for child in cls.__subclasses__() for sub in error_classes(child)]
 
@@ -1034,10 +1128,13 @@ def test_failed_call_into_a_new_out_leaves_nothing(command, workers, sim_dir, mo
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failed_timeline_open_or_write_into_a_new_out_leaves_nothing(workers, sim_dir, monkeypatch, capsys):
-    # fail the k-th open, write or writelines of a timeline file, counted
-    # across the forked workers, for every k of a clean run into a new nested out
-    count, fail_at = multiprocessing.Value("i", 0), [0]
+@pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
+def test_failed_open_or_write_into_a_new_out_leaves_nothing(run, workers, sim_dir, monkeypatch, capsys):
+    # fail the k-th open for writing, write or writelines of a file in the
+    # run's staging directory (config.resolved, each CSV, summary.json),
+    # counted across the forked workers, for every k of a clean run into a
+    # new nested out
+    count, fail_at, opened = multiprocessing.Value("i", 0), [0], set()
 
     def tick():
         with count.get_lock():
@@ -1065,24 +1162,26 @@ def test_failed_timeline_open_or_write_into_a_new_out_leaves_nothing(workers, si
 
     real_open = Path.open
 
-    def failing_open(path, *args, **kwargs):
-        if not path.name.startswith("timeline_"):
-            return real_open(path, *args, **kwargs)
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" not in mode:
+            return real_open(path, mode, *args, **kwargs)
+        opened.add(path.name)  # in this process only
         tick()
-        return FailingFile(real_open(path, *args, **kwargs))
+        return FailingFile(real_open(path, mode, *args, **kwargs))
 
-    monkeypatch.setattr(Path, "open", failing_open)
-    assert sim_run(monkeypatch, workers, out="clean/a/run") == 0
-    clean = count.value
-    assert clean == 18 * 3  # per timeline: the open, the header's write, the lines' writelines
+    monkeypatch.setattr(Path, "open", failing_open)  # Path.write_text opens through it
+    assert run(monkeypatch, workers, out="clean/a/run") == 0
+    clean, names = count.value, set(os.listdir("clean/a/run"))
+    assert {"config.resolved", "comparison.csv", "summary.json"} <= opened <= names
+    assert opened | {name for name in names if name.startswith("timeline_")} == names
     before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
     for k in range(1, clean + 1):
         count.value, fail_at[0] = 0, k
-        assert sim_run(monkeypatch, workers, out="new/a/run") == 2
+        assert run(monkeypatch, workers, out="new/a/run") == 2
         line, = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert err["kind"] == "output"
-        assert err["context"]["path"].startswith(str(Path("new/a/run/timeline_")))
+        assert Path(err["context"]["path"]).parent == Path("new/a/run")
         assert_nothing_left(sim_dir, before, threads)
 
 
@@ -1092,6 +1191,35 @@ def test_new_out_has_the_mode_mkdir_gives(sim_dir):
     mode = (sim_dir / "probe").stat().st_mode & 0o777
     assert (sim_dir / "new" / "run").stat().st_mode & 0o777 == mode
     assert (sim_dir / "new").stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffled_trace_lines_keep_padded_and_ffd_runs(seed, sim_dir, monkeypatch):
+    # trace order is metamorphic for FFD (it sorts by length, ties by id) and
+    # for padded batches: through whole simulate runs, only stream may differ
+    rng = random.Random(seed)
+    ids = rng.sample(range(-10**6, 10**6), 40)
+    trace = WorkloadTrace(ids, [rng.choice([Modality.TEXT, Modality.IMAGE]) for _ in ids],
+                          [rng.randint(1, 8) for _ in ids])  # many equal lengths
+    save_trace(trace, sim_dir / "trace.ndjson")
+    assert sim_run(monkeypatch, 1, out="saved") == 0
+    lines = (sim_dir / "trace.ndjson").read_text().splitlines(keepends=True)
+    shuffled = rng.sample(lines, len(lines))
+    assert shuffled != lines
+    (sim_dir / "trace.ndjson").write_text("".join(shuffled))
+    assert sim_run(monkeypatch, 1, out="shuffled") == 0
+
+    def kept(run):
+        files = run_files(sim_dir / run)
+        rows = files.pop("comparison.csv").decode().splitlines(keepends=True)
+        timelines = {name: data for name, data in files.items()
+                     if name.startswith("timeline_") and name.split("_")[2] != "stream"}
+        return [row for row in rows if row.split(",")[1] != "stream"], timelines
+
+    rows, timelines = kept("saved")
+    assert len(rows) == 1 + 3 * 2 * 2 and len(timelines) == 3 * 2 * 2
+    assert kept("shuffled") == (rows, timelines)
+    assert run_files(sim_dir / "shuffled") != run_files(sim_dir / "saved")  # stream sees the order
 
 
 def test_default_offsets_out_of_memory_message_ends_in_the_command(tmp_path, capsys):
