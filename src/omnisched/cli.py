@@ -232,7 +232,10 @@ def _fork_pool(workers: int):
         return None
     children = set(multiprocessing.active_children())
     try:
-        pool.map(int, [0])  # a fork pool forks all of its workers at its first task
+        # a fork pool forks all of its workers at its first task on a CPython
+        # with the gh-90622 change (3.11.7 has it); one without it forks them
+        # on demand in the run's map, where a failing fork is a bare OSError
+        pool.map(int, [0])
     except (OSError, RuntimeError):  # RuntimeError: "can't start new thread"
         pool.shutdown(wait=False)  # there is no thread to wait for
         for worker in set(multiprocessing.active_children()) - children:
@@ -391,11 +394,6 @@ def _reproduce_tasks(config: ExperimentConfig, trace: WorkloadTrace) -> int:
     return 2 + len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
 
 
-def _call(fn):
-    """``fn()``, for a ``map`` over ``partial`` objects."""
-    return fn()
-
-
 def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     """The scenario end to end, and its baseline-vs-optimized contrast."""
     missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
@@ -411,10 +409,10 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, ou
 
     with _worker_pool(_reproduce_tasks(config, trace), "reproduce") as map:
         # the built-in map makes these two calls only as they are taken, after the cells
-        reports = map(_call, [partial(_pack_rows, trace, config.capacity, config.packing_policies),
-                              partial(_mem_rows, trace, config.capacity, config.resolved["memsim"])])
+        packs = map(_pack_rows, [trace], [config.capacity], [config.packing_policies])
+        mems = map(_mem_rows, [trace], [config.capacity], [config.resolved["memsim"]])
         rows = _comparison(config, trace, partial(simulate_cell, record=False), map)
-        pack_rows, mem_rows = reports
+        (pack_rows,), (mem_rows,) = packs, mems
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
     cells = {(row["layout"], row["packing_policy"], row["plan_policy"]): row for row in rows}

@@ -1134,7 +1134,7 @@ def test_failed_open_or_write_into_a_new_out_leaves_nothing(run, workers, sim_di
     # run's staging directory (config.resolved, each CSV, summary.json),
     # counted across the forked workers, for every k of a clean run into a
     # new nested out
-    count, fail_at, opened = multiprocessing.Value("i", 0), [0], set()
+    count, fail_at = multiprocessing.Value("i", 0), [0]
 
     def tick():
         with count.get_lock():
@@ -1165,15 +1165,23 @@ def test_failed_open_or_write_into_a_new_out_leaves_nothing(run, workers, sim_di
     def failing_open(path, mode="r", *args, **kwargs):
         if "w" not in mode:
             return real_open(path, mode, *args, **kwargs)
-        opened.add(path.name)  # in this process only
         tick()
         return FailingFile(real_open(path, mode, *args, **kwargs))
 
     monkeypatch.setattr(Path, "open", failing_open)  # Path.write_text opens through it
     assert run(monkeypatch, workers, out="clean/a/run") == 0
-    clean, names = count.value, set(os.listdir("clean/a/run"))
-    assert {"config.resolved", "comparison.csv", "summary.json"} <= opened <= names
-    assert opened | {name for name in names if name.startswith("timeline_")} == names
+    clean = count.value
+
+    def ticks(path):  # the open, then each write or writelines
+        if path.name.startswith("timeline_"):
+            return 3  # the header's write, the lines' writelines
+        if path.suffix == ".csv":
+            return 1 + len(path.read_bytes().splitlines())  # csv.writer writes row by row
+        return 2  # Path.write_text's one write
+
+    files = list(Path("clean/a/run").iterdir())
+    assert {"config.resolved", "comparison.csv", "summary.json"} <= {path.name for path in files}
+    assert clean == sum(map(ticks, files))
     before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
     for k in range(1, clean + 1):
         count.value, fail_at[0] = 0, k
