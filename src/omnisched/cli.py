@@ -10,17 +10,16 @@ timeline CSV there as its cell is simulated). Only then are
 there. A new run directory is that directory, renamed into place in one step;
 into an existing one the files are moved once every write has succeeded. A
 failed run creates no directory and leaves no new or changed file.
-Independent work runs through one ``map`` (``_worker_pool``): that of a pool
-of forked worker processes, one per usable CPU up to one per task, when that
-makes two or more, ``fork`` exists, the run is the process's only thread and
-the pool starts; else the built-in ``map``, and the process does the work
-itself, in order. A pool that cannot start (no working POSIX semaphores, or a
-fork or thread that fails) is no pool: the workers already forked are ended.
-``simulate`` runs its cells that way, each simulated and its timeline written
-on one worker; ``reproduce`` computes its packing report, its allocator rows
-and its cells that way once the cells' summed ``pp * m`` reaches
-``_FORK_CELL_WORK``. Every worker has exited before the run returns or fails,
-and the bytes written do not depend on the worker count.
+Independent work runs through one ``map`` (``_worker_pool``). With two or more
+usable CPUs, ``fork`` and no other thread, it queues its calls, and taking the
+first result forks a worker per usable CPU up to one per call (none for one).
+Inputs reach the workers by fork; only results come back, pickled. The process
+makes the shares of forks that fail, and without a fork (the built-in ``map``)
+each call itself, in order. ``simulate`` runs its cells that way, each
+simulated and its timeline written on one worker; ``reproduce`` its packing
+report, its allocator rows and its cells, once the cells' summed ``pp * m``
+reaches ``_FORK_CELL_WORK``. Every worker has exited before the run returns or
+fails, and the bytes written do not depend on the worker count.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 usage error, 2 domain error. Domain errors print a
@@ -39,6 +38,7 @@ import dataclasses
 import json
 import operator
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -186,63 +186,82 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _worker_pool(tasks: int, command: str):
-    """A ``map`` for ``tasks`` calls that share no state: a process pool's,
-    with one forked worker per usable CPU up to ``tasks``, when that makes two
-    or more, ``fork`` exists, this is the process's only thread and the pool
-    starts (see ``_fork_pool``); else the built-in ``map``, which makes each
-    call here as its result is taken. A call's error is raised where its
-    result is taken; a worker that dies is ``command``'s ``worker-died`` error.
-    Every worker has exited when the block is left."""
+def _worker_pool(command: str, fork: bool = True):
+    """A ``map`` for calls that share no state: the built-in one, which makes
+    each call here as its result is taken, unless ``fork`` is set, there are
+    two or more usable CPUs, ``fork`` exists and this is the process's only
+    thread. Then it queues its calls, and taking a result not yet made makes
+    every queued call (``_fork_calls``). A call's error is raised where its
+    result is taken; a call no worker answered is ``command``'s ``worker-died``."""
     # fork, not spawn: a spawned worker is a fresh interpreter that imports
     # numpy and omnisched, about as long as its share of the work. Forking is
-    # unsafe while other threads run, hence the thread count. When a worker
-    # dies the executor raises BrokenProcessPool; multiprocessing.Pool.map
-    # would wait forever.
-    workers = min(_usable_cpus(), tasks)
-    pool = _fork_pool(workers) if workers >= 2 and threading.active_count() == 1 else None
-    if pool is None:
-        yield map
-        return
-    from concurrent.futures.process import BrokenProcessPool
+    # unsafe while other threads run, hence the thread count.
+    if not (fork and _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
+        return map
+    calls, answers = [], []
 
+    def fork_map(fn, *iterables):
+        first = len(calls)
+        calls.extend(partial(fn, *args) for args in zip(*iterables))
+        return map(take, range(first, len(calls)))
+
+    def take(i):
+        if i >= len(answers):
+            answers.extend(_fork_calls(calls[len(answers):]))
+        ok, value = answers[i] or (False, WorkerDiedError(f"{command} lost a worker process", command=command))
+        if not ok:
+            raise value
+        return value
+
+    return fork_map
+
+
+def _fork_calls(calls: list) -> list:
+    """Each call's ``_answer``, or None where no worker gave one, made on
+    ``min(usable CPUs, calls)`` forked workers (none for one call), call ``i``
+    on worker ``i % workers``, each answering pickled on its own pipe. This
+    process makes the shares whose fork fails (``EAGAIN``, ``ENOMEM``). Every
+    worker has exited when this returns or fails."""
+    workers, answers, started = min(_usable_cpus(), len(calls)), [None] * len(calls), []
     try:
-        yield pool.map
-    except BrokenProcessPool:
-        raise WorkerDiedError(f"{command} lost a worker process", command=command) from None
+        for w in range(workers if workers >= 2 else 0):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: this process makes the calls left
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # a worker leaves by os._exit: no finally block or exit hook of this process runs
+                try:
+                    for fd in [read] + [pipe.fileno() for _, pipe in started]:
+                        os.close(fd)
+                    with os.fdopen(write, "wb") as out:
+                        for i in range(w, len(calls), workers):
+                            pickle.dump((i, _answer(calls[i])), out)
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(write)
+            started.append((pid, os.fdopen(read, "rb")))
+        for w in range(len(started), workers):
+            answers[w::workers] = map(_answer, calls[w::workers])
+        for _, pipe in started:
+            with suppress(EOFError, pickle.UnpicklingError):  # the end, or a message a dying worker cut short
+                for i, answer in iter(partial(pickle.load, pipe), None):
+                    answers[i] = answer
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in started:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return answers
 
 
-def _fork_pool(workers: int):
-    """A process pool whose ``workers`` forked workers have started, or None
-    when there is no ``fork``, the pool cannot be made (no working POSIX
-    semaphores), or forking a worker or starting the pool's thread fails
-    (``EAGAIN``, ``ENOMEM``); the workers already forked are then ended."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
+def _answer(call) -> tuple:
     try:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    except (NotImplementedError, OSError):
-        return None
-    children = set(multiprocessing.active_children())
-    try:
-        # a fork pool forks all of its workers at its first task on a CPython
-        # with the gh-90622 change (3.11.7 has it); one without it forks them
-        # on demand in the run's map, where a failing fork is a bare OSError
-        pool.map(int, [0])
-    except (OSError, RuntimeError):  # RuntimeError: "can't start new thread"
-        pool.shutdown(wait=False)  # there is no thread to wait for
-        for worker in set(multiprocessing.active_children()) - children:
-            worker.terminate()
-            worker.join()
-        return None
-    return pool
+        return True, call()
+    except Exception as exc:  # MemoryError too: each is raised where its result is taken
+        return False, exc
 
 
 def _timeline_cell(run: Path, out: Path, key, *simulation) -> ScheduleResult:
@@ -334,9 +353,7 @@ def _plan(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Pa
 def _simulate(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     _need_cost_model(config, "simulate")
     trace = config.load_workload()
-    cells = len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
-    with _worker_pool(cells, "simulate") as map:
-        rows = _comparison(config, trace, partial(_timeline_cell, run, out), map)
+    rows = _comparison(config, trace, partial(_timeline_cell, run, out), _worker_pool("simulate"))
     summary = {
         "command": "simulate",
         "trace": trace_stats(trace),
@@ -374,24 +391,10 @@ def _mem(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Pat
     return {"command": "mem", "rows": rows}, [("memsim.csv", memsim_mod.MEMSIM_CSV_FIELDS, rows)]
 
 
-# reproduce computes on worker processes once its cells' summed pp * m
-# (stages times microbatches) reaches this; below it, starting the workers
-# costs more than they save
+# reproduce computes on worker processes once its cells' summed pp * m (stages
+# times microbatches) reaches this; their fixed cost, forking two and taking the
+# first result, is 8-12 ms on a 2-CPU host (the value was set when it was 35-50)
 _FORK_CELL_WORK = 64_000
-
-
-def _reproduce_tasks(config: ExperimentConfig, trace: WorkloadTrace) -> int:
-    """The tasks ``reproduce`` gives its ``_worker_pool``: the packing report,
-    the allocator rows and each cell once its cells' summed ``pp * m`` reaches
-    ``_FORK_CELL_WORK``; else one, so it starts no pool. A padded cell's ``m``
-    is the sample count, and a packed one's is taken at its floor, the trace's
-    tokens over the capacity."""
-    packed = -(-sum(trace.lengths) // config.capacity)
-    m = sum(len(trace) if name == "padded" else packed for name in config.packing_policies)
-    work = m * len(config.plan_policies) * sum(layout.pp for layout in config.layouts)
-    if work < _FORK_CELL_WORK:
-        return 1
-    return 2 + len(config.layouts) * len(config.packing_policies) * len(config.plan_policies)
 
 
 def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
@@ -406,13 +409,17 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, ou
         )
     _need_cost_model(config, "reproduce")
     trace = config.load_workload()
-
-    with _worker_pool(_reproduce_tasks(config, trace), "reproduce") as map:
-        # the built-in map makes these two calls only as they are taken, after the cells
-        packs = map(_pack_rows, [trace], [config.capacity], [config.packing_policies])
-        mems = map(_mem_rows, [trace], [config.capacity], [config.resolved["memsim"]])
-        rows = _comparison(config, trace, partial(simulate_cell, record=False), map)
-        (pack_rows,), (mem_rows,) = packs, mems
+    # a padded cell's m is the sample count, and a packed one's is taken at
+    # its floor, the trace's tokens over the capacity
+    packed = -(-sum(trace.lengths) // config.capacity)
+    m = sum(len(trace) if name == "padded" else packed for name in config.packing_policies)
+    work = m * len(config.plan_policies) * sum(layout.pp for layout in config.layouts)
+    map = _worker_pool("reproduce", work >= _FORK_CELL_WORK)
+    # the built-in map makes these two calls only as they are taken, after the cells
+    packs = map(_pack_rows, [trace], [config.capacity], [config.packing_policies])
+    mems = map(_mem_rows, [trace], [config.capacity], [config.resolved["memsim"]])
+    rows = _comparison(config, trace, partial(simulate_cell, record=False), map)
+    (pack_rows,), (mem_rows,) = packs, mems
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 
     cells = {(row["layout"], row["packing_policy"], row["plan_policy"]): row for row in rows}

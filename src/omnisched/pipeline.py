@@ -311,7 +311,7 @@ def compare_configs(
     (as ``omnisched``'s cell functions return) is not returned, and is freed
     before the next cell's is taken. ``map`` must yield the results in cell
     order: the built-in ``map`` (the default) runs each cell as its result is
-    taken, and a process pool's ``map`` (as ``omnisched`` passes) on its
+    taken, and a map of forked workers (as ``omnisched`` passes) on those
     workers. The library itself never starts a process.
     """
     if not layouts:

@@ -44,19 +44,27 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_cli_import_route_and_reproduce_load_no_process_pool(tmp_path):
-    # the pool is imported only when a command starts one: simulate for its
-    # cells, reproduce only above cli._FORK_CELL_WORK, which the shipped
-    # scenario is far below
+    # the CLI forks its workers with os.fork: no command loads a process
+    # pool, not even a simulate and a reproduce that fork (two usable CPUs,
+    # and reproduce's threshold cli._FORK_CELL_WORK patched to 0)
     src = Path(__file__).parent.parent / "src"
     code = (
-        "import omnisched.cli as cli, sys\n"
+        "import omnisched.cli as cli, os, sys\n"
+        "from importlib import resources\n"
         "loaded = lambda: [m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules]\n"
         "print(loaded())\n"
         "assert cli.main(['route', '--experts', '4', '--top-k', '2', '--tokens', '8', '--steps', '2',"
         " '--out', 'route']) == 0\n"
         "assert cli.main(['reproduce', '--out', 'reproduce']) == 0\n"
         "print(loaded())\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "cli._usable_cpus, cli._FORK_CELL_WORK = (lambda: 2), 0\n"
+        "scenario = str(resources.files('omnisched').joinpath('data/reproduce.yaml'))\n"
+        "assert cli.main(['simulate', '--config', scenario, '--out', 'simulate']) == 0\n"
+        "assert cli.main(['reproduce', '--out', 'forked']) == 0\n"
+        "print(len(forks), loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          cwd=tmp_path, env={"PYTHONPATH": str(src)})
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert out.stdout.splitlines() == ["[]", "[]", "4 []"]

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omnisched import cli, memsim, packing, pipeline
 from omnisched.cli import main
@@ -710,20 +712,25 @@ SIM_ARGV = ["simulate", "--config", "sim.yaml", "--trace", "trace.ndjson", "--ca
             "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1,2x2x2"]
 
 
+def fail_fork_at(monkeypatch, fail_at):
+    """Count the ``os.fork`` calls of this process in the list returned; the
+    ``fail_at``-th (counted from 1, None for none) fails with ``EAGAIN``."""
+    forks, fork = [], os.fork
+
+    def fork_or_fail():
+        forks.append(1)
+        if len(forks) == fail_at:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    return forks
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The worker count of each process pool started, in order."""
-    import concurrent.futures
-
-    sizes = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    return sizes
+def forks(monkeypatch):
+    """One entry for each ``os.fork`` call this process makes."""
+    return fail_fork_at(monkeypatch, None)
 
 
 @pytest.fixture
@@ -741,15 +748,20 @@ def sim_run(monkeypatch, workers, out="out"):
     return main(SIM_ARGV + ["--out", out])
 
 
+def assert_no_child():
+    with pytest.raises(ChildProcessError):  # running or not yet waited for, it would be reported
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_nothing_left(directory, before, threads):
     """No new path under ``directory``, no child process, no new thread."""
     assert sorted(directory.rglob("*")) == before
-    assert multiprocessing.active_children() == []
+    assert_no_child()
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("comm", [0.3, 0.0])
-def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes):
+def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, forks):
     schedules = []  # the recorded schedules, seen only where they are made: in this process with one worker
     simulate = pipeline.simulate_1f1b
 
@@ -762,14 +774,16 @@ def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes
     monkeypatch.setattr(pipeline, "simulate_1f1b", simulate_spy)
     (sim_dir / "sim.yaml").write_text(yaml.safe_dump({"comm_latency": comm, "backward_ratio": 1.7}))
     threads = threading.active_count()
-    runs = {}
+    runs, fork_counts = {}, []
     for workers in (1, 2, 3):
         assert sim_run(monkeypatch, workers, out=f"out{workers}") == 0
         runs[workers] = {p.name: p.read_bytes() for p in sorted((sim_dir / f"out{workers}").iterdir())}
-    assert pool_sizes == [2, 3]
+        fork_counts.append(len(forks))
+    assert fork_counts == [0, 2, 5]
     assert len([name for name in runs[1] if name.startswith("timeline_")]) == 3 * 3 * 2
     assert runs[2] == runs[1] and runs[3] == runs[1]
-    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+    assert_no_child()
+    assert threading.active_count() == threads
 
     # with no comm latency, an op that waited on another stage starts at that
     # op's end: its start text is looked up among the formatted ends
@@ -787,7 +801,7 @@ def test_pool_writes_the_one_worker_bytes(comm, sim_dir, monkeypatch, pool_sizes
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_memory_error_writing_timelines_is_out_of_memory(workers, sim_dir, monkeypatch, capsys, pool_sizes):
+def test_memory_error_writing_timelines_is_out_of_memory(workers, sim_dir, monkeypatch, capsys, forks):
     def no_memory(result):
         raise MemoryError
 
@@ -798,11 +812,11 @@ def test_memory_error_writing_timelines_is_out_of_memory(workers, sim_dir, monke
     err = json.loads(line)
     assert (err["kind"], err["context"]) == ("out-of-memory", {"command": "simulate"})
     assert err["message"] == "simulate does not fit in memory"
-    assert pool_sizes == ([2] if workers == 2 else [])
+    assert len(forks) == (2 if workers == 2 else 0)
     assert_nothing_left(sim_dir, before, threads)
 
 
-def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch, capsys, pool_sizes):
+def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch, capsys, forks):
     write_csv = cli._write_csv
 
     def full_disk_for_one(path, fields, rows):
@@ -818,7 +832,7 @@ def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch
         line, = capsys.readouterr().err.splitlines()
         errors.append(json.loads(line))
         assert_nothing_left(sim_dir, before, threads)
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert errors[0]["kind"] == "output"
     assert errors[0]["context"]["path"] == str(Path("out") / "timeline_1x4x1_stream_naive.csv")
     assert errors[1] == errors[0]
@@ -830,7 +844,7 @@ def test_failed_timeline_write_is_the_same_error_on_workers(sim_dir, monkeypatch
     (2, "timeline_1x4x1_padded_naive.csv", "invalid-spec"),  # the compute fails in an earlier cell
 ])
 def test_first_failure_in_cell_order_wins(fail_pp, unwritable, kind, workers, sim_dir, monkeypatch, capsys,
-                                          pool_sizes):
+                                          forks):
     simulate, write_csv = pipeline.simulate_1f1b, cli._write_csv
 
     def failing_simulate(plan, *args):
@@ -849,11 +863,11 @@ def test_first_failure_in_cell_order_wins(fail_pp, unwritable, kind, workers, si
     assert sim_run(monkeypatch, workers) == 2
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line)["kind"] == kind
-    assert pool_sizes == ([2] if workers == 2 else [])
+    assert len(forks) == (2 if workers == 2 else 0)
     assert_nothing_left(sim_dir, before, threads)
 
 
-def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_sizes):
+def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, forks):
     parent = os.getpid()
     timeline_rows = pipeline.ScheduleResult.timeline_rows
 
@@ -868,11 +882,11 @@ def test_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_s
     line, = capsys.readouterr().err.splitlines()
     err = json.loads(line)
     assert (err["kind"], err["context"]) == ("worker-died", {"command": "simulate"})
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert_nothing_left(sim_dir, before, threads)
 
 
-def test_parent_formats_no_timeline(sim_dir, monkeypatch, pool_sizes):
+def test_parent_formats_no_timeline(sim_dir, monkeypatch, forks):
     # each cell is simulated recorded and its timeline written on a worker;
     # the parent takes back only the numbers of its comparison row
     parent, formatted, taken = os.getpid(), [], []
@@ -893,7 +907,7 @@ def test_parent_formats_no_timeline(sim_dir, monkeypatch, pool_sizes):
     monkeypatch.setattr(pipeline.ScheduleResult, "timeline_rows", count_in_parent)
     monkeypatch.setattr(cli, "_comparison", comparison_spy)
     assert sim_run(monkeypatch, 2) == 0
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert formatted.count(parent) == 0
     assert len(taken) == 18 and all(result.op_starts == () == result.op_ends for result in taken)
     assert len(list((sim_dir / "out").glob("timeline_*.csv"))) == 18
@@ -915,28 +929,31 @@ def rep_run(monkeypatch, workers, scenario=None, out="out"):
     return main(argv)
 
 
-def test_reproduce_bytes_do_not_depend_on_the_worker_count(sim_dir, monkeypatch, pool_sizes):
+def test_reproduce_bytes_do_not_depend_on_the_worker_count(sim_dir, monkeypatch, forks):
     threads = threading.active_count()
-    runs = {}
+    runs, fork_counts = {}, []
     for workers in (1, 2, 3):
         assert rep_run(monkeypatch, workers, out=f"out{workers}") == 0
         runs[workers] = {p.name: p.read_bytes() for p in sorted((sim_dir / f"out{workers}").iterdir())}
-    assert pool_sizes == [2, 3]
+        fork_counts.append(len(forks))
+    assert fork_counts == [0, 2, 5]
     assert len(runs[1]) == 5 and runs[2] == runs[1] and runs[3] == runs[1]
-    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+    assert_no_child()
+    assert threading.active_count() == threads
 
 
-def test_shipped_reproduce_starts_no_pool_on_two_cpus(sim_dir, monkeypatch, pool_sizes):
+def test_shipped_reproduce_starts_no_pool_on_two_cpus(sim_dir, monkeypatch, forks):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     assert main(["reproduce", "--out", "out"]) == 0
-    assert pool_sizes == []
+    assert forks == []
 
 
-@pytest.mark.parametrize("scenario,kind", [
-    ({"backward_ratio": 1.0e308}, "invalid-spec"),  # a cell's schedule leaves the float range, on a worker
-    ({"capacity": 64}, "oversize-sample"),  # in the workers' packings and the parent's
+@pytest.mark.parametrize("scenario,kind,two_cpu_forks", [
+    ({"backward_ratio": 1.0e308}, "invalid-spec", 2),  # a cell's schedule leaves the float range, on a worker
+    ({"capacity": 64}, "oversize-sample", 0),  # in the parent's packing, before any result is taken
 ], ids=["float-range", "oversize-sample"])
-def test_error_on_a_worker_is_the_one_process_error(scenario, kind, sim_dir, monkeypatch, capsys, pool_sizes):
+def test_error_on_a_worker_is_the_one_process_error(scenario, kind, two_cpu_forks, sim_dir, monkeypatch, capsys,
+                                                    forks):
     before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
     errors = []
     for workers in (1, 2):
@@ -945,12 +962,12 @@ def test_error_on_a_worker_is_the_one_process_error(scenario, kind, sim_dir, mon
         errors.append(json.loads(line))
         (sim_dir / "scenario.yaml").unlink()
         assert_nothing_left(sim_dir, before, threads)
-    assert pool_sizes == [2]
+    assert len(forks) == two_cpu_forks
     assert errors[0]["kind"] == kind
     assert errors[1] == errors[0]
 
 
-def test_memory_error_on_a_reproduce_worker_is_out_of_memory(sim_dir, monkeypatch, capsys, pool_sizes):
+def test_memory_error_on_a_reproduce_worker_is_out_of_memory(sim_dir, monkeypatch, capsys, forks):
     parent = os.getpid()
     simulate_allocator = memsim.simulate_allocator
 
@@ -965,11 +982,11 @@ def test_memory_error_on_a_reproduce_worker_is_out_of_memory(sim_dir, monkeypatc
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"kind": "out-of-memory", "message": "reproduce does not fit in memory",
                                 "context": {"command": "reproduce"}}
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert_nothing_left(sim_dir, before, threads)
 
 
-def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, pool_sizes):
+def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, capsys, forks):
     parent = os.getpid()
     left_sum = pipeline.left_sum
 
@@ -985,7 +1002,7 @@ def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, caps
     err = json.loads(line)
     assert (err["kind"], err["context"]) == ("worker-died", {"command": "reproduce"})
     assert "`worker-died`" in (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    assert pool_sizes == [2]
+    assert len(forks) == 2
     assert_nothing_left(sim_dir, before, threads)
 
 
@@ -995,7 +1012,7 @@ def test_reproduce_worker_that_dies_is_a_domain_error(sim_dir, monkeypatch, caps
     (("packing report", "allocator"), "the packing report fails"),
 ], ids=["cell", "packing-report"])
 def test_reproduce_first_failure_in_work_order_wins(fails, error, workers, sim_dir, monkeypatch, capsys,
-                                                    pool_sizes):
+                                                    forks):
     # the work order: the cells, then the packing report, then the allocator rows
     def failing(what):
         def fail(*args):
@@ -1010,7 +1027,7 @@ def test_reproduce_first_failure_in_work_order_wins(fails, error, workers, sim_d
     assert rep_run(monkeypatch, workers) == 2
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"kind": "invalid-spec", "message": error, "context": {}}
-    assert pool_sizes == ([2] if workers == 2 else [])
+    assert len(forks) == (2 if workers == 2 else 0)
     assert_nothing_left(sim_dir, before, threads)
 
 
@@ -1020,12 +1037,12 @@ def run_files(directory):
 
 @pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
 @pytest.mark.parametrize("fallback", ["other-thread", "no-fork"])
-def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir, monkeypatch, pool_sizes):
+def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir, monkeypatch, forks):
     # two usable CPUs, but a library caller's thread is alive or the platform has no fork
     threads = threading.active_count()
     assert run(monkeypatch, 1, out="out1") == 0
     if fallback == "no-fork":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        monkeypatch.delattr(os, "fork")
         assert run(monkeypatch, 2, out="out2") == 0
     else:
         stop = threading.Event()
@@ -1037,49 +1054,80 @@ def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir,
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-    assert pool_sizes == []
+    assert forks == []
     assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
-    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+    assert_no_child()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
-@pytest.mark.parametrize("fault", ["first-fork", "second-fork", "thread", "no-semaphores", "semaphore-error"])
+@pytest.mark.parametrize("fault", ["first-fork", "second-fork"])
 def test_pool_that_cannot_start_is_no_pool(fault, run, sim_dir, monkeypatch):
-    # a fork that fails (os.fork patched, EAGAIN), a pool thread that cannot
-    # start, or a pool that cannot be made (no working POSIX semaphores): the
-    # run does the work itself, and the workers already forked are ended
-    import concurrent.futures
-
+    # a fork that fails (os.fork patched, EAGAIN): the process makes that
+    # worker's share and every later one itself, and the workers already
+    # forked make theirs
     threads = threading.active_count()
     assert run(monkeypatch, 1, out="out1") == 0
     names = set(os.listdir(sim_dir))
-    forks, fork, fail_at = [0], os.fork, {"first-fork": 1, "second-fork": 2}.get(fault)
-
-    def fork_or_fail():
-        forks[0] += 1
-        if forks[0] == fail_at:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_or_fail)
-    if fault == "thread":  # after the pool has forked its workers
-        def no_thread(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-    elif fail_at is None:
-        error = (NotImplementedError("This Python build lacks multiprocessing.synchronize")
-                 if fault == "no-semaphores" else OSError(errno.ENOSYS, "Function not implemented"))
-
-        def no_pool(*args, **kwargs):
-            raise error
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    fail_at = {"first-fork": 1, "second-fork": 2}[fault]
+    forks = fail_fork_at(monkeypatch, fail_at)
     assert run(monkeypatch, 2, out="out2") == 0
-    assert forks[0] == {"first-fork": 1, "second-fork": 2, "thread": 2}.get(fault, 0)
+    assert len(forks) == fail_at
     assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
     assert set(os.listdir(sim_dir)) == names | {"out2"}  # no staging directory left
-    assert multiprocessing.active_children() == [] and threading.active_count() == threads
+    assert_no_child()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open file descriptors in /proc/self/fd")
+@pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
+@pytest.mark.parametrize("fail_at", [1, 2, None], ids=["first-fork-fails", "second-fork-fails", "no-fork-fails"])
+def test_forked_run_leaves_no_open_file_descriptor(fail_at, run, sim_dir, monkeypatch):
+    # a worker's pipe is closed whether its fork fails or it is read to the end
+    assert run(monkeypatch, 1, out="out1") == 0
+    forks = fail_fork_at(monkeypatch, fail_at)
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert run(monkeypatch, 2, out="out2") == 0
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(forks) == (fail_at or 2)
+
+
+def taken(results):
+    """The results taken from ``results`` up to its first error, and that
+    error's message (None if there is none)."""
+    values = []
+    try:
+        for value in results:
+            values.append(value)
+    except OmniSchedError as exc:
+        return values, exc.message
+    return values, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(fails=st.lists(st.booleans(), max_size=9), split=st.integers(0, 9), workers=st.sampled_from([2, 3]))
+def test_fork_map_takes_what_the_built_in_map_takes(fails, split, workers):
+    # two maps queued before the first take and the second taken first, as
+    # reproduce does: the same results and the same first error in each
+    split = min(split, len(fails))
+
+    def call(i):
+        if fails[i]:
+            raise InvalidSpecError(f"call {i} fails")
+        return [i] * i
+
+    def run(map):
+        first, second = map(call, range(split)), map(call, range(split, len(fails)))
+        return taken(second), taken(first)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        forks = fail_fork_at(monkeypatch, None)
+        fork_map = cli._worker_pool("test")
+        assert fork_map is not map
+        assert run(fork_map) == run(map)
+    assert len(forks) == (min(workers, len(fails)) if len(fails) >= 2 else 0)
+    assert_no_child()
 
 
 def error_classes(cls=OmniSchedError):
