@@ -194,8 +194,9 @@ def _worker_pool(command: str, fork: bool = True):
     every queued call (``_fork_calls``). A call's error is raised where its
     result is taken; a call no worker answered is ``command``'s ``worker-died``."""
     # fork, not spawn: a spawned worker is a fresh interpreter that imports
-    # numpy and omnisched, about as long as its share of the work. Forking is
-    # unsafe while other threads run, hence the thread count.
+    # omnisched (not numpy, for a trace file) and reads the trace again, and
+    # its inputs would have to be pickled to it. Forking is unsafe while
+    # other threads run, hence the thread count.
     if not (fork and _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
         return map
     calls, answers = [], []
@@ -207,7 +208,7 @@ def _worker_pool(command: str, fork: bool = True):
 
     def take(i):
         if i >= len(answers):
-            answers.extend(_fork_calls(calls[len(answers):]))
+            answers.extend(_fork_calls(calls[len(answers):], command))
         ok, value = answers[i] or (False, WorkerDiedError(f"{command} lost a worker process", command=command))
         if not ok:
             raise value
@@ -216,12 +217,14 @@ def _worker_pool(command: str, fork: bool = True):
     return fork_map
 
 
-def _fork_calls(calls: list) -> list:
+def _fork_calls(calls: list, command: str) -> list:
     """Each call's ``_answer``, or None where no worker gave one, made on
     ``min(usable CPUs, calls)`` forked workers (none for one call), call ``i``
-    on worker ``i % workers``, each answering pickled on its own pipe. This
-    process makes the shares whose fork fails (``EAGAIN``, ``ENOMEM``). Every
-    worker has exited when this returns or fails."""
+    on worker ``i % workers``, each answering pickled on its own pipe. An
+    answer that does not pickle is ``command``'s ``worker-died`` naming the
+    call; after a message that does not unpickle, the worker's later calls
+    are unanswered. This process makes the shares whose fork fails
+    (``EAGAIN``, ``ENOMEM``). Every worker has exited when this returns or fails."""
     workers, answers, started = min(_usable_cpus(), len(calls)), [None] * len(calls), []
     try:
         for w in range(workers if workers >= 2 else 0):
@@ -238,7 +241,14 @@ def _fork_calls(calls: list) -> list:
                         os.close(fd)
                     with os.fdopen(write, "wb") as out:
                         for i in range(w, len(calls), workers):
-                            pickle.dump((i, _answer(calls[i])), out)
+                            answer = _answer(calls[i])
+                            try:  # whole, or not written at all
+                                message = pickle.dumps((i, answer))
+                            except Exception as exc:
+                                died = WorkerDiedError(f"{command}: the answer of call {i} does not pickle: {exc}",
+                                                       command=command)
+                                message = pickle.dumps((i, (False, died)))
+                            out.write(message)
                             out.flush()
                 finally:
                     os._exit(0)
@@ -247,9 +257,13 @@ def _fork_calls(calls: list) -> list:
         for w in range(len(started), workers):
             answers[w::workers] = map(_answer, calls[w::workers])
         for _, pipe in started:
-            with suppress(EOFError, pickle.UnpicklingError):  # the end, or a message a dying worker cut short
+            try:  # to the end, a message a dying worker cut short, or one that does not unpickle
                 for i, answer in iter(partial(pickle.load, pipe), None):
                     answers[i] = answer
+            except MemoryError:
+                raise
+            except Exception:
+                pass
     finally:
         for pid, pipe in started:
             pipe.close()

@@ -24,14 +24,17 @@ adjusted-score and partition scratch and the top-k mask. A helper thread,
 the only user of the source's generator, draws step ``t + 1`` into one
 logit buffer while step ``t`` routes in the other, so the stream is read in
 step order and the run is the same as a single-threaded one, bit for bit.
+
+Building a ``RouterConfig`` or a ``GaussianLogitSource`` imports no numpy;
+the functions that compute import it when they run.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvalidSpecError, RoutingError
 
@@ -50,10 +53,10 @@ class RouterConfig:
             raise InvalidSpecError(
                 f"top_k must satisfy 1 <= k < num_experts, got k={self.top_k}, E={self.num_experts}", field="top_k"
             )
-        if not 0 <= self.aux_coefficient < np.inf:
+        if not 0 <= self.aux_coefficient < math.inf:
             raise InvalidSpecError(f"aux_coefficient must be finite and >= 0, got {self.aux_coefficient}",
                                    field="aux_coefficient")
-        if not 0 <= self.bias_step < np.inf:
+        if not 0 <= self.bias_step < math.inf:
             raise InvalidSpecError(f"bias_step must be finite and >= 0, got {self.bias_step}", field="bias_step")
 
 
@@ -67,6 +70,7 @@ def _topk_mask(adjusted: np.ndarray, k: int, part: np.ndarray | None = None,
     (float64) and ``mask`` (bool), arrays of ``adjusted``'s shape, receive the
     partitioned copy and the mask when given.
     """
+    import numpy as np
     num_experts = adjusted.shape[1]
     if part is None:
         part = np.empty_like(adjusted)
@@ -95,6 +99,7 @@ def route_topk(
 
     Returns (indices in descending adjusted-score order, weights summing to 1).
     """
+    import numpy as np
     logits = np.asarray(logits, dtype=float)
     bias = np.asarray(bias, dtype=float)
     if logits.ndim != 1 or logits.shape != bias.shape:
@@ -121,7 +126,7 @@ def route_topk(
 def _check_probability_vector(name: str, v: np.ndarray, E: int) -> None:
     if v.ndim != 1 or v.shape[0] != E:
         raise RoutingError(f"{name} must be a length-{E} vector, got shape {v.shape}")
-    if np.any(v < -1e-12) or abs(float(v.sum()) - 1.0) > 1e-6:
+    if (v < -1e-12).any() or abs(float(v.sum()) - 1.0) > 1e-6:
         raise RoutingError(f"{name} is not a probability vector (sum={float(v.sum())})")
 
 
@@ -131,6 +136,7 @@ def aux_loss(f: Sequence[float] | np.ndarray, pbar: Sequence[float] | np.ndarray
     Equals ``alpha`` exactly when both vectors are uniform; grows as load and
     router probability concentrate on the same experts.
     """
+    import numpy as np
     f = np.asarray(f, dtype=float)
     pbar = np.asarray(pbar, dtype=float)
     if f.shape != pbar.shape:
@@ -144,6 +150,7 @@ def aux_loss(f: Sequence[float] | np.ndarray, pbar: Sequence[float] | np.ndarray
 def bias_update(bias: np.ndarray, f: Sequence[float] | np.ndarray, u: float) -> np.ndarray:
     """Sign rule: underloaded experts gain ``u`` of bias, overloaded lose it.
     Returns a new bias array."""
+    import numpy as np
     f = np.asarray(f, dtype=float)
     if f.shape != bias.shape:
         raise RoutingError(f"dimension mismatch: f {f.shape} vs bias {bias.shape}")
@@ -159,14 +166,19 @@ class GaussianLogitSource:
     The fixed mean-offset vector models persistent expert preference, the
     skew the balancer has to correct. Each draw continues the seeded stream,
     so only the one ``route`` run of the config that built a source draws from
-    it. The generator is made at the first draw: building imports no numpy.random.
+    it. The generator and the offsets' array are made at the first draw:
+    building imports no numpy.
     """
 
     def __init__(self, mean_offsets: Sequence[float] | np.ndarray, seed: int, std: float = 1.0):
-        self.mean_offsets = np.asarray(mean_offsets, dtype=float)
-        if self.mean_offsets.ndim != 1 or not np.all(np.isfinite(self.mean_offsets)):
+        offsets = None
+        if getattr(mean_offsets, "ndim", 1) == 1:  # not an array of another shape
+            with suppress(TypeError):  # a scalar, a nested list
+                offsets = tuple(map(float, mean_offsets))
+        if offsets is None or not all(map(math.isfinite, offsets)):
             raise InvalidSpecError("mean_offsets must be a vector of finite numbers", field="mean_offsets")
-        if not 0 < std < np.inf:
+        self.mean_offsets = offsets
+        if not 0 < std < math.inf:
             raise InvalidSpecError(f"std must be finite and > 0, got {std}", field="std")
         self.std = std
         self._seed = seed
@@ -174,20 +186,23 @@ class GaussianLogitSource:
 
     @property
     def num_experts(self) -> int:
-        return self.mean_offsets.shape[0]
+        return len(self.mean_offsets)
 
     def draw(self, tokens: int) -> np.ndarray:
         """``tokens`` logit vectors. ``std * z + offset`` is what
         ``normal(0, std) + offset`` computes from the same stream."""
+        import numpy as np
         return self._fill(np.empty((tokens, self.num_experts)))
 
     def _fill(self, out: np.ndarray) -> np.ndarray:
         """``draw`` into ``out``, a C-contiguous float64 ``(tokens, num_experts)`` array."""
+        import numpy as np
         if self._rng is None:
             self._rng = np.random.Generator(np.random.PCG64(self._seed))
+            self._offsets = np.array(self.mean_offsets)
         self._rng.standard_normal(out=out)
         out *= self.std
-        out += self.mean_offsets
+        out += self._offsets
         return out
 
 
@@ -198,6 +213,7 @@ def route_batch(bias: np.ndarray, logits: np.ndarray, k: int,
     float64 arrays and a bool array of the batch's shape, receives the
     adjusted scores, their partitioned copy and the top-k mask instead of
     fresh arrays."""
+    import numpy as np
     if logits.ndim != 2 or logits.shape[1] != bias.shape[0]:
         raise RoutingError(f"logit batch must be (tokens, {bias.shape[0]})")
     adjusted, part, mask = scratch or (None, None, None)
@@ -222,6 +238,11 @@ def simulate_routing(
     reaches the caller as it is, and the helper thread has ended when this
     returns or raises.
     """
+    # Imported here, not at the top: the CLI's start-up does not pay for them.
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     if source.num_experts != config.num_experts:
         raise InvalidSpecError("logit source and router config disagree on num_experts")
     if tokens_per_step < 1:
@@ -242,9 +263,6 @@ def simulate_routing(
         # stack, which calls from a second thread would corrupt.
         with np.errstate(all="ignore"):
             return source._fill(out)
-
-    # Imported here, not at the top: the CLI's start-up does not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
 
     # The helper thread is the only user of the generator and draws in step
     # order: step t + 1 into one buffer while step t routes in the other.
@@ -300,8 +318,10 @@ def moe_param_counts(spec: MoEParamSpec) -> tuple[float, float]:
     return total, activated
 
 
-DEFAULT_SHARED_GRID = tuple(float(x) for x in np.arange(0.25e9, 8.25e9, 0.25e9))
-DEFAULT_EXPERT_GRID = tuple(float(x) for x in np.arange(0.05e9, 2.05e9, 0.05e9))
+# np.arange(0.25e9, 8.25e9, 0.25e9) and np.arange(0.05e9, 2.05e9, 0.05e9):
+# whole numbers, so each product is exact
+DEFAULT_SHARED_GRID = tuple(0.25e9 * k for k in range(1, 33))
+DEFAULT_EXPERT_GRID = tuple(0.05e9 * k for k in range(1, 41))
 
 
 def search_param_grid(
@@ -319,6 +339,7 @@ def search_param_grid(
     (S, P_e, E) and activated only on (S, P_e, k), so E and k are optimized
     independently per grid point.
     """
+    import numpy as np
     experts = np.arange(2, max_experts + 1)
     ks = np.arange(1, max_k + 1)
     best = None
@@ -353,6 +374,7 @@ ROUTE_CSV_FIELDS = ["step", "expert", "f", "pbar", "bias", "cov", "aux_loss"]
 def load_report_rows(run: dict[str, np.ndarray]) -> list[tuple]:
     """Flatten a run's columns to per-(step, expert) CSV rows, tuples in
     ``ROUTE_CSV_FIELDS`` order."""
+    import numpy as np
     steps, n = run["f"].shape
     return list(zip(
         np.repeat(np.arange(steps), n).tolist(),

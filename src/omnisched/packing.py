@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import Callable
-
-import numpy as np
 
 from .errors import ConfigError, OversizeSampleError
 from .workload import WorkloadTrace
@@ -98,8 +97,8 @@ def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[Packing, PackingRepor
     room (Johnson, "Fast algorithms for bin packing", JCSS 1974): leaf ``j``
     holds batch ``j``'s room, each inner node the max of its children, and
     unopened batches read ``capacity``. Descending to the leftmost leaf with
-    room either finds an open batch or opens the next one. A stable sort by
-    each sample's batch then groups the samples, in placement order.
+    room either finds an open batch or opens the next one. Each batch's list
+    then takes its samples in placement order.
     """
     ids, lengths = _columns(trace, capacity)
     order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -126,10 +125,12 @@ def pack_ffd(trace: WorkloadTrace, capacity: int) -> tuple[Packing, PackingRepor
                 break
             room[node] = top
             node //= 2
-    bins = np.asarray(bin_of, dtype=np.intp)
-    placed = np.asarray(order, dtype=np.intp)[np.argsort(bins, kind="stable")].tolist()
-    starts = [0, *np.cumsum(np.bincount(bins)).tolist()]
-    used = [capacity - r for r in room[leaves:leaves + len(starts) - 1]]
+    batches = [[] for _ in range(max(bin_of, default=-1) + 1)]
+    for k, b in zip(order, bin_of):
+        batches[b].append(k)
+    placed = [k for batch in batches for k in batch]
+    starts = [0, *accumulate(map(len, batches))]
+    used = [capacity - r for r in room[leaves:leaves + len(batches)]]
     packing = Packing(capacity, False, [ids[k] for k in placed], [lengths[k] for k in placed], starts, used)
     return packing, _report("ffd", packing)
 

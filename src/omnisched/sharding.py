@@ -3,8 +3,10 @@
 The unit sequence is fixed (encoders in declared order, each encoder's units
 in order, then LLM layers); a plan is a contiguous partition of that sequence
 into ``pp`` non-empty segments. ``plan_balanced_stages`` finds the partition
-minimizing the maximum per-stage cost exactly; ``naive_plan`` is the
-everything-on-stage-0 encoder placement used as the baseline.
+minimizing the maximum per-stage cost exactly, by searching the bound on a
+stage's cost that greedy cuts can meet with ``pp`` stages (pure Python, O(n)
+memory); ``naive_plan`` is the everything-on-stage-0 encoder placement used
+as the baseline.
 
 A unit is only its cost: ``build_units`` returns the cost column in unit
 order, and a ``StagePlan`` is the stage end indices into it (``boundaries``)
@@ -20,10 +22,9 @@ identical); it scales aggregate throughput downstream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from .errors import ConfigError, InvalidSpecError, TooFewLayersError, TooFewUnitsError
 from .workload import Modality
@@ -142,6 +143,23 @@ def _assemble_plan(costs: list[float], layout: ParallelLayout, cuts: list[int]) 
     )
 
 
+def _growth(prefix: list[float], bound: float, stages: int) -> Optional[float]:
+    """None if greedy stages of cost ``<= bound`` cover the units in at most
+    ``stages`` stages. Else the least cost one of those stages would have with
+    one more unit: below it the greedy cuts stay the same, and fall short."""
+    n = len(prefix) - 1
+    i, grow = 0, math.inf
+    for _ in range(stages):
+        base = prefix[i]
+        # compare seg(i, j) as the plan does: prefix[j] <= base + bound rounds differently
+        j = bisect_right(prefix, bound, i + 1, n + 1, key=lambda v: v - base) - 1
+        if j == n:
+            return None
+        grow = min(grow, prefix[j + 1] - base)
+        i = j
+    return grow
+
+
 def plan_balanced_stages(
     encoders: Sequence[EncoderSpec],
     llm_layer_costs: Sequence[float],
@@ -149,9 +167,18 @@ def plan_balanced_stages(
 ) -> StagePlan:
     """Exact minimum-bottleneck contiguous partition into ``pp`` stages.
 
-    Dynamic program over suffixes, vectorized per stage count: O(n^2 * pp)
-    time and O(n^2) memory for ``n`` units. Ties are broken by the
-    lexicographically smallest boundary vector.
+    A stage's cost is ``seg(i, j) = prefix[j] - prefix[i]``; the optimum is
+    the least bound under which greedy stages (each as long as the bound
+    allows) cover the units in at most ``pp`` stages. The search starts at a
+    bound no plan can beat: the largest one-unit ``seg`` and ``prefix[n] / pp``
+    (the largest of ``pp`` exact differences summing to ``prefix[n]`` is at
+    least their mean, and rounding keeps that order). While greedy needs more
+    stages it raises the bound to the least segment a greedy stage would grow
+    to, so it never passes the optimum (Pinar & Aykanat, "Fast optimal load
+    balancing algorithms for 1D partitioning", JPDC 2004). Each stage then
+    ends at the earliest unit whose suffix greedily fits the stages left:
+    the lexicographically smallest boundary vector. O(n) memory for ``n``
+    units.
     """
     eff = build_units(encoders, llm_layer_costs, layout.tp)
     n = len(eff)
@@ -164,34 +191,26 @@ def plan_balanced_stages(
     prefix = [0.0] * (n + 1)
     for i, c in enumerate(eff):
         prefix[i + 1] = prefix[i] + c
+    opt = max(max(b - a for a, b in zip(prefix, prefix[1:])), prefix[n] / pp)
+    while (grow := _growth(prefix, opt, pp)) is not None:
+        opt = grow
 
-    def seg(i: int, j: int) -> float:
-        return prefix[j] - prefix[i]
-
-    # segs[i, j] = seg(i, j) for j > i; inf where units[i:j] is empty
-    p = np.array(prefix)
-    segs = p[None, :] - p[:, None]
-    segs[np.tril_indices(n + 1)] = np.inf
-    # best[i, r]: minimal max stage cost partitioning units[i:] into r segments,
-    # inf where fewer than r units remain
-    best = np.full((n + 1, pp + 1), np.inf)
-    best[:n, 1] = segs[:n, n]
-    for r in range(2, pp + 1):
-        best[: n - r + 1, r] = np.maximum(segs[: n - r + 1], best[:, r - 1]).min(axis=1)
-    best = best.tolist()
-
-    opt = best[0][pp]
-    cuts: list[int] = []
+    # need[j]: greedy stages of cost <= opt that units[j:] take; far walks
+    # down to the end of the stage that starts at j
+    need = [0] * (n + 1)
+    far = n
+    for j in range(n - 1, -1, -1):
+        while prefix[far] - prefix[j] > opt:
+            far -= 1
+        need[j] = need[far] + 1
+    cuts = []
     i = 0
-    for r in range(pp, 0, -1):
-        if r == 1:
-            cuts.append(n)
-            break
-        for j in range(i + 1, n - (r - 1) + 1):
-            if seg(i, j) <= opt and best[j][r - 1] <= opt:
-                cuts.append(j)
-                i = j
-                break
+    for left in range(pp - 1, 0, -1):
+        i += 1
+        while need[i] > left:
+            i += 1
+        cuts.append(i)
+    cuts.append(n)
     return _assemble_plan(eff, layout, cuts)
 
 

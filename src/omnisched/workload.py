@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Optional, Union
-
-import numpy as np
 
 from .errors import (
     DuplicateIdError,
@@ -62,7 +61,9 @@ class WorkloadTrace:
         sizes = (len(self.ids), len(self.modalities), len(self.lengths))
         if len(set(sizes)) > 1:
             raise InvalidSpecError(f"trace columns (ids, modalities, lengths) differ in length: {sizes}")
-        if not self.lengths or (min(self.lengths) >= 1 and len(set(self.ids)) == len(self.ids)):
+        # ids that rise, as in most traces, are unique without a set of them
+        unique = all(map(lt, self.ids, islice(self.ids, 1, None))) or len(set(self.ids)) == len(self.ids)
+        if not self.lengths or (min(self.lengths) >= 1 and unique):
             return
         seen: dict[int, int] = {}  # a bad column: walk it to name the first offender
         for pos, (sid, n) in enumerate(zip(self.ids, self.lengths)):
@@ -162,6 +163,7 @@ def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:
     Per sample: one uniform draw picks the modality from the mixture, then one
     draw from that modality's length distribution picks the length.
     """
+    import numpy as np  # here, not at the top: a trace file needs no numpy
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     ordered = [m for m in MODALITY_ORDER if spec.weights.get(m, 0.0) > 0]
     weights = np.array([spec.weights[m] for m in ordered], dtype=float)
@@ -355,12 +357,12 @@ def trace_stats(trace: WorkloadTrace) -> dict:
     ``total_tokens`` and ``per_modality``, which maps each modality with samples
     to its ``count``, ``min_length``, ``max_length``, ``mean_length`` and
     ``total_tokens``."""
-    buckets: dict[str, list[int]] = {}
+    buckets: defaultdict[Modality, list[int]] = defaultdict(list)  # by member: .value is a slow property
     for modality, length in zip(trace.modalities, trace.lengths):
-        buckets.setdefault(modality.value, []).append(length)
+        buckets[modality].append(length)
     per = {
-        m: {"count": len(ls), "min_length": min(ls), "max_length": max(ls),
-            "mean_length": sum(ls) / len(ls), "total_tokens": sum(ls)}
+        m.value: {"count": len(ls), "min_length": min(ls), "max_length": max(ls),
+                  "mean_length": sum(ls) / len(ls), "total_tokens": sum(ls)}
         for m, ls in buckets.items()
     }
     return {"total_samples": len(trace), "total_tokens": trace.total_tokens, "per_modality": per}

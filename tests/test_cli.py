@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -1128,6 +1129,64 @@ def test_fork_map_takes_what_the_built_in_map_takes(fails, split, workers):
         assert run(fork_map) == run(map)
     assert len(forks) == (min(workers, len(fails)) if len(fails) >= 2 else 0)
     assert_no_child()
+
+
+class TwoArgumentError(Exception):
+    """Pickles (as its class and ``args``) but does not unpickle: ``args``
+    holds one of the two arguments ``__init__`` requires."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def test_fork_map_answer_that_does_not_pickle_is_worker_died(monkeypatch):
+    # the worker answers that call with worker-died naming it, and goes on
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = fail_fork_at(monkeypatch, None)
+    results = cli._worker_pool("test")(lambda i: (lambda: i) if i == 2 else i, range(4))
+    assert next(results) == 0 and next(results) == 1
+    with pytest.raises(OmniSchedError) as caught:
+        next(results)
+    assert (caught.value.kind, caught.value.context) == ("worker-died", {"command": "test"})
+    assert caught.value.message.startswith("test: the answer of call 2 does not pickle: ")
+    assert next(results) == 3
+    assert len(forks) == 2
+    assert_no_child()
+
+
+def test_fork_map_answer_that_does_not_unpickle_is_worker_died(monkeypatch):
+    # the pipe ends at that message: its worker's calls from there on are unanswered
+    def call(i):
+        if i == 1:
+            raise TwoArgumentError("first", "second")
+        return i
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    forks = fail_fork_at(monkeypatch, None)
+    fork_map = cli._worker_pool("test")
+    first, second = fork_map(call, [0, 2]), fork_map(call, [1, 3])
+    assert list(first) == [0, 2]  # worker 0's share
+    assert taken(second) == ([], "test lost a worker process")
+    assert len(forks) == 2
+    assert_no_child()
+
+
+def test_simulate_answer_that_does_not_pickle_is_one_error_line(sim_dir, monkeypatch, capsys, forks):
+    timeline_cell = cli._timeline_cell
+
+    def unpicklable_cell(*args):
+        schedule = timeline_cell(*args)
+        return dataclasses.replace(schedule, stage_busy=lambda: None)
+
+    monkeypatch.setattr(cli, "_timeline_cell", unpicklable_cell)
+    before, threads = sorted(sim_dir.rglob("*")), threading.active_count()
+    assert sim_run(monkeypatch, 2) == 2
+    line, = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert (err["kind"], err["context"]) == ("worker-died", {"command": "simulate"})
+    assert err["message"].startswith("simulate: the answer of call 0 does not pickle: ")
+    assert len(forks) == 2
+    assert_nothing_left(sim_dir, before, threads)
 
 
 def error_classes(cls=OmniSchedError):

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from omnisched.config import load_cost_model
@@ -85,33 +86,48 @@ class TestBalancedPlan:
         assert stages == [["image.0", "image.1"], ["audio.0"], ["llm.0", "llm.1", "llm.2"]]
 
 
+# Costs of one kind per model: arbitrary floats; small integers full of ties;
+# decimals whose sums round; magnitudes across what build_config accepts
+# (any finite cost > 0), subnormal to near the float maximum; and values that
+# vanish beside each other in the prefix sums (1e-17 after 1.0).
+COSTS = [
+    st.floats(min_value=0.01, max_value=100.0),
+    st.integers(min_value=1, max_value=3).map(float),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1]),
+    st.floats(min_value=5e-324, max_value=1e306),
+    st.sampled_from([5e-324, 1e-300, 1e-17, 0.1, 1.0, 3.0, 2.0**53, 1e300]),
+]
+
+
 @st.composite
 def cost_models(draw):
-    """Encoders with mixed tp divisibility plus LLM layers, all costs either
-    arbitrary floats or small integers full of ties, and a tp degree."""
-    if draw(st.booleans()):
-        cost = st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False)
-    else:
-        cost = st.integers(min_value=1, max_value=3).map(float)
+    """Encoders with mixed tp divisibility plus up to 28 LLM layers in runs of
+    equal costs, one kind of cost per model, and a tp degree up to 2**62."""
+    cost = draw(st.sampled_from(COSTS))
     encs = []
     for modality in draw(st.lists(st.sampled_from(list(Modality)), max_size=3)):
         costs = draw(st.lists(cost, min_size=1, max_size=4))
         divisible = draw(st.lists(st.booleans(), min_size=len(costs), max_size=len(costs)))
         encs.append(encoder(costs, divisible, modality))
-    llm = draw(st.lists(cost, min_size=1, max_size=12))
-    return encs, llm, draw(st.integers(min_value=1, max_value=4))
+    runs = draw(st.lists(st.tuples(cost, st.integers(min_value=1, max_value=14)), min_size=1, max_size=6))
+    llm = [c for c, count in runs for _ in range(count)][:28]
+    return encs, llm, draw(st.integers(min_value=1, max_value=4) | st.just(2**62))
 
 
 @settings(max_examples=200, deadline=None)
 @given(cost_models())
+# the optimum is seg(2, 3) = 2**53 - 1, below the last unit's cost: a search
+# that starts at the largest cost ends with the cuts (1, 3), not (2, 3)
+@example(([], [1e-17, 1.0, 2.0**53], 1))
 def test_balanced_plan_matches_loop_reference(model):
-    # the vectorized DP must equal the plain-loop DP bit for bit, for every pp
+    # the search must equal the plain-loop DP bit for bit, for every pp
     encs, llm, tp = model
     eff = [
         c / tp if div else c
         for e in encs
         for c, div in zip(e.unit_costs, e.tp_divisible)
     ] + [c / tp for c in llm]
+    assume(0 < sum(eff) < math.inf)  # else build_units rejects the model
     for pp in range(1, len(eff) + 1):
         plan = plan_balanced_stages(encs, llm, layout(pp=pp, tp=tp))
         boundaries, stage_cost = plan_balanced_stages_reference(eff, pp)
