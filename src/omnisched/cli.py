@@ -7,7 +7,7 @@ made inside a temporary one in the run directory's nearest existing ancestor,
 and the command computes all of its results (``simulate`` writes each
 timeline CSV there as its cell is simulated). Only then are
 ``config.resolved``, the command's CSV/JSON files and ``summary.json`` written
-there. A new run directory is that directory, renamed into place in one step;
+there. A new run directory appears with its missing parents by one rename;
 into an existing one the files are moved once every write has succeeded. A
 failed run creates no directory and leaves no new or changed file.
 Independent work runs through one ``map`` (``_worker_pool``). With two or more
@@ -43,9 +43,8 @@ import shutil
 import sys
 import tempfile
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import partial
-from itertools import takewhile
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -112,16 +111,22 @@ def _writing(path: Path, what: str = "write"):
 
 @contextmanager
 def _staging(out: Path):
-    """A new directory ``run`` inside a temporary one in the nearest existing
-    ancestor of ``out``, for the run's files until ``_write_run`` puts them in
-    place; the temporary directory is removed when the block is left."""
+    """A new directory ``run`` for the run's files until ``_write_run`` puts
+    them in place, inside a temporary directory made in ``out``'s nearest
+    existing ancestor: for a new ``out``, at ``out``'s own path below that
+    ancestor, so ``out`` is made here with its missing parents. The temporary
+    directory is removed when the block is left."""
     with _writing(out, "create output directory"):
         anchor = next((p for p in out.parents if p.exists()), out.parent)
         stage = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
     try:
-        run = stage / "run"
         with _writing(out, "create output directory"):
-            run.mkdir()  # with mkdir's mode, which a new out keeps (mkdtemp's is 0o700)
+            below = Path("run") if out.exists() else out.relative_to(anchor)
+            if ".." in below.parts:  # new/../run: no one rename places it
+                raise OutputError(f"cannot create output directory {out}: '..' follows a missing directory",
+                                  path=str(out))
+            run = stage / below
+            run.mkdir(parents=True)  # with mkdir's mode, which a new out and its parents keep
         yield run
     finally:
         shutil.rmtree(stage, ignore_errors=True)
@@ -129,11 +134,12 @@ def _staging(out: Path):
 
 def _write_run(config: ExperimentConfig, run: Path, out: Path, files: list) -> None:
     """Write config.resolved and ``files`` (see ``_run``) into ``out``'s
-    ``_staging`` directory ``run``. Then a new ``out`` is ``run``, renamed in
-    one step once ``out``'s missing parents are made (they are removed again
-    if that fails), and into an existing ``out`` the files are moved one at a
-    time, once no target name has a directory in the way. So a failed write
-    leaves the filesystem as it was, and so does any failure into a new ``out``."""
+    ``_staging`` directory ``run``. Then a new ``out`` appears with its
+    missing parents in one step, the topmost missing one renamed into place
+    from the staging directory, and into an existing ``out`` the files are
+    moved one at a time, once no target name has a directory in the way. So
+    a failed write leaves the filesystem as it was, and so does any failure
+    into a new ``out``."""
     resolved = yaml.safe_dump(config.resolved, sort_keys=True)
     with _writing(out / "config.resolved"):
         (run / "config.resolved").write_text(resolved, encoding="utf-8")
@@ -145,8 +151,12 @@ def _write_run(config: ExperimentConfig, run: Path, out: Path, files: list) -> N
                 _write_csv(run / name, fields, rows)
     if out.exists():
         _move_into(run, out)
-    else:
-        _rename_into_place(run, out, run.parent.parent)
+        return
+    with _writing(out, "create output directory"):
+        target = out
+        while not target.parent.exists():
+            run, target = run.parent, target.parent
+        os.rename(run, target)
 
 
 def _move_into(run: Path, out: Path) -> None:
@@ -160,23 +170,6 @@ def _move_into(run: Path, out: Path) -> None:
     for name in names:
         with _writing(out / name):
             os.replace(run / name, out / name)
-
-
-def _rename_into_place(run: Path, out: Path, anchor: Path) -> None:
-    """Make ``out``'s parents below ``anchor`` and rename ``run`` to ``out``;
-    on failure, remove the parents made."""
-    made = []
-    try:
-        with _writing(out, "create output directory"):
-            for parent in reversed(list(takewhile(anchor.__ne__, out.parents))):
-                parent.mkdir()
-                made.append(parent)
-            os.rename(run, out)
-    except OutputError:
-        for parent in reversed(made):
-            with suppress(OSError):
-                parent.rmdir()
-        raise
 
 
 def _usable_cpus() -> int:
@@ -220,10 +213,10 @@ def _worker_pool(command: str, fork: bool = True):
 def _fork_calls(calls: list, command: str) -> list:
     """Each call's ``_answer``, or None where no worker gave one, made on
     ``min(usable CPUs, calls)`` forked workers (none for one call), call ``i``
-    on worker ``i % workers``, each answering pickled on its own pipe. An
-    answer that does not pickle is ``command``'s ``worker-died`` naming the
-    call; after a message that does not unpickle, the worker's later calls
-    are unanswered. This process makes the shares whose fork fails
+    on worker ``i % workers``, each answering on its own pipe with ``(i, the
+    pickled answer)``. An answer that does not pickle, or does not unpickle,
+    is ``command``'s ``worker-died`` naming the call, and the worker's later
+    answers are still read. This process makes the shares whose fork fails
     (``EAGAIN``, ``ENOMEM``). Every worker has exited when this returns or fails."""
     workers, answers, started = min(_usable_cpus(), len(calls)), [None] * len(calls), []
     try:
@@ -243,12 +236,11 @@ def _fork_calls(calls: list, command: str) -> list:
                         for i in range(w, len(calls), workers):
                             answer = _answer(calls[i])
                             try:  # whole, or not written at all
-                                message = pickle.dumps((i, answer))
+                                answer = pickle.dumps(answer)
                             except Exception as exc:
-                                died = WorkerDiedError(f"{command}: the answer of call {i} does not pickle: {exc}",
-                                                       command=command)
-                                message = pickle.dumps((i, (False, died)))
-                            out.write(message)
+                                answer = pickle.dumps((False, WorkerDiedError(
+                                    f"{command}: the answer of call {i} does not pickle: {exc}", command=command)))
+                            pickle.dump((i, answer), out)
                             out.flush()
                 finally:
                     os._exit(0)
@@ -257,12 +249,16 @@ def _fork_calls(calls: list, command: str) -> list:
         for w in range(len(started), workers):
             answers[w::workers] = map(_answer, calls[w::workers])
         for _, pipe in started:
-            try:  # to the end, a message a dying worker cut short, or one that does not unpickle
+            try:  # to the end, or to a message a dying worker cut short
                 for i, answer in iter(partial(pickle.load, pipe), None):
-                    answers[i] = answer
-            except MemoryError:
-                raise
-            except Exception:
+                    try:
+                        answers[i] = pickle.loads(answer)
+                    except MemoryError:
+                        raise
+                    except Exception as exc:
+                        answers[i] = False, WorkerDiedError(
+                            f"{command}: the answer of call {i} does not unpickle: {exc}", command=command)
+            except (EOFError, pickle.UnpicklingError):
                 pass
     finally:
         for pid, pipe in started:
@@ -303,7 +299,7 @@ def _comparison(config: ExperimentConfig, trace: WorkloadTrace, cell, map) -> li
     config, each run by ``cell`` through ``map`` (see ``compare_configs``)."""
     return compare_configs(trace, config.capacity, config.encoders, config.llm_layer_costs, config.layouts,
                            config.packing_policies, config.plan_policies, config.backward_ratio,
-                           config.comm_latency, cell=cell, map=map)[0]
+                           config.comm_latency, cell=cell, map=map)
 
 
 def _pack_rows(trace: WorkloadTrace, capacity: int, policies: Sequence[str]) -> list[dict]:
@@ -432,7 +428,7 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, ou
     # the built-in map makes these two calls only as they are taken, after the cells
     packs = map(_pack_rows, [trace], [config.capacity], [config.packing_policies])
     mems = map(_mem_rows, [trace], [config.capacity], [config.resolved["memsim"]])
-    rows = _comparison(config, trace, partial(simulate_cell, record=False), map)
+    rows = _comparison(config, trace, simulate_cell, map)
     (pack_rows,), (mem_rows,) = packs, mems
     per_sample, packed = ({k: v for k, v in row.items() if k != "scenario"} for row in mem_rows)
 

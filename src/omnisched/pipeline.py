@@ -261,8 +261,9 @@ def bubble_fraction_analytic(pp: int, m: int) -> float:
     return (pp - 1) / (m + pp - 1)
 
 
-def simulate_cell(key, plan, microbatches, backward_ratio, comm_latency, record=True) -> ScheduleResult:
-    """``compare_configs``' default cell function: ``simulate_1f1b``; ``key`` is not read."""
+def simulate_cell(key, plan, microbatches, backward_ratio, comm_latency, record=False) -> ScheduleResult:
+    """``compare_configs``' default cell function: ``simulate_1f1b``, recorded
+    only with ``record``; ``key`` is not read."""
     return simulate_1f1b(plan, microbatches, backward_ratio, comm_latency, record)
 
 
@@ -293,26 +294,25 @@ def compare_configs(
     *,
     cell=simulate_cell,
     map=map,
-) -> tuple[list[dict], list[ScheduleResult]]:
+) -> list[dict]:
     """Run packing x planning x simulation over every cell and normalize each
     cell's throughput by the (padded, naive) baseline of the same layout.
 
-    Returns each cell's ``comparison.csv`` row (a dict keyed by
-    ``COMPARISON_CSV_FIELDS``) and its schedule if recorded, both in cell
-    order: layouts, then packing policies, then plan policies, each as given
-    (a repeated name counts once). Per layout, the requested cells are
-    simulated, then the baseline cell if not among them. Every layout's plans
-    are built first; then one ``map(cell, keys, plans, microbatches,
-    backward_ratio, comm_latency)`` runs the cells, and each cell's row is
-    built as its result is taken, its ``ratio_vs_baseline`` once the layout's
-    cells are done. A cell's key is its row's (layout, packing policy, plan
-    policy), or ``None`` for a baseline cell that has no row. ``cell`` returns
-    a ``ScheduleResult``; the default records it. A result without op arrays
-    (as ``omnisched``'s cell functions return) is not returned, and is freed
-    before the next cell's is taken. ``map`` must yield the results in cell
-    order: the built-in ``map`` (the default) runs each cell as its result is
-    taken, and a map of forked workers (as ``omnisched`` passes) on those
-    workers. The library itself never starts a process.
+    Returns each cell's ``comparison.csv`` row, a dict keyed by
+    ``COMPARISON_CSV_FIELDS``, in cell order: layouts, then packing policies,
+    then plan policies, each as given (a repeated name counts once). Per
+    layout, the requested cells are simulated, then the baseline cell if not
+    among them. Every layout's plans are built first; then one ``map(cell,
+    keys, plans, microbatches, backward_ratio, comm_latency)`` runs the
+    cells, and each cell's row is built as its ``ScheduleResult`` is taken,
+    its ``ratio_vs_baseline`` once the layout's cells are done. A cell's key
+    is its row's (layout, packing policy, plan policy), or ``None`` for a
+    baseline cell that has no row. The default cell does not record, and no
+    result is kept: each is freed before the next cell's is taken. ``map``
+    must yield the results in cell order: the built-in ``map`` (the default)
+    runs each cell as its result is taken, and a map of forked workers (as
+    ``omnisched`` passes) on those workers. The library itself never starts
+    a process.
     """
     if not layouts:
         raise ConfigError("at least one layout is required")
@@ -335,7 +335,6 @@ def compare_configs(
                   repeat(backward_ratio), repeat(comm_latency))
 
     rows: list[dict] = []
-    kept: list[ScheduleResult] = []
     keys_left = iter(keys)
     for layout_plans in plans:
         first = len(rows)
@@ -359,9 +358,7 @@ def compare_configs(
                     "idle_fraction": result.idle_fraction,
                     "throughput": result.throughput,
                 })
-                if result.op_starts:
-                    kept.append(result)
-            del result  # unless kept, freed before the next cell's is taken
+            del result  # freed before the next cell's is taken
         for row in rows[first:]:
             row["ratio_vs_baseline"] = row["throughput"] / base_thr
-    return rows, kept
+    return rows

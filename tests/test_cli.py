@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import pickle
 import random
+import signal
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -30,6 +32,9 @@ from omnisched.workload import (
 )
 
 from oracles import timeline_rows_reference
+
+# a pipe or file this process leaves open, even one collected unclosed, fails the test
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
 
 @pytest.fixture
@@ -504,7 +509,7 @@ def test_unreadable_config_file_is_a_config_error(flag, what, exc, trace_file, c
     assert doc["message"] == f"cannot read {what} file {target}: {exc.strerror}"
 
 
-@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+@pytest.mark.parametrize("target", ["afile", "afile/sub", "gap/../run"])  # no one rename places gap and run
 def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, tmp_path, capsys):
     (tmp_path / "afile").write_text("keep\n")
     before = sorted(tmp_path.rglob("*"))
@@ -522,6 +527,7 @@ def test_out_that_cannot_be_a_directory_is_an_output_error(target, trace_file, t
 
 @pytest.mark.parametrize("target,kind", [
     ("afile/sub", "output"),  # no staging directory can be made: before the command computes
+    ("new/" + "a" * 300 + "/run", "output"),  # nor out's missing parents in it
     ("afile", "trace-not-found"),  # out is a file: found only as the files are moved, after the compute
 ])
 def test_output_error_before_the_compute_wins(target, kind, tmp_path, capsys):
@@ -532,6 +538,37 @@ def test_output_error_before_the_compute_wins(target, kind, tmp_path, capsys):
     line, = capsys.readouterr().err.splitlines()
     assert json.loads(line)["kind"] == kind
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_new_out_is_placed_with_its_missing_parents_by_one_rename(trace_file, tmp_path, monkeypatch):
+    made, renamed = [], []
+    mkdir, rename = os.mkdir, os.rename
+    monkeypatch.setattr(os, "mkdir", lambda path, *args: made.append(Path(path)) or mkdir(path, *args))
+    monkeypatch.setattr(os, "rename", lambda src, dst: renamed.append(Path(dst)) or rename(src, dst))
+    monkeypatch.chdir(tmp_path)
+    before = set(os.listdir())
+    assert main(["pack", "--trace", str(trace_file), "--capacity", "8", "--out", "new/a/run"]) == 0
+    stage, *inside = made  # mkdtemp's, then the run directory's and its parents' inside it
+    assert stage.parent == Path(".") and stage.name.startswith(".run-")
+    assert inside and all(stage in path.parents for path in inside)
+    assert renamed == [Path("new")]
+    assert set(os.listdir()) - before == {"new"} and sorted(os.listdir("new/a/run")) == [
+        "config.resolved", "packing.csv", "summary.json"]
+
+
+def test_killed_placement_leaves_only_the_staging_directory(trace_file, tmp_path):
+    # the run kills itself where it would rename its staging directory into place
+    code = ("import os, signal, sys\n"
+            "from omnisched import cli\n"
+            "os.rename = lambda src, dst: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = Path(__file__).parent.parent / "src"
+    before = set(os.listdir(tmp_path))
+    done = subprocess.run([sys.executable, "-c", code, "pack", "--trace", str(trace_file), "--capacity", "8",
+                           "--out", "new/a/run"], cwd=tmp_path, env={"PYTHONPATH": str(src)}, capture_output=True)
+    assert done.returncode == -signal.SIGKILL
+    new, = set(os.listdir(tmp_path)) - before
+    assert new.startswith(".run-") and (tmp_path / new).is_dir()
 
 
 def test_failed_run_leaves_no_missing_parent_of_out(trace_file, tmp_path, monkeypatch, capsys):
@@ -1155,7 +1192,7 @@ def test_fork_map_answer_that_does_not_pickle_is_worker_died(monkeypatch):
 
 
 def test_fork_map_answer_that_does_not_unpickle_is_worker_died(monkeypatch):
-    # the pipe ends at that message: its worker's calls from there on are unanswered
+    # that call is worker-died naming it, and its worker's next answer is still read
     def call(i):
         if i == 1:
             raise TwoArgumentError("first", "second")
@@ -1166,7 +1203,12 @@ def test_fork_map_answer_that_does_not_unpickle_is_worker_died(monkeypatch):
     fork_map = cli._worker_pool("test")
     first, second = fork_map(call, [0, 2]), fork_map(call, [1, 3])
     assert list(first) == [0, 2]  # worker 0's share
-    assert taken(second) == ([], "test lost a worker process")
+    with pytest.raises(OmniSchedError) as caught:
+        next(second)
+    assert (caught.value.kind, caught.value.context) == ("worker-died", {"command": "test"})
+    # calls are numbered as queued: first's are 0 and 1, second's 2 and 3
+    assert caught.value.message.startswith("test: the answer of call 2 does not unpickle: ")
+    assert next(second) == 3
     assert len(forks) == 2
     assert_no_child()
 

@@ -34,10 +34,6 @@ from oracles import (
     timeline_rows_reference,
 )
 
-# compare_configs' cell function that records nothing, as omnisched reproduce passes
-UNRECORDED = partial(pipeline.simulate_cell, record=False)
-
-
 def plan_with_costs(costs, dp=1, tp=1):
     pp = len(costs)
     return StagePlan(
@@ -478,20 +474,18 @@ def cost_model():
 class TestCompareConfigs:
     def test_identical_policy_ratio_is_one(self):
         encoders, llm = cost_model()
-        rows, schedules = compare_configs(
+        row, = compare_configs(
             small_trace(0), 32, encoders, llm,
             [ParallelLayout(1, 2, 1)],
             packing_policies=("padded",), plan_policies=("naive",),
         )
-        row, = rows
         assert (row["layout"], row["packing_policy"], row["plan_policy"]) == ("1x2x1", "padded", "naive")
         assert row["ratio_vs_baseline"] == 1.0
-        assert row["throughput"] == schedules[0].throughput
 
     @pytest.mark.parametrize("seed", range(8))
     def test_balanced_cell_dominates_naive_cell(self, seed):
         encoders, llm = cost_model()
-        rows, _ = compare_configs(
+        rows = compare_configs(
             small_trace(seed), 32, encoders, llm,
             [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
             packing_policies=("ffd",), plan_policies=("naive", "balanced"),
@@ -508,11 +502,11 @@ class TestCompareConfigs:
         trace = small_trace(5)
         rows = {}
         for dp in (1, 4):
-            _, schedules = compare_configs(
+            row, = compare_configs(
                 trace, 32, encoders, llm, [ParallelLayout(dp, 2, 1)],
                 packing_policies=("ffd",), plan_policies=("balanced",),
             )
-            rows[dp] = schedules[0].throughput
+            rows[dp] = row["throughput"]
         assert rows[4] == pytest.approx(4 * rows[1])
 
     def test_packs_each_policy_once_across_layouts(self, monkeypatch):
@@ -543,7 +537,7 @@ class TestCompareConfigs:
             pipeline, "simulate_1f1b", lambda plan, *rest: simulated.append(plan.layout.label()) or simulate(plan, *rest)
         )
         encoders, llm = cost_model()
-        rows, _ = compare_configs(
+        rows = compare_configs(
             small_trace(2), 32, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
             packing_policies=("ffd",), plan_policies=("balanced",),
         )
@@ -584,11 +578,11 @@ def test_cost_scaling_through_compare_configs(encoder_costs, divisible, llm, lay
 
         def cell(key, plan, *simulation):  # a plan as the cell function receives it
             plans.append(plan)
-            return UNRECORDED(key, plan, *simulation)
+            return pipeline.simulate_cell(key, plan, *simulation)
 
-        rows, _ = compare_configs(small_trace(seed), 32, encoders, [c * factor for c in llm],
-                                  [ParallelLayout(*layout) for layout in layouts], backward_ratio=beta,
-                                  comm_latency=comm * factor, cell=cell)
+        rows = compare_configs(small_trace(seed), 32, encoders, [c * factor for c in llm],
+                               [ParallelLayout(*layout) for layout in layouts], backward_ratio=beta,
+                               comm_latency=comm * factor, cell=cell)
         return rows, plans
 
     (rows, plans), (scaled_rows, scaled_plans) = compare(1.0), compare(scale)
@@ -624,8 +618,7 @@ def test_shuffled_trace_lines_keep_ffd_and_padded(tmp_path_factory, data):
         trace = load_trace(d / name)
         packing, _ = pack_ffd(trace, 16)
         packings.append(dataclasses.astuple(packing))
-        cells, _ = compare_configs(trace, 16, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)],
-                                   cell=UNRECORDED)
+        cells = compare_configs(trace, 16, encoders, llm, [ParallelLayout(1, 2, 1), ParallelLayout(1, 4, 1)])
         # repr round-trips a float, so equal texts are equal bits
         rows.append([repr(row) for row in cells if row["packing_policy"] != "stream"])
     assert packings[0] == packings[1]
@@ -659,18 +652,15 @@ class TestCellsAlive:
 
     def test_without_schedules_one_cell_is_alive_at_a_time(self, monkeypatch):
         _, alive = simulate_spy(monkeypatch)
-        rows, schedules = self.compare(cell=UNRECORDED)
-        assert schedules == [] and len(rows) == 4
+        assert len(self.compare()) == 4
         assert alive == [0] * 6  # 2 layouts x (2 cells + the baseline)
 
-    def test_schedules_are_kept_and_rows_unchanged(self, monkeypatch):
-        without, _ = self.compare(cell=UNRECORDED)
+    def test_recording_cell_gives_the_same_rows_and_keeps_no_schedule(self, monkeypatch):
         refs, _ = simulate_spy(monkeypatch)
-        rows, schedules = self.compare()
-        assert rows == without
-        assert [row["throughput"] for row in rows] == [s.throughput for s in schedules]
-        # the requested cells' results are returned themselves, in cell order
-        assert [id(s) for s in schedules] == [id(ref()) for ref in refs if ref() is not None]
+        rows = self.compare()
+        recorded = self.compare(cell=partial(pipeline.simulate_cell, record=True))
+        assert recorded == rows
+        assert len(refs) == 12 and all(ref() is None for ref in refs)
 
     def test_reproduce_holds_one_cell_at_a_time(self, monkeypatch, tmp_path):
         _, alive = simulate_spy(monkeypatch)
