@@ -10,14 +10,14 @@ timeline CSV there as its cell is simulated). Only then are
 there. A new run directory appears with its missing parents by one rename;
 into an existing one the files are moved once every write has succeeded. A
 failed run creates no directory and leaves no new or changed file.
-Independent work runs through one ``map`` (``_worker_pool``). With two or more
-usable CPUs, ``fork`` and no other thread, it queues its calls, and taking the
-first result forks a worker per usable CPU up to one per call (none for one).
-Inputs reach the workers by fork; only results come back, pickled. The process
-makes the shares of forks that fail, and without a fork (the built-in ``map``)
-each call itself, in order. ``simulate`` runs its cells that way, each
+Independent work runs through one ``map`` (``_worker_pool``). It queues its
+calls, and taking the first result forks, with two or more usable CPUs,
+``fork`` and no other thread, a worker per usable CPU up to one per call (none
+for one); inputs reach the workers by fork and only results come back, pickled.
+A call with no worker (none can be forked, or its pipe or fork failed) is made
+here as its result is taken. ``simulate`` runs its cells that way, each
 simulated and its timeline written on one worker; ``reproduce`` its packing
-report, its allocator rows and its cells, once the cells' summed ``pp * m``
+report, allocator rows and cells, forking once the cells' summed ``pp * m``
 reaches ``_FORK_CELL_WORK``. Every worker has exited before the run returns or
 fails, and the bytes written do not depend on the worker count.
 Outputs carry no timestamps, so a run is byte-reproducible from (config, seed).
@@ -180,18 +180,12 @@ def _usable_cpus() -> int:
 
 
 def _worker_pool(command: str, fork: bool = True):
-    """A ``map`` for calls that share no state: the built-in one, which makes
-    each call here as its result is taken, unless ``fork`` is set, there are
-    two or more usable CPUs, ``fork`` exists and this is the process's only
-    thread. Then it queues its calls, and taking a result not yet made makes
-    every queued call (``_fork_calls``). A call's error is raised where its
-    result is taken; a call no worker answered is ``command``'s ``worker-died``."""
-    # fork, not spawn: a spawned worker is a fresh interpreter that imports
-    # omnisched (not numpy, for a trace file) and reads the trace again, and
-    # its inputs would have to be pickled to it. Forking is unsafe while
-    # other threads run, hence the thread count.
-    if not (fork and _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1):
-        return map
+    """A ``map`` for calls that share no state. It queues its calls, and
+    taking a result not yet made hands every queued call to ``_fork_calls``
+    (which forks only if ``fork`` is set). A call that gets no worker is made
+    here when its result is taken, as the built-in ``map`` makes it. A call's
+    error is raised where its result is taken; a call no worker answered is
+    ``command``'s ``worker-died``."""
     calls, answers = [], []
 
     def fork_map(fn, *iterables):
@@ -201,8 +195,9 @@ def _worker_pool(command: str, fork: bool = True):
 
     def take(i):
         if i >= len(answers):
-            answers.extend(_fork_calls(calls[len(answers):], command))
-        ok, value = answers[i] or (False, WorkerDiedError(f"{command} lost a worker process", command=command))
+            answers.extend(_fork_calls(calls[len(answers):], command, fork))
+        answer = _answer(answers[i]) if callable(answers[i]) else answers[i]
+        ok, value = answer or (False, WorkerDiedError(f"{command} lost a worker process", command=command))
         if not ok:
             raise value
         return value
@@ -210,24 +205,32 @@ def _worker_pool(command: str, fork: bool = True):
     return fork_map
 
 
-def _fork_calls(calls: list, command: str) -> list:
-    """Each call's ``_answer``, or None where no worker gave one, made on
-    ``min(usable CPUs, calls)`` forked workers (none for one call), call ``i``
-    on worker ``i % workers``, each answering on its own pipe with ``(i, the
-    pickled answer)``. An answer that does not pickle, or does not unpickle,
-    is ``command``'s ``worker-died`` naming the call, and the worker's later
-    answers are still read. This process makes the shares whose fork fails
-    (``EAGAIN``, ``ENOMEM``). Every worker has exited when this returns or fails."""
-    workers, answers, started = min(_usable_cpus(), len(calls)), [None] * len(calls), []
+def _fork_calls(calls: list, command: str, fork: bool) -> list:
+    """Each call's ``_answer`` from ``min(usable CPUs, calls)`` forked workers
+    (none for one call), call ``i`` on worker ``i % workers``, answering on its
+    own pipe with ``(i, the pickled answer)``; None where its worker gave none.
+    A call with no worker (``fork`` false, no ``os.fork``, another thread, a
+    pipe or fork that fails) is returned as it is, for its taker to make. An
+    answer that does not pickle or unpickle is ``command``'s ``worker-died``
+    naming the call, and the worker's later answers are still read. Every
+    worker has exited when this ends."""
+    # fork, not spawn: a spawned worker is a fresh interpreter that imports
+    # omnisched (not numpy, for a trace file) and reads the trace again, and
+    # its inputs would have to be pickled to it. Forking is unsafe while
+    # other threads run, hence the thread count.
+    can_fork = fork and hasattr(os, "fork") and threading.active_count() == 1
+    workers, answers, started = min(_usable_cpus(), len(calls)) if can_fork else 0, list(calls), []
     try:
         for w in range(workers if workers >= 2 else 0):
-            read, write = os.pipe()
+            fds = ()
             try:
+                fds = os.pipe()
                 pid = os.fork()
-            except OSError:  # EAGAIN, ENOMEM: this process makes the calls left
-                os.close(read)
-                os.close(write)
+            except OSError:  # EMFILE, ENFILE; EAGAIN, ENOMEM: the calls left get no worker
+                for fd in fds:
+                    os.close(fd)
                 break
+            read, write = fds
             if pid == 0:  # a worker leaves by os._exit: no finally block or exit hook of this process runs
                 try:
                     for fd in [read] + [pipe.fileno() for _, pipe in started]:
@@ -246,8 +249,7 @@ def _fork_calls(calls: list, command: str) -> list:
                     os._exit(0)
             os.close(write)
             started.append((pid, os.fdopen(read, "rb")))
-        for w in range(len(started), workers):
-            answers[w::workers] = map(_answer, calls[w::workers])
+            answers[w::workers] = [None] * len(answers[w::workers])
         for _, pipe in started:
             try:  # to the end, or to a message a dying worker cut short
                 for i, answer in iter(partial(pickle.load, pipe), None):
@@ -425,7 +427,6 @@ def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, ou
     m = sum(len(trace) if name == "padded" else packed for name in config.packing_policies)
     work = m * len(config.plan_policies) * sum(layout.pp for layout in config.layouts)
     map = _worker_pool("reproduce", work >= _FORK_CELL_WORK)
-    # the built-in map makes these two calls only as they are taken, after the cells
     packs = map(_pack_rows, [trace], [config.capacity], [config.packing_policies])
     mems = map(_mem_rows, [trace], [config.capacity], [config.resolved["memsim"]])
     rows = _comparison(config, trace, simulate_cell, map)
@@ -499,8 +500,14 @@ def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = 
     return _run(argparse.Namespace(command="reproduce", config=scenario_path, out=out_dir))
 
 
+def _path_flag(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return path
+
+
 def _trace_flag(path: str) -> dict:
-    return {"path": path}
+    return {"path": _path_flag(path)}
 
 
 def _comma_list(text: str) -> list[str]:
@@ -512,8 +519,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="YAML config file")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--config", type=_path_flag, help="YAML config file")
+        p.add_argument("--out", type=_path_flag, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="experiment seed")
 
     p_pack = sub.add_parser("pack", help="pack a trace and report fill statistics")
@@ -524,14 +531,14 @@ def _build_parser() -> _Parser:
 
     p_plan = sub.add_parser("plan", help="plan stage assignments for each layout")
     common(p_plan)
-    p_plan.add_argument("--cost-model", dest="cost_model", help="JSON cost model file")
+    p_plan.add_argument("--cost-model", dest="cost_model", type=_path_flag, help="JSON cost model file")
     p_plan.add_argument("--layouts", type=_comma_list, help="comma-separated DPxPPxTP layouts")
 
     p_sim = sub.add_parser("simulate", help="packing x planning x schedule comparison")
     common(p_sim)
     p_sim.add_argument("--trace", type=_trace_flag, help="NDJSON trace file")
     p_sim.add_argument("--capacity", type=int)
-    p_sim.add_argument("--cost-model", dest="cost_model", help="JSON cost model file")
+    p_sim.add_argument("--cost-model", dest="cost_model", type=_path_flag, help="JSON cost model file")
     p_sim.add_argument("--layouts", type=_comma_list, help="comma-separated DPxPPxTP layouts")
 
     p_route = sub.add_parser("route", help="simulate MoE routing under balancing")
@@ -553,9 +560,9 @@ def _build_parser() -> _Parser:
     )
 
     p_rep = sub.add_parser("reproduce", help="run the shipped headline scenario")
-    p_rep.add_argument("--out", help="output directory")
+    p_rep.add_argument("--out", type=_path_flag, help="output directory")
     p_rep.add_argument(
-        "--scenario", dest="config", metavar="SCENARIO", help="override the shipped scenario file"
+        "--scenario", dest="config", metavar="SCENARIO", type=_path_flag, help="override the shipped scenario file"
     )
 
     return parser

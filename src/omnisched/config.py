@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -39,6 +40,7 @@ from .workload import (
     WorkloadTrace,
     generate_trace,
     load_trace,
+    _unique_fields,
 )
 
 DEFAULT_SEED = 0
@@ -57,7 +59,7 @@ class ExperimentConfig:
     packing_policies: tuple[str, ...]
     plan_policies: tuple[str, ...]
     router: RouterConfig
-    logits: GaussianLogitSource  # its generator is drawn from by the route run only
+    logits: GaussianLogitSource
     output_dir: Path
     # every value read, defaults included, as written to config.resolved; what
     # has no field above (the names, the seeds, the router's sizes, memsim) is read from it
@@ -235,7 +237,7 @@ def _cost_model(value: Any, key: str) -> dict:
     if value is None:
         return {"encoders": [], "llm_layer_costs": []}
     if isinstance(value, str):
-        value = _load_file(value, json.loads, "cost model", key=key)
+        value = _load_file(value, partial(json.loads, object_pairs_hook=_unique_fields), "cost model", key=key)
     m = _Mapping(value, key)
     m.read("encoders", _list(_mapping(_encoder)))
     m.read("llm_layer_costs", _list(_number(finite=False), nonempty=True))
@@ -310,8 +312,22 @@ def _load_file(path: Union[str, Path], parse: Callable[[str], Any], what: str, *
         raise ConfigError(f"{what} file is not valid: {exc}", path=str(path), **context) from None
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.safe_load``'s loader, but a key written twice in one mapping is
+    an error. A key written once may still override one a ``<<`` merge brings."""
+
+    def construct_mapping(self, node, deep=False):
+        written = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        _unique_fields([(self.construct_object(key), None) for key in written])  # each made above: hashable
+        return mapping
+
+
+_load_yaml = partial(yaml.load, Loader=_UniqueKeyLoader)
+
+
 def load_config_file(path: Union[str, Path]) -> dict:
-    doc = _load_file(path, yaml.safe_load, "config")
+    doc = _load_file(path, _load_yaml, "config")
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a mapping", path=str(path))
     return doc
@@ -340,7 +356,7 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("plan_policies", _list(_str(PLAN_POLICIES), nonempty=True, unique=True), ["naive", "balanced"])
     router, logits = _router(r.section("router", {}), seed)
     r.read("memsim", _mapping(_memsim), {})
-    r.read("output_dir", _str(), "runs/out")
+    r.read("output_dir", _typed((str,), "a non-empty string", bool), "runs/out")
     resolved = r.close()
     output_dir = Path(resolved.pop("output_dir"))  # --out may override it: not recorded
     encoders, layers = _cost_objects(cost)
@@ -365,6 +381,6 @@ def build_config(doc: dict) -> ExperimentConfig:
 def reproduce_scenario_doc() -> dict:
     """The scenario shipped with the package for the headline comparison."""
     text = resources.files("omnisched").joinpath("data/reproduce.yaml").read_text(encoding="utf-8")
-    doc = yaml.safe_load(text)
+    doc = _load_yaml(text)
     assert isinstance(doc, dict)
     return doc

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidSpecError, RoutingError
 
@@ -164,10 +164,10 @@ class GaussianLogitSource:
     """Seeded stream of per-token logit vectors: N(offset_i, std^2) per expert.
 
     The fixed mean-offset vector models persistent expert preference, the
-    skew the balancer has to correct. Each draw continues the seeded stream,
-    so only the one ``route`` run of the config that built a source draws from
-    it. The generator and the offsets' array are made at the first draw:
-    building imports no numpy.
+    skew the balancer has to correct. A source holds no generator: every
+    ``draw`` and every routing run reads the stream from its start, from a
+    PCG64 of its own made from the seed. So runs on one source are the same
+    run, and building one imports no numpy.
     """
 
     def __init__(self, mean_offsets: Sequence[float] | np.ndarray, seed: int, std: float = 1.0):
@@ -182,28 +182,31 @@ class GaussianLogitSource:
             raise InvalidSpecError(f"std must be finite and > 0, got {std}", field="std")
         self.std = std
         self._seed = seed
-        self._rng = None
 
     @property
     def num_experts(self) -> int:
         return len(self.mean_offsets)
 
     def draw(self, tokens: int) -> np.ndarray:
-        """``tokens`` logit vectors. ``std * z + offset`` is what
-        ``normal(0, std) + offset`` computes from the same stream."""
+        """The stream's first ``tokens`` logit vectors. ``std * z + offset``
+        is what ``normal(0, std) + offset`` computes from the same stream."""
         import numpy as np
-        return self._fill(np.empty((tokens, self.num_experts)))
+        return self._stream()(np.empty((tokens, self.num_experts)))
 
-    def _fill(self, out: np.ndarray) -> np.ndarray:
-        """``draw`` into ``out``, a C-contiguous float64 ``(tokens, num_experts)`` array."""
+    def _stream(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The stream from its start: each call of the function returned
+        draws its next rows into ``out``, a C-contiguous float64 ``(tokens,
+        num_experts)`` array, and returns ``out``."""
         import numpy as np
-        if self._rng is None:
-            self._rng = np.random.Generator(np.random.PCG64(self._seed))
-            self._offsets = np.array(self.mean_offsets)
-        self._rng.standard_normal(out=out)
-        out *= self.std
-        out += self._offsets
-        return out
+        rng, offsets = np.random.Generator(np.random.PCG64(self._seed)), np.array(self.mean_offsets)
+
+        def fill(out: np.ndarray) -> np.ndarray:
+            rng.standard_normal(out=out)
+            out *= self.std
+            out += offsets
+            return out
+
+        return fill
 
 
 def route_batch(bias: np.ndarray, logits: np.ndarray, k: int,
@@ -257,15 +260,17 @@ def simulate_routing(
     buffers = (np.empty(batch), np.empty(batch))
     scratch = (np.empty(batch), np.empty(batch), np.empty(batch, dtype=bool))
 
+    fill = source._stream()
+
     def draw(out):
         # A new thread starts with numpy's default error state. It calls
-        # _fill, not draw: perfbench's tracer wraps draw and keeps one span
-        # stack, which calls from a second thread would corrupt.
+        # fill, not source.draw: perfbench's tracer wraps draw and keeps one
+        # span stack, which calls from a second thread would corrupt.
         with np.errstate(all="ignore"):
-            return source._fill(out)
+            return fill(out)
 
-    # The helper thread is the only user of the generator and draws in step
-    # order: step t + 1 into one buffer while step t routes in the other.
+    # The helper thread is the only user of the run's generator and draws in
+    # step order: step t + 1 into one buffer while step t routes in the other.
     # The check after the loop reports what left the float range.
     with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(all="ignore"):
         pending = helper.submit(draw, buffers[0])

@@ -199,6 +199,24 @@ def test_unknown_command_exit_code_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--out", ""],
+    ["pack", "--out", ""],
+    ["pack", "--config", ""],
+    ["reproduce", "--scenario", ""],
+    ["simulate", "--trace", ""],
+    ["plan", "--cost-model", ""],
+])
+def test_empty_path_flag_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # an empty path names no file: it does not fall back to the config's
+    # output_dir, the shipped scenario or no config
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"kind": "usage", "message": f"argument {argv[1]}: an empty path names no file", "context": {}}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_smoke(tmp_path):
     # full determinism check lives in the acceptance suite; this is the wiring
     out = tmp_path / "rep"
@@ -750,19 +768,34 @@ SIM_ARGV = ["simulate", "--config", "sim.yaml", "--trace", "trace.ndjson", "--ca
             "--cost-model", "cost.json", "--layouts", "1x2x1,1x4x1,2x2x2"]
 
 
+# what the fail_at-th call of os.fork or os.pipe raises
+OS_FAULTS = {"fork": lambda: BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"),
+             "pipe": lambda: OSError(errno.EMFILE, "Too many open files")}
+
+
+def fail_os_call_at(monkeypatch, name, fail_at):
+    """Count this process's ``os.fork`` or ``os.pipe`` (``name``) calls in the
+    list returned; the ``fail_at``-th (counted from 1, None for none) fails,
+    a fork with ``EAGAIN``, a pipe with ``EMFILE``."""
+    calls, real = [], getattr(os, name)
+
+    def call_or_fail():
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise OS_FAULTS[name]()
+        return real()
+
+    monkeypatch.setattr(os, name, call_or_fail)
+    return calls
+
+
 def fail_fork_at(monkeypatch, fail_at):
-    """Count the ``os.fork`` calls of this process in the list returned; the
-    ``fail_at``-th (counted from 1, None for none) fails with ``EAGAIN``."""
-    forks, fork = [], os.fork
+    return fail_os_call_at(monkeypatch, "fork", fail_at)
 
-    def fork_or_fail():
-        forks.append(1)
-        if len(forks) == fail_at:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
 
-    monkeypatch.setattr(os, "fork", fork_or_fail)
-    return forks
+def open_fds():
+    """This process's open file descriptors; None where they cannot be listed."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
 @pytest.fixture
@@ -981,9 +1014,14 @@ def test_reproduce_bytes_do_not_depend_on_the_worker_count(sim_dir, monkeypatch,
 
 
 def test_shipped_reproduce_starts_no_pool_on_two_cpus(sim_dir, monkeypatch, forks):
+    # below cli._FORK_CELL_WORK, the process makes every call itself
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert main(["reproduce", "--out", "out"]) == 0
+    names, fds = set(os.listdir(sim_dir)), open_fds()
+    assert main(["reproduce", "--out", "out2"]) == 0
     assert forks == []
+    assert set(os.listdir(sim_dir)) == names | {"out2"} and open_fds() == fds
+    assert rep_run(monkeypatch, 1, out="out1") == 0
+    assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
 
 
 @pytest.mark.parametrize("scenario,kind,two_cpu_forks", [
@@ -1079,6 +1117,7 @@ def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir,
     # two usable CPUs, but a library caller's thread is alive or the platform has no fork
     threads = threading.active_count()
     assert run(monkeypatch, 1, out="out1") == 0
+    fds = open_fds()
     if fallback == "no-fork":
         monkeypatch.delattr(os, "fork")
         assert run(monkeypatch, 2, out="out2") == 0
@@ -1094,23 +1133,27 @@ def test_in_process_fallback_writes_the_one_worker_bytes(fallback, run, sim_dir,
         assert not thread.is_alive()
     assert forks == []
     assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
+    assert open_fds() == fds
     assert_no_child()
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
-@pytest.mark.parametrize("fault", ["first-fork", "second-fork"])
+@pytest.mark.parametrize("fault", ["first-fork", "second-fork", "first-pipe", "second-pipe"])
 def test_pool_that_cannot_start_is_no_pool(fault, run, sim_dir, monkeypatch):
-    # a fork that fails (os.fork patched, EAGAIN): the process makes that
-    # worker's share and every later one itself, and the workers already
-    # forked make theirs
+    # a fork (os.fork patched, EAGAIN) or a worker's pipe (os.pipe patched,
+    # EMFILE) that fails: the process makes that worker's share and every
+    # later one itself, and the workers already forked make theirs
     threads = threading.active_count()
     assert run(monkeypatch, 1, out="out1") == 0
     names = set(os.listdir(sim_dir))
-    fail_at = {"first-fork": 1, "second-fork": 2}[fault]
-    forks = fail_fork_at(monkeypatch, fail_at)
+    nth, call = fault.split("-")
+    fail_at = {"first": 1, "second": 2}[nth]
+    forks = fail_fork_at(monkeypatch, fail_at if call == "fork" else None)
+    pipes = fail_os_call_at(monkeypatch, "pipe", fail_at if call == "pipe" else None)
     assert run(monkeypatch, 2, out="out2") == 0
-    assert len(forks) == fail_at
+    assert len(pipes) == fail_at
+    assert len(forks) == fail_at - (call == "pipe")
     assert run_files(sim_dir / "out2") == run_files(sim_dir / "out1")
     assert set(os.listdir(sim_dir)) == names | {"out2"}  # no staging directory left
     assert_no_child()
@@ -1119,15 +1162,20 @@ def test_pool_that_cannot_start_is_no_pool(fault, run, sim_dir, monkeypatch):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open file descriptors in /proc/self/fd")
 @pytest.mark.parametrize("run", [sim_run, rep_run], ids=["simulate", "reproduce"])
-@pytest.mark.parametrize("fail_at", [1, 2, None], ids=["first-fork-fails", "second-fork-fails", "no-fork-fails"])
-def test_forked_run_leaves_no_open_file_descriptor(fail_at, run, sim_dir, monkeypatch):
-    # a worker's pipe is closed whether its fork fails or it is read to the end
+@pytest.mark.parametrize("call,fail_at", [("fork", 1), ("fork", 2), ("fork", None), ("pipe", 1), ("pipe", 2)],
+                         ids=["first-fork-fails", "second-fork-fails", "no-fork-fails", "first-pipe-fails",
+                              "second-pipe-fails"])
+def test_forked_run_leaves_no_open_file_descriptor(call, fail_at, run, sim_dir, monkeypatch):
+    # a worker's pipe is closed whether its fork fails or it is read to the
+    # end, and the pipe made before a pipe that fails too
     assert run(monkeypatch, 1, out="out1") == 0
-    forks = fail_fork_at(monkeypatch, fail_at)
-    before = sorted(os.listdir("/proc/self/fd"))
+    calls = fail_os_call_at(monkeypatch, call, fail_at)
+    forks = calls if call == "fork" else fail_fork_at(monkeypatch, None)
+    before = open_fds()
     assert run(monkeypatch, 2, out="out2") == 0
-    assert sorted(os.listdir("/proc/self/fd")) == before
-    assert len(forks) == (fail_at or 2)
+    assert open_fds() == before
+    assert len(calls) == (fail_at or 2)
+    assert len(forks) == (fail_at or 2) - (call == "pipe")
 
 
 def taken(results):
@@ -1143,10 +1191,11 @@ def taken(results):
 
 
 @settings(max_examples=40, deadline=None)
-@given(fails=st.lists(st.booleans(), max_size=9), split=st.integers(0, 9), workers=st.sampled_from([2, 3]))
+@given(fails=st.lists(st.booleans(), max_size=9), split=st.integers(0, 9), workers=st.sampled_from([1, 2, 3]))
 def test_fork_map_takes_what_the_built_in_map_takes(fails, split, workers):
     # two maps queued before the first take and the second taken first, as
-    # reproduce does: the same results and the same first error in each
+    # reproduce does: the same results and the same first error in each,
+    # whether the calls run on forked workers or all in this process
     split = min(split, len(fails))
 
     def call(i):
@@ -1164,7 +1213,7 @@ def test_fork_map_takes_what_the_built_in_map_takes(fails, split, workers):
         fork_map = cli._worker_pool("test")
         assert fork_map is not map
         assert run(fork_map) == run(map)
-    assert len(forks) == (min(workers, len(fails)) if len(fails) >= 2 else 0)
+    assert len(forks) == (min(workers, len(fails)) if workers >= 2 and len(fails) >= 2 else 0)
     assert_no_child()
 
 

@@ -129,6 +129,7 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
     ("comm_latency: -1", "comm_latency"),
     ("seed: 1.5", "seed"),
     ("output_dir: 5", "output_dir"),
+    ("output_dir: ''", "output_dir"),
     ("router: 5", "router"),
     ("router: {top_k: 2.7}", "router.top_k"),
     ("router: {num_exprts: 4}", "router.num_exprts"),
@@ -248,6 +249,38 @@ def test_cost_model_file_is_read_like_an_inline_one(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["context"]["key"] == "cost_model.encoders[0].tp_divsible"
     assert not out.exists()
+
+
+# A key written twice in one mapping is an error, not its last value: in a
+# config file, a scenario, an inline cost model or a cost-model file.
+@pytest.mark.parametrize("name,text,argv,key", [
+    ("cfg.yaml", "capacity: 64\ncapacity: 4096\n", ["pack", "--config"], "capacity"),
+    ("cfg.yaml", "cost_model:\n  encoders: []\n  llm_layer_costs: [1, 1]\n  llm_layer_costs: [2, 2]\n",
+     ["plan", "--config"], "llm_layer_costs"),
+    ("scenario.yaml", "name: a\nrouter: {top_k: 1, top_k: 2}\n", ["reproduce", "--scenario"], "top_k"),
+    ("cost.json", '{"encoders": [], "llm_layer_costs": [1, 1], "llm_layer_costs": [2, 2]}',
+     ["plan", "--cost-model"], "llm_layer_costs"),
+], ids=["config", "inline-cost-model", "scenario", "cost-model-file"])
+def test_duplicate_key_is_a_config_error(name, text, argv, key, tmp_path, capsys):
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(argv + [str(tmp_path / name), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "invalid-config"
+    assert "duplicate " in err["message"] and repr(key) in err["message"]
+    assert err["context"]["path"] == str(tmp_path / name)
+    assert not out.exists()
+
+
+def test_merge_key_may_be_overridden(tmp_path):
+    # a key written once overrides the one a << merge brings, as YAML says
+    (tmp_path / "cfg.yaml").write_text(
+        "router:\n  <<: [{top_k: 3, steps: 2}, {top_k: 1, num_experts: 4, tokens_per_step: 16}]\n"
+        "  mean_offsets: [0, 0, 0, 0]\n  top_k: 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["route", "--config", str(tmp_path / "cfg.yaml"), "--out", str(out)]) == 0
+    router = yaml.safe_load((out / "config.resolved").read_text())["router"]
+    assert (router["num_experts"], router["top_k"], router["steps"]) == (4, 2, 2)
 
 
 def test_flags_merge_into_the_document(tmp_path):

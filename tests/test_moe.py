@@ -176,6 +176,18 @@ class TestSimulateRouting:
         assert np.array_equal(a["f"], b["f"])
         assert np.array_equal(a["bias"], b["bias"])
 
+    def test_runs_on_one_source_are_the_same_run(self):
+        # a source holds no generator: every run and every draw reads its
+        # seeded stream from the start
+        config = RouterConfig(num_experts=8, top_k=2)
+        source = GaussianLogitSource([1.0] + [0.0] * 7, seed=9)
+        first = source.draw(16)
+        a = simulate_routing(config, source, tokens_per_step=256, steps=5)
+        b = simulate_routing(config, source, tokens_per_step=256, steps=5)
+        for name in a:
+            assert np.array_equal(a[name], b[name])
+        assert np.array_equal(source.draw(16), first)
+
     def test_report_vectors_are_probabilities(self):
         config = RouterConfig(num_experts=8, top_k=2)
         source = GaussianLogitSource([0.5] * 4 + [0.0] * 4, seed=1)
@@ -267,14 +279,14 @@ class TestSimulateRoutingThread:
         error = RuntimeError("draw failed")
         calls = []
 
-        def fail_on_third(self, out):
+        def fail_on_third(out):
             calls.append(out)
             if len(calls) == 3:
                 raise error
             out.fill(0.0)
             return out
 
-        monkeypatch.setattr(GaussianLogitSource, "_fill", fail_on_third)
+        monkeypatch.setattr(GaussianLogitSource, "_stream", lambda self: fail_on_third)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as caught:
             self.route(steps=5)
