@@ -475,10 +475,10 @@ _COMMANDS = {"pack": _pack, "plan": _plan, "simulate": _simulate, "route": _rout
              "reproduce": _reproduce}
 
 
-def _run(args: argparse.Namespace) -> dict:
+def _run(args: argparse.Namespace) -> None:
     """Resolve the config, make the run's ``_staging`` directory and compute
     the command's results; only then write the run directory: config.resolved,
-    the command's files in order and summary.json. Returns the summary.
+    the command's files in order and summary.json.
 
     A file is (name, CSV fields or None for JSON, rows or the JSON object). A
     ``MemoryError`` in any of this is the ``out-of-memory`` error."""
@@ -491,13 +491,6 @@ def _run(args: argparse.Namespace) -> dict:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         raise OutOfMemoryError(f"{args.command} does not fit in memory{detail}", command=args.command) from None
-    return summary
-
-
-def cmd_reproduce(out_dir: Optional[str] = None, scenario_path: Optional[str] = None) -> dict:
-    """Run the shipped heterogeneous scenario, or the one at ``scenario_path``,
-    into its run directory and return its summary."""
-    return _run(argparse.Namespace(command="reproduce", config=scenario_path, out=out_dir))
 
 
 def _path_flag(path: str) -> str:

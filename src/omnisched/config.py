@@ -158,7 +158,8 @@ _integer = _typed((int,), "an integer")
 def _number(lo: float = -math.inf, strict: bool = False, finite: bool = True) -> Check:
     """An int or float, read as a float, that is finite and >= ``lo`` (> if
     ``strict``); with ``finite=False`` (costs) any value: EncoderSpec and
-    build_units check a cost's range."""
+    build_units check a cost's range. -0.0 is read as 0.0: it passes a
+    ``>= 0`` rule, and numpy takes a scale of -0.0 for one below 0."""
     what = "a finite number" + (f" > {lo}" if strict else f" >= {lo}" if lo > -math.inf else "")
 
     def check(value: Any, key: str) -> float:
@@ -170,7 +171,7 @@ def _number(lo: float = -math.inf, strict: bool = False, finite: bool = True) ->
             x = math.inf
         if finite and not (math.isfinite(x) and (x > lo if strict else x >= lo)):
             _fail(key, what, value)
-        return x
+        return x + 0.0
 
     return check
 

@@ -29,6 +29,13 @@ times per stage, from which ``timeline_rows()`` formats the timeline CSV lines;
 times live in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
 1F1B has at most ``pp`` microbatches in flight per stage, so an unrecorded
 walk's working set does not grow with the microbatch count.
+
+Tick pairs ``pp - 1 .. m - 1`` have all ``2pp`` ops in range; they run in a
+walk generated once per ``(pp, record, uniform)``, straight-line code that
+keeps each stage's values in locals and computes each op as the generic tick
+loop does. ``uniform`` (every ``tokens`` entry equal, as in a padded cell)
+computes each stage's op costs once. The warm-up and drain ticks, and every
+tick when ``m < pp``, run in the generic loop, which tests each op's range.
 """
 
 from __future__ import annotations
@@ -38,7 +45,9 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import repeat
+from operator import countOf
 
 from .errors import ConfigError, EmptyMicrobatchError, InvalidSpecError
 from .packing import Packing, pack
@@ -142,64 +151,22 @@ def stage_op_order(pp: int, stage: int, m: int) -> list[int]:
     return [*range(warmup), *steady, *(~i for i in range(m - warmup, m))]
 
 
-def simulate_1f1b(
-    plan: StagePlan,
-    microbatches: MicroBatches,
-    backward_ratio: float = 2.0,
-    comm_latency: float = 0.0,
-    record: bool = True,
-) -> ScheduleResult:
-    """Run each op once, in the tick order of the unit-cost schedule (F = B = 1,
-    no comm latency): forward ``i`` of stage ``s`` at tick ``s + 2i``, backward
-    ``i`` at ``2pp - 1 - s + 2i``. A stage's forward ticks (``= s``) and
-    backward ticks (``= s + 1``, mod 2) never meet, and sorting its ops by tick
-    gives ``stage_op_order``. Each op's dependencies (the stage's previous op,
-    F(s-1, i) at ``s - 1 + 2i``, F(s, i), B(s+1, i) at ``2pp - 2 - s + 2i``)
-    lie on earlier ticks whatever the costs, so none checks readiness; its
-    start is the latest of their finish times by ``>`` tests.
-
-    The F and B finish times live in per-stage rings of ``W`` slots (``W``
-    the smallest power of two ``>= pp``), microbatch ``i`` in slot
-    ``i & (W - 1)``. That is enough: B(s, i), the last reader of F(s, i),
-    runs at tick ``2pp - 1 - s + 2i``, before F(s, i + W) overwrites the slot
-    at tick ``s + 2(i + W)`` (``W >= pp``), and B(s, i + W) overwrites B(s, i)
-    at tick ``2pp - 1 - s + 2(i + W)``, after its reader B(s - 1, i) at
-    ``2pp - s + 2i``.
-
-    Each op adds ``end - start`` to its stage's busy time, in op order, and is
-    the stage's last end; a stage's op ends never decrease, so the makespan is
-    the latest last end. Only with ``record`` are the op times kept as well.
-
-    Costs that take ``pp * makespan`` or the throughput out of the float range
-    are an ``InvalidSpecError``, checked once after the walk.
-    """
-    if not microbatches:
-        raise EmptyMicrobatchError("simulation needs at least one microbatch")
-    if not 0 < backward_ratio < math.inf:
-        raise InvalidSpecError(f"backward_ratio must be finite and > 0, got {backward_ratio}")
-    if not 0 <= comm_latency < math.inf:
-        raise InvalidSpecError(f"comm_latency must be finite and >= 0, got {comm_latency}")
-
-    pp = plan.layout.pp
-    m = len(microbatches)
-    tokens = microbatches.tokens
-    mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
-    f_end = [[0.0] * (mask + 1) for _ in range(pp)]
-    b_end = [[0.0] * (mask + 1) for _ in range(pp)]
-    last = [0.0] * pp  # each stage's latest op end
-    busy = [0.0] * pp
-    starts = tuple(array("d") for _ in range(pp)) if record else ()
-    ends = tuple(array("d") for _ in range(pp)) if record else ()
+def _edge_ticks(stage_cost, tokens, backward_ratio, comm_latency, f_end, b_end, last, busy, starts, ends, ticks):
+    """Run ``ticks`` of the walk by the tick rule, each op tested for range:
+    the warm-up and drain ticks, or every tick when ``m < pp``."""
+    pp = len(stage_cost)
+    m = len(tokens)
+    mask = len(f_end[0]) - 1
+    record = bool(starts)
     # per stage: index, cost, finish rings (own F and B, upstream F, downstream B), op time appenders
     stages = [
-        (s, plan.stage_cost[s], f_end[s], b_end[s],
+        (s, stage_cost[s], f_end[s], b_end[s],
          f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None,
          starts[s].append if record else None, ends[s].append if record else None)
         for s in range(pp)
     ]
-
     parity = [(stages[p::2], stages[1 - p::2]) for p in (0, 1)]
-    for t in range(2 * (m + pp - 1)):  # forwards at s = t (mod 2), backwards elsewhere
+    for t in ticks:  # forwards at s = t (mod 2), backwards elsewhere
         forwards, backwards = parity[t & 1]
         u = t + 1 - 2 * pp  # backward i runs at tick 2pp - 1 - s + 2i: i = (u + s) / 2
         for s, cost, fe, be, prev_fe, next_be, add_start, add_end in forwards:
@@ -233,6 +200,143 @@ def simulate_1f1b(
                 if record:
                     add_start(ready)
                     add_end(free)
+
+
+@cache
+def _steady_walk(pp: int, record: bool, uniform: bool):
+    """The walk of tick pairs ``pp - 1 .. m - 1`` (ticks ``2k`` and
+    ``2k + 1``), whose ``2pp`` ops are all in range, generated for ``pp``
+    stages. In tick pair ``k``, stage ``s`` runs forward ``k - d`` with
+    ``d = s // 2`` and backward ``k - d`` with ``d = pp - 1 - s // 2``, so
+    the ops read ``tokens[k - d]`` and ring slot ``(k - d) & (W - 1)`` for
+    ``d < pp`` only: the loop computes them for ``d = 0`` and passes each
+    down to ``d + 1`` for the next tick pair.
+
+    Each stage's cost, last end, busy time, rings and (with ``record``) op
+    time appenders are locals, and each op is ``_edge_ticks``' op with the
+    same expressions in the same order: the ``>`` tests, ``ready + cost *
+    tokens[i]``, ``backward_ratio * (cost * tokens[i])``, ``busy += end -
+    ready``. With ``uniform`` (every ``tokens`` entry equal) each stage's
+    ``cost * tokens[i]`` and ``backward_ratio * (cost * tokens[i])`` are the
+    same float for every op, computed once. The source holds only fixed
+    names and integer literals."""
+    mask = (1 << (pp - 1).bit_length()) - 1
+    stages = range(pp)
+    lines = ["def walk(m, tokens, costs, beta, comm, f_end, b_end, last, busy, starts, ends):"]
+    for s in stages:
+        if uniform:
+            lines += [f"    f{s} = costs[{s}] * tokens[0]", f"    g{s} = beta * f{s}"]
+        else:
+            lines.append(f"    c{s} = costs[{s}]")
+        lines += [f"    l{s} = last[{s}]", f"    b{s} = busy[{s}]",
+                  f"    fe{s} = f_end[{s}]", f"    be{s} = b_end[{s}]"]
+        if record:
+            lines += [f"    sa{s} = starts[{s}].append", f"    ea{s} = ends[{s}].append"]
+    for d in range(1, pp):  # tick pair pp - 1 reads microbatch pp - 1 - d (its slot, as pp <= W) from these
+        lines.append(f"    x{d} = {pp - 1 - d}")
+        if not uniform:
+            lines.append(f"    t{d} = tokens[{pp - 1 - d}]")
+    lines += [f"    for k in range({pp - 1}, m):", f"        x0 = k & {mask}"]
+    if not uniform:
+        lines.append("        t0 = tokens[k]")
+
+    def op(s: int, forward: bool) -> list[str]:
+        d = s // 2 if forward else pp - 1 - s // 2
+        x = f"x{d}"
+        if forward and s == 0:
+            code = [f"r = l{s}"]
+        elif forward:
+            code = [f"q = fe{s - 1}[{x}] + comm", f"r = q if q > l{s} else l{s}"]
+        else:
+            code = [f"q = fe{s}[{x}]", f"r = q if q > l{s} else l{s}"]
+            if s < pp - 1:
+                code += [f"q = be{s + 1}[{x}] + comm", "if q > r: r = q"]
+        if uniform:
+            code.append(f"l{s} = r + {'f' if forward else 'g'}{s}")
+        else:
+            code.append(f"l{s} = r + c{s} * t{d}" if forward else f"l{s} = r + beta * (c{s} * t{d})")
+        code += [f"{'fe' if forward else 'be'}{s}[{x}] = l{s}", f"b{s} += l{s} - r"]
+        if record:
+            code += [f"sa{s}(r)", f"ea{s}(l{s})"]
+        return ["        " + line for line in code]
+
+    for p in (0, 1):  # tick 2k + p: forwards at s = p (mod 2), then backwards
+        for s in stages[p::2]:
+            lines += op(s, True)
+        for s in stages[1 - p::2]:
+            lines += op(s, False)
+    for d in range(pp - 1, 0, -1):
+        lines.append(f"        x{d} = x{d - 1}")
+        if not uniform:
+            lines.append(f"        t{d} = t{d - 1}")
+    lines += [f"    last[{s}] = l{s}\n    busy[{s}] = b{s}" for s in stages]
+    namespace: dict = {}
+    exec(compile("\n".join(lines) + "\n", f"<1F1B steady walk, pp={pp}>", "exec"), namespace)
+    return namespace["walk"]
+
+
+def simulate_1f1b(
+    plan: StagePlan,
+    microbatches: MicroBatches,
+    backward_ratio: float = 2.0,
+    comm_latency: float = 0.0,
+    record: bool = True,
+) -> ScheduleResult:
+    """Run each op once, in the tick order of the unit-cost schedule (F = B = 1,
+    no comm latency): forward ``i`` of stage ``s`` at tick ``s + 2i``, backward
+    ``i`` at ``2pp - 1 - s + 2i``. A stage's forward ticks (``= s``) and
+    backward ticks (``= s + 1``, mod 2) never meet, and sorting its ops by tick
+    gives ``stage_op_order``. Each op's dependencies (the stage's previous op,
+    F(s-1, i) at ``s - 1 + 2i``, F(s, i), B(s+1, i) at ``2pp - 2 - s + 2i``)
+    lie on earlier ticks whatever the costs, so none checks readiness; its
+    start is the latest of their finish times by ``>`` tests.
+
+    The F and B finish times live in per-stage rings of ``W`` slots (``W``
+    the smallest power of two ``>= pp``), microbatch ``i`` in slot
+    ``i & (W - 1)``. That is enough: B(s, i), the last reader of F(s, i),
+    runs at tick ``2pp - 1 - s + 2i``, before F(s, i + W) overwrites the slot
+    at tick ``s + 2(i + W)`` (``W >= pp``), and B(s, i + W) overwrites B(s, i)
+    at tick ``2pp - 1 - s + 2(i + W)``, after its reader B(s - 1, i) at
+    ``2pp - s + 2i``.
+
+    Each op adds ``end - start`` to its stage's busy time, in op order, and is
+    the stage's last end; a stage's op ends never decrease, so the makespan is
+    the latest last end. Only with ``record`` are the op times kept as well.
+
+    The tick pairs whose ops are all in range run in ``_steady_walk``'s code
+    generated for ``pp``, the others in ``_edge_ticks``, each op the same
+    arithmetic either way.
+
+    Costs that take ``pp * makespan`` or the throughput out of the float range
+    are an ``InvalidSpecError``, checked once after the walk.
+    """
+    if not microbatches:
+        raise EmptyMicrobatchError("simulation needs at least one microbatch")
+    if not 0 < backward_ratio < math.inf:
+        raise InvalidSpecError(f"backward_ratio must be finite and > 0, got {backward_ratio}")
+    if not 0 <= comm_latency < math.inf:
+        raise InvalidSpecError(f"comm_latency must be finite and >= 0, got {comm_latency}")
+
+    pp = plan.layout.pp
+    m = len(microbatches)
+    tokens = microbatches.tokens
+    mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
+    f_end = [[0.0] * (mask + 1) for _ in range(pp)]
+    b_end = [[0.0] * (mask + 1) for _ in range(pp)]
+    last = [0.0] * pp  # each stage's latest op end
+    busy = [0.0] * pp
+    starts = tuple(array("d") for _ in range(pp)) if record else ()
+    ends = tuple(array("d") for _ in range(pp)) if record else ()
+    edge = partial(_edge_ticks, plan.stage_cost, tokens, backward_ratio, comm_latency, f_end, b_end, last, busy,
+                   starts, ends)
+    if m < pp:  # no tick pair has all its ops in range
+        edge(range(2 * (m + pp - 1)))
+    else:  # warm-up, tick pairs pp - 1 .. m - 1, drain
+        edge(range(2 * pp - 2))
+        uniform = countOf(tokens, tokens[0]) == m
+        _steady_walk(pp, record, uniform)(m, tokens, plan.stage_cost, backward_ratio, comm_latency,
+                                          f_end, b_end, last, busy, starts, ends)
+        edge(range(2 * m, 2 * (m + pp - 1)))
 
     makespan = max(last)
     # pp * makespan bounds the stages' summed busy time: finite, it keeps idle_fraction finite

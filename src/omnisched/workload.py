@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -113,6 +114,7 @@ class LogNormalLength:
             raise InvalidSpecError(f"mu must be finite, got {self.mu}", field="mu")
         if not 0 <= self.sigma < math.inf:
             raise InvalidSpecError(f"sigma must be finite and >= 0, got {self.sigma}", field="sigma")
+        object.__setattr__(self, "sigma", self.sigma + 0.0)  # numpy takes -0.0 for a scale below 0
         if self.max_len < 1:
             raise InvalidSpecError(f"max_len must be >= 1, got {self.max_len}", field="max_len")
 
@@ -161,20 +163,27 @@ def generate_trace(spec: SyntheticTraceSpec) -> WorkloadTrace:
     """Generate a trace deterministically from ``spec``.
 
     Per sample: one uniform draw picks the modality from the mixture, then one
-    draw from that modality's length distribution picks the length.
+    draw from that modality's length distribution picks the length. The pick
+    is ``bisect_right`` over the cumulative weights as Python floats, which
+    counts the same entries ``<= r`` that ``np.searchsorted(..., side="right")``
+    does, and rounding that leaves ``r`` at or past the last one picks the
+    last modality.
     """
     import numpy as np  # here, not at the top: a trace file needs no numpy
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     ordered = [m for m in MODALITY_ORDER if spec.weights.get(m, 0.0) > 0]
     weights = np.array([spec.weights[m] for m in ordered], dtype=float)
-    cumulative = np.cumsum(weights / weights.sum())
+    cumulative = np.cumsum(weights / weights.sum()).tolist()
+    last = len(ordered) - 1
+    draws = [spec.lengths[m].draw for m in ordered]
+    random = rng.random
 
     modalities, lengths = [], []
+    add_modality, add_length = modalities.append, lengths.append
     for _ in range(spec.sample_count):
-        r = rng.random()
-        modality = ordered[int(np.searchsorted(cumulative, r, side="right").clip(0, len(ordered) - 1))]
-        modalities.append(modality)
-        lengths.append(spec.lengths[modality].draw(rng))
+        k = min(bisect_right(cumulative, random()), last)
+        add_modality(ordered[k])
+        add_length(draws[k](rng))
     return WorkloadTrace(range(spec.sample_count), modalities, lengths)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
@@ -496,3 +497,30 @@ def load_trace_reference(path) -> tuple[list, list, list]:
     if not ids:
         raise TraceErrorReference("empty-file", f"trace file contains no records: {path}", path=str(path))
     return ids, modalities, lengths
+
+
+def generate_trace_reference(
+    mixture: Sequence[tuple[str, float, tuple]], sample_count: int, seed: int
+) -> tuple[list[str], list[int]]:
+    """The per-sample generator with one ``np.searchsorted`` call per sample.
+
+    ``mixture`` is ``(modality, weight, length)`` in the library's modality
+    order, ``length`` either ``("uniform", low, high)`` or ``("lognormal", mu,
+    sigma, max_len)``. Each sample draws one uniform to pick a modality among
+    the positive weights, then one length. Returns the modality and length
+    columns."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ordered = [(name, length) for name, weight, length in mixture if weight > 0]
+    weights = np.array([weight for _, weight, _ in mixture if weight > 0], dtype=float)
+    cumulative = np.cumsum(weights / weights.sum())
+    modalities, lengths = [], []
+    for _ in range(sample_count):
+        r = rng.random()
+        name, length = ordered[int(np.searchsorted(cumulative, r, side="right").clip(0, len(ordered) - 1))]
+        modalities.append(name)
+        if length[0] == "uniform":
+            lengths.append(int(rng.integers(length[1], length[2] + 1)))
+        else:
+            raw = int(round(math.exp(min(rng.normal(length[1], length[2]), 709.0))))
+            lengths.append(min(max(raw, 1), length[3]))
+    return modalities, lengths

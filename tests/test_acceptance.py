@@ -3,13 +3,14 @@ PASS line with its headline numbers. Run with ``pytest tests/test_acceptance.py 
 """
 
 import filecmp
+import json
 import time
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from omnisched.cli import cmd_reproduce
+from omnisched import cli
 from omnisched.memsim import events_from_batches, events_from_samples, simulate_allocator
 from omnisched.moe import (
     GaussianLogitSource,
@@ -188,7 +189,8 @@ def test_criterion_7_param_count_feasibility():
 
 def test_criterion_8_throughput_claim(tmp_path):
     with Budget(30.0) as b:
-        summary = cmd_reproduce(out_dir=str(tmp_path / "run"))
+        assert cli.main(["reproduce", "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         ratios = {label: doc["throughput_ratio"] for label, doc in summary["layouts"].items()}
         assert set(ratios) == {"1x4x1", "1x4x2"}
         for label, ratio in ratios.items():
@@ -222,8 +224,8 @@ def test_criterion_9_fragmentation_direction():
 def test_criterion_10_reproduce_determinism(tmp_path):
     a = tmp_path / "run_a"
     b = tmp_path / "run_b"
-    cmd_reproduce(out_dir=str(a))
-    cmd_reproduce(out_dir=str(b))
+    assert cli.main(["reproduce", "--out", str(a)]) == 0
+    assert cli.main(["reproduce", "--out", str(b)]) == 0
     files_a = sorted(p.name for p in a.iterdir())
     files_b = sorted(p.name for p in b.iterdir())
     assert files_a == files_b

@@ -194,6 +194,24 @@ def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_signed_zero_reads_as_zero(tmp_path):
+    # -0.0 passes each key's >= 0 rule; as a lognormal sigma it reached numpy,
+    # which takes it for a scale below 0
+    doc = yaml.safe_load((Path(cli.__file__).parent / "data" / "reproduce.yaml").read_text())
+    doc["trace"]["synthetic"]["lengths"]["text"]["sigma"] = -0.0
+    doc["trace"]["synthetic"]["mixture"]["audio"] = -0.0
+    doc["comm_latency"] = -0.0
+    doc["router"].update(aux_coefficient=-0.0, bias_step=-0.0)
+    (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main(["reproduce", "--scenario", str(tmp_path / "scenario.yaml"), "--out", str(out)]) == 0
+    resolved = yaml.safe_load((out / "config.resolved").read_text())
+    zeros = [resolved["trace"]["synthetic"]["lengths"]["text"]["sigma"],
+             resolved["trace"]["synthetic"]["mixture"]["audio"], resolved["comm_latency"],
+             resolved["router"]["aux_coefficient"], resolved["router"]["bias_step"]]
+    assert [math.copysign(1.0, z) for z in zeros] == [1.0] * 5 and not any(zeros)
+
+
 def test_range_error_is_reported_in_the_config_words(tmp_path, capsys):
     # the library says std where the config says logit_std
     (tmp_path / "cfg.yaml").write_text("router: {logit_std: 0}\n")
@@ -303,7 +321,7 @@ def rarely(other, strategy):
 
 # 1e308 and 1e-320 are valid numbers whose products and sums leave the float range
 NUMBERS = rarely(
-    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, 1e308, 1e-320]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, -0.0, 1e308, 1e-320]),
     st.one_of(st.floats(0, 1e2), st.integers(0, 5)),
 )
 JUNK = st.one_of(

@@ -1,7 +1,10 @@
 import dataclasses
+import io
 import math
+import re
 import sys
 import tempfile
+import tokenize
 import tracemalloc
 import weakref
 from array import array
@@ -317,6 +320,58 @@ class TestDependencyRing:
             return peak - sum(map(sys.getsizeof, result.op_starts + result.op_ends))
 
         assert working_set(40_000) - working_set(20_000) < 256 * 1024
+
+
+class TestGeneratedSteadyWalk:
+    """Tick pairs ``pp - 1 .. m - 1`` run in a walk generated per ``(pp,
+    record, uniform)``, the warm-up and drain ticks (and every tick when
+    ``m < pp``) in the generic tick loop: the reference's every op time."""
+
+    @given(
+        data=st.data(),
+        pp=st.integers(min_value=1, max_value=20),
+        uniform=st.booleans(),
+        beta=st.sampled_from([0.5, 1.0, 1.37, 2.0, 3.25]),
+        comm=st.sampled_from([0.0, 0.0, 0.3, 1.7]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data, pp, uniform, beta, comm):
+        # m from no steady tick pair (m < pp) through one (m = pp) to many
+        m = data.draw(st.one_of(st.sampled_from([pp - 1 or 1, pp, pp + 1, 3 * pp + 3]),
+                                st.integers(min_value=1, max_value=3 * pp + 3)), label="m")
+        costs = data.draw(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=pp, max_size=pp),
+                          label="costs")
+        width = st.integers(min_value=1, max_value=5000)
+        tokens = ([data.draw(width, label="width")] * m if uniform
+                  else data.draw(st.lists(width, min_size=m, max_size=m), label="tokens"))
+        assert_matches_reference(costs, tokens, beta, comm)  # recorded and unrecorded
+
+    def test_source_holds_only_integer_literals_and_fixed_names(self, monkeypatch):
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        pipeline._steady_walk.cache_clear()
+        monkeypatch.setattr(pipeline, "compile", spy, raising=False)
+        try:
+            for pp, tokens in [(1, [77] * 3), (3, [5123, 9, 2, 8, 8]), (6, [4099] * 9), (6, [4095, 3] * 6)]:
+                plan = plan_with_costs([0.1 + 0.7 * s for s in range(pp)])
+                for record in (True, False, True):  # a key met again compiles nothing
+                    simulate_1f1b(plan, microbatches_of(tokens), 1.37, 0.3, record)
+        finally:
+            pipeline._steady_walk.cache_clear()
+        assert len(sources) == 8
+        for source in sources:
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                assert token.type not in (tokenize.STRING, tokenize.ERRORTOKEN)
+                if token.type == tokenize.NUMBER:
+                    assert token.string.isdigit()
+                if token.type == tokenize.NAME:
+                    assert re.fullmatch(r"[a-z_]+[0-9]*", token.string)
+            for text in ("0.1", "0.8", "1.37", "0.3", "77", "5123", "4099", "4095"):
+                assert text not in source
 
 
 class TestTickRule:

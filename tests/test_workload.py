@@ -27,7 +27,7 @@ from omnisched.workload import (
     trace_stats,
 )
 
-from oracles import TraceErrorReference, load_trace_reference
+from oracles import TraceErrorReference, generate_trace_reference, load_trace_reference
 
 
 def make_spec(weights, lengths, count, seed):
@@ -342,6 +342,43 @@ class TestGenerateTrace:
         )
         trace = generate_trace(spec)
         assert all(1 <= n <= 64 for n in trace.lengths)
+
+    @given(
+        mixture=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 7.25]),
+                st.one_of(
+                    st.tuples(st.just("uniform"), st.integers(1, 50), st.integers(0, 5000)),
+                    st.tuples(st.just("lognormal"), st.floats(-2.0, 9.0), st.floats(0.0, 3.0),
+                              st.integers(1, 4096)),
+                ),
+            ),
+            min_size=4, max_size=4,
+        ).filter(lambda mixture: any(weight > 0 for weight, _ in mixture)),
+        count=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_sample_searchsorted_generator(self, mixture, count, seed):
+        modalities = list(workload.MODALITY_ORDER)
+        weights, lengths = {}, {}
+        for modality, (weight, (kind, a, b, *rest)) in zip(modalities, mixture):
+            weights[modality] = weight
+            lengths[modality] = UniformLength(a, a + b) if kind == "uniform" else LogNormalLength(a, b, *rest)
+        trace = generate_trace(make_spec(weights, lengths, count, seed))
+        reference = [(m.value, w, ("uniform", a, a + b) if kind == "uniform" else (kind, a, b, *rest))
+                     for m, (w, (kind, a, b, *rest)) in zip(modalities, mixture)]
+        names, drawn = generate_trace_reference(reference, count, seed)
+        assert [m.value for m in trace.modalities] == names
+        assert list(trace.lengths) == drawn
+        assert list(trace.ids) == list(range(count))
+
+    def test_signed_zero_sigma_draws_as_zero(self):
+        def lengths(sigma):
+            return generate_trace(make_spec({Modality.TEXT: 1.0}, {Modality.TEXT: LogNormalLength(5.0, sigma, 500)},
+                                            count=5, seed=2)).lengths
+
+        assert lengths(-0.0) == lengths(0.0) == (148,) * 5
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
