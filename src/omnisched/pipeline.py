@@ -30,12 +30,12 @@ times live in a ring of ``W`` slots, ``W`` the smallest power of two ``>= pp``:
 1F1B has at most ``pp`` microbatches in flight per stage, so an unrecorded
 walk's working set does not grow with the microbatch count.
 
-Tick pairs ``pp - 1 .. m - 1`` have all ``2pp`` ops in range; they run in a
-walk generated once per ``(pp, record, uniform)``, straight-line code that
-keeps each stage's values in locals and computes each op as the generic tick
-loop does. ``uniform`` (every ``tokens`` entry equal, as in a padded cell)
-computes each stage's op costs once. The warm-up and drain ticks, and every
-tick when ``m < pp``, run in the generic loop, which tests each op's range.
+The walk is generated once per ``(pp, record, uniform)``: straight-line code
+per tick pair that keeps each stage's values in locals. Tick pairs
+``pp - 1 .. m - 1`` have all ``2pp`` ops in range and run them bare; the
+warm-up and drain pairs (every pair when ``m < pp``) run the same ops, each
+under a test of its range. ``uniform`` (every ``tokens`` entry equal, as in
+a padded cell) computes each stage's op costs once.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import repeat
 from operator import countOf
 
@@ -61,7 +61,10 @@ class MicroBatches:
     """Pipeline work items as columns. Item ``i`` costs ``tokens[i]``, the
     physical batch width (capacity for padded batches), and counts
     ``useful_tokens[i]``, which excludes padding and is what throughput
-    counts. ``len()`` is the item count."""
+    counts. ``len()`` is the item count. Every entry is a Python ``int`` or
+    ``float``, so results and CSV text hold Python floats: any other type (a
+    numpy scalar, a ``bool``) is an ``InvalidSpecError`` naming the first
+    such microbatch."""
 
     tokens: Sequence[int]
     useful_tokens: Sequence[int]
@@ -69,6 +72,11 @@ class MicroBatches:
     def __post_init__(self):
         if len(self.tokens) != len(self.useful_tokens):
             raise InvalidSpecError("tokens and useful_tokens must have one entry per microbatch")
+        for name, column in (("tokens", self.tokens), ("useful_tokens", self.useful_tokens)):
+            if not {int, float}.issuperset(map(type, column)):
+                i, x = next((i, x) for i, x in enumerate(column) if type(x) not in (int, float))
+                raise InvalidSpecError(f"microbatch {i}: {name} must be a Python int or float, "
+                                       f"got {type(x).__name__}")
         for i, (tokens, useful) in enumerate(zip(self.tokens, self.useful_tokens)):
             if not 1 <= tokens <= sys.float_info.max:
                 raise InvalidSpecError(f"microbatch {i}: tokens must be >= 1 and a finite float")
@@ -151,96 +159,45 @@ def stage_op_order(pp: int, stage: int, m: int) -> list[int]:
     return [*range(warmup), *steady, *(~i for i in range(m - warmup, m))]
 
 
-def _edge_ticks(stage_cost, tokens, backward_ratio, comm_latency, f_end, b_end, last, busy, starts, ends, ticks):
-    """Run ``ticks`` of the walk by the tick rule, each op tested for range:
-    the warm-up and drain ticks, or every tick when ``m < pp``."""
-    pp = len(stage_cost)
-    m = len(tokens)
-    mask = len(f_end[0]) - 1
-    record = bool(starts)
-    # per stage: index, cost, finish rings (own F and B, upstream F, downstream B), op time appenders
-    stages = [
-        (s, stage_cost[s], f_end[s], b_end[s],
-         f_end[s - 1] if s > 0 else None, b_end[s + 1] if s < pp - 1 else None,
-         starts[s].append if record else None, ends[s].append if record else None)
-        for s in range(pp)
-    ]
-    parity = [(stages[p::2], stages[1 - p::2]) for p in (0, 1)]
-    for t in ticks:  # forwards at s = t (mod 2), backwards elsewhere
-        forwards, backwards = parity[t & 1]
-        u = t + 1 - 2 * pp  # backward i runs at tick 2pp - 1 - s + 2i: i = (u + s) / 2
-        for s, cost, fe, be, prev_fe, next_be, add_start, add_end in forwards:
-            i = (t - s) >> 1
-            if 0 <= i < m:
-                ready = last[s]
-                j = i & mask
-                if prev_fe is not None:
-                    dep = prev_fe[j] + comm_latency
-                    if dep > ready:
-                        ready = dep
-                fe[j] = last[s] = free = ready + cost * tokens[i]
-                busy[s] += free - ready
-                if record:
-                    add_start(ready)
-                    add_end(free)
-        for s, cost, fe, be, prev_fe, next_be, add_start, add_end in backwards:
-            i = (u + s) >> 1
-            if 0 <= i < m:
-                ready = last[s]
-                j = i & mask
-                dep = fe[j]
-                if dep > ready:
-                    ready = dep
-                if next_be is not None:
-                    dep = next_be[j] + comm_latency
-                    if dep > ready:
-                        ready = dep
-                be[j] = last[s] = free = ready + backward_ratio * (cost * tokens[i])
-                busy[s] += free - ready
-                if record:
-                    add_start(ready)
-                    add_end(free)
-
-
 @cache
-def _steady_walk(pp: int, record: bool, uniform: bool):
-    """The walk of tick pairs ``pp - 1 .. m - 1`` (ticks ``2k`` and
-    ``2k + 1``), whose ``2pp`` ops are all in range, generated for ``pp``
-    stages. In tick pair ``k``, stage ``s`` runs forward ``k - d`` with
-    ``d = s // 2`` and backward ``k - d`` with ``d = pp - 1 - s // 2``, so
-    the ops read ``tokens[k - d]`` and ring slot ``(k - d) & (W - 1)`` for
-    ``d < pp`` only: the loop computes them for ``d = 0`` and passes each
-    down to ``d + 1`` for the next tick pair.
+def _walk(pp: int, record: bool, uniform: bool):
+    """The walk of tick pairs ``0 .. m + pp - 2`` (ticks ``2k`` and
+    ``2k + 1``), generated for ``pp`` stages. In tick pair ``k``, stage ``s``
+    runs forward ``k - d`` with ``d = s // 2`` and backward ``k - d`` with
+    ``d = pp - 1 - s // 2``, so an op is in range iff ``d <= k < m + d``.
+    Pairs ``pp - 1 .. m - 1`` have all ``2pp`` ops in range and run the bare
+    ops; the warm-up pairs before them and the drain pairs after run one
+    body, emitted once, that tests each op's range first. Both bodies read
+    ``tokens[k - d]`` and ring slot ``(k - d) & (W - 1)`` for ``d < pp``
+    only: each tick pair computes them for ``d = 0`` and passes each down to
+    ``d + 1`` for the next.
 
     Each stage's cost, last end, busy time, rings and (with ``record``) op
-    time appenders are locals, and each op is ``_edge_ticks``' op with the
-    same expressions in the same order: the ``>`` tests, ``ready + cost *
-    tokens[i]``, ``backward_ratio * (cost * tokens[i])``, ``busy += end -
-    ready``. With ``uniform`` (every ``tokens`` entry equal) each stage's
-    ``cost * tokens[i]`` and ``backward_ratio * (cost * tokens[i])`` are the
-    same float for every op, computed once. The source holds only fixed
-    names and integer literals."""
-    mask = (1 << (pp - 1).bit_length()) - 1
+    time appenders are locals, and each op computes the same expressions in
+    the same order: the ``>`` tests, ``ready + cost * tokens[i]``,
+    ``backward_ratio * (cost * tokens[i])``, ``busy += end - ready``. With
+    ``uniform`` (every ``tokens`` entry equal) each stage's ``cost *
+    tokens[i]`` and ``backward_ratio * (cost * tokens[i])`` are the same
+    float for every op, computed once. The walk returns each stage's last
+    end and busy time. The source holds only fixed names and integer
+    literals (``float()`` is ``0.0``)."""
+    mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
     stages = range(pp)
-    lines = ["def walk(m, tokens, costs, beta, comm, f_end, b_end, last, busy, starts, ends):"]
+    passed = "x" if uniform else "xt"  # the slot and width locals handed down from d - 1 to d
+    lines = ["def walk(m, tokens, costs, beta, comm, starts, ends):"]
     for s in stages:
         if uniform:
             lines += [f"    f{s} = costs[{s}] * tokens[0]", f"    g{s} = beta * f{s}"]
         else:
             lines.append(f"    c{s} = costs[{s}]")
-        lines += [f"    l{s} = last[{s}]", f"    b{s} = busy[{s}]",
-                  f"    fe{s} = f_end[{s}]", f"    be{s} = b_end[{s}]"]
+        # a ring slot is only read after the op it depends on wrote it
+        lines += [f"    l{s} = b{s} = float()", f"    fe{s} = [0] * {mask + 1}", f"    be{s} = [0] * {mask + 1}"]
         if record:
             lines += [f"    sa{s} = starts[{s}].append", f"    ea{s} = ends[{s}].append"]
-    for d in range(1, pp):  # tick pair pp - 1 reads microbatch pp - 1 - d (its slot, as pp <= W) from these
-        lines.append(f"    x{d} = {pp - 1 - d}")
-        if not uniform:
-            lines.append(f"    t{d} = tokens[{pp - 1 - d}]")
-    lines += [f"    for k in range({pp - 1}, m):", f"        x0 = k & {mask}"]
-    if not uniform:
-        lines.append("        t0 = tokens[k]")
+    if pp > 1:  # the first tick pair hands them down before any op has set them
+        lines.append("    " + " = ".join(f"{v}{d}" for d in range(1, pp) for v in passed) + " = 0")
 
-    def op(s: int, forward: bool) -> list[str]:
+    def op(s: int, forward: bool) -> tuple[int, list[str]]:
         d = s // 2 if forward else pp - 1 - s // 2
         x = f"x{d}"
         if forward and s == 0:
@@ -258,20 +215,24 @@ def _steady_walk(pp: int, record: bool, uniform: bool):
         code += [f"{'fe' if forward else 'be'}{s}[{x}] = l{s}", f"b{s} += l{s} - r"]
         if record:
             code += [f"sa{s}(r)", f"ea{s}(l{s})"]
-        return ["        " + line for line in code]
+        return d, code
 
-    for p in (0, 1):  # tick 2k + p: forwards at s = p (mod 2), then backwards
-        for s in stages[p::2]:
-            lines += op(s, True)
-        for s in stages[1 - p::2]:
-            lines += op(s, False)
-    for d in range(pp - 1, 0, -1):
-        lines.append(f"        x{d} = x{d - 1}")
-        if not uniform:
-            lines.append(f"        t{d} = t{d - 1}")
-    lines += [f"    last[{s}] = l{s}\n    busy[{s}] = b{s}" for s in stages]
+    # tick 2k + p: forwards at s = p (mod 2), then backwards
+    ops = [op(s, forward) for p in (0, 1)
+           for forward, parity in ((True, p), (False, 1 - p)) for s in stages[parity::2]]
+    shift = [f"{v}{d} = {v}{d - 1}" for d in range(pp - 1, 0, -1) for v in passed]
+    width = [] if uniform else ["t0 = tokens[k]"]
+    guarded = [f"x0 = k & {mask}", *(f"if k < m: {line}" for line in width),
+               *(line for d, code in ops for line in (f"if {d} <= k < m + {d}:", *("    " + c for c in code))),
+               *shift]
+    bare = [f"x0 = k & {mask}", *width, *(c for _, code in ops for c in code), *shift]
+    # first the warm-up pairs tested, then the steady pairs bare; then the drain pairs tested
+    lines += [f"    for lo, hi, n in ((0, {pp - 1}, m), (max({pp - 1}, m), m + {pp - 1}, 0)):",
+              "        for k in range(lo, hi):", *("            " + line for line in guarded),
+              f"        for k in range({pp - 1}, n):", *("            " + line for line in bare),
+              f"    return [{', '.join(f'l{s}' for s in stages)}], [{', '.join(f'b{s}' for s in stages)}]"]
     namespace: dict = {}
-    exec(compile("\n".join(lines) + "\n", f"<1F1B steady walk, pp={pp}>", "exec"), namespace)
+    exec(compile("\n".join(lines) + "\n", f"<1F1B walk, pp={pp}>", "exec"), namespace)
     return namespace["walk"]
 
 
@@ -303,9 +264,8 @@ def simulate_1f1b(
     the stage's last end; a stage's op ends never decrease, so the makespan is
     the latest last end. Only with ``record`` are the op times kept as well.
 
-    The tick pairs whose ops are all in range run in ``_steady_walk``'s code
-    generated for ``pp``, the others in ``_edge_ticks``, each op the same
-    arithmetic either way.
+    Every tick runs in ``_walk``'s code generated for ``pp``, which also
+    allocates the rings.
 
     Costs that take ``pp * makespan`` or the throughput out of the float range
     are an ``InvalidSpecError``, checked once after the walk.
@@ -320,23 +280,10 @@ def simulate_1f1b(
     pp = plan.layout.pp
     m = len(microbatches)
     tokens = microbatches.tokens
-    mask = (1 << (pp - 1).bit_length()) - 1  # W - 1, W the smallest power of two >= pp
-    f_end = [[0.0] * (mask + 1) for _ in range(pp)]
-    b_end = [[0.0] * (mask + 1) for _ in range(pp)]
-    last = [0.0] * pp  # each stage's latest op end
-    busy = [0.0] * pp
     starts = tuple(array("d") for _ in range(pp)) if record else ()
     ends = tuple(array("d") for _ in range(pp)) if record else ()
-    edge = partial(_edge_ticks, plan.stage_cost, tokens, backward_ratio, comm_latency, f_end, b_end, last, busy,
-                   starts, ends)
-    if m < pp:  # no tick pair has all its ops in range
-        edge(range(2 * (m + pp - 1)))
-    else:  # warm-up, tick pairs pp - 1 .. m - 1, drain
-        edge(range(2 * pp - 2))
-        uniform = countOf(tokens, tokens[0]) == m
-        _steady_walk(pp, record, uniform)(m, tokens, plan.stage_cost, backward_ratio, comm_latency,
-                                          f_end, b_end, last, busy, starts, ends)
-        edge(range(2 * m, 2 * (m + pp - 1)))
+    uniform = countOf(tokens, tokens[0]) == m
+    last, busy = _walk(pp, record, uniform)(m, tokens, plan.stage_cost, backward_ratio, comm_latency, starts, ends)
 
     makespan = max(last)
     # pp * makespan bounds the stages' summed busy time: finite, it keeps idle_fraction finite

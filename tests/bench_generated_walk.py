@@ -1,14 +1,15 @@
-"""Paired measurements of the generated 1F1B steady-state walk against its
-parent, written as BENCH JSON.
+"""Paired measurements of the generated 1F1B walk against its parent,
+written as BENCH JSON.
 
 Usage (from the root of a clean copy of the change, with the parent commit
 checked out in PARENT, e.g. ``git archive <parent> | tar -x -C PARENT``):
 
     python3 tests/bench_generated_walk.py --parent PARENT --out BENCH_31_generated_walk.json
 
-Both sides must hold no ``__pycache__``: under ``PYTHONDONTWRITEBYTECODE=1``
-a side with stale bytecode skips compiling its modules, and its ``setup_s``
-reads about a third lower.
+Both sides must hold no ``__pycache__`` under ``src/`` or ``perfbench/``:
+under ``PYTHONDONTWRITEBYTECODE=1`` a side with stale bytecode skips
+compiling its modules, and its ``setup_s`` reads about a third lower. The
+script exits non-zero, naming the directory, if either side holds one.
 
 Every pair runs both sides one after the other, alternating which goes
 first. Sections:
@@ -20,8 +21,8 @@ first. Sections:
   100,000, on padded (every width 4096) and packed (drawn widths)
   microbatches, recorded and not: the least of 5 calls, in one interpreter
   per side and pair, and whether both sides' summaries are the same bits;
-* ``compile``: the change's time to generate and compile one steady walk
-  per ``(pp, record, uniform)``.
+* ``compile``: the change's time to generate and compile one walk per
+  ``(pp, record, uniform)``.
 
 Not collected by pytest (its name does not start with ``test_``).
 """
@@ -37,7 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_lazy_numpy import CHANGE, paired, perfbench, run_side, summary
+from bench_lazy_numpy import CHANGE, paired, perfbench, refuse_stale_bytecode, run_side, summary
 
 WALK = """
 import json, random, sys, time
@@ -66,13 +67,13 @@ print(json.dumps(out))
 
 COMPILE = """
 import json, time
-from omnisched.pipeline import _steady_walk
+from omnisched.pipeline import _walk
 out = {}
 for pp in (1, 2, 4, 8, 16, 32, 64):
     for record in (False, True):
         for uniform in (False, True):
             start = time.perf_counter()
-            _steady_walk.__wrapped__(pp, record, uniform)
+            _walk.__wrapped__(pp, record, uniform)
             out[f"pp={pp} record={record} uniform={uniform}"] = time.perf_counter() - start
 print(json.dumps(out))
 """
@@ -104,6 +105,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds")
     args = parser.parse_args()
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
+    refuse_stale_bytecode(sides)
     work = Path(tempfile.mkdtemp(prefix="bench-generated-walk-"))
     try:
         report = {"walk": walk(sides, args.walk_pairs, work)}

@@ -22,6 +22,11 @@ first. Sections:
   ``load_trace`` and the times of ``load_trace`` and ``trace_stats`` at 10k
   and 100k samples.
 
+Both sides must hold no ``__pycache__`` under ``src/`` or ``perfbench/``:
+under ``PYTHONDONTWRITEBYTECODE=1`` a side with stale bytecode skips
+compiling its modules, and its ``setup_s`` reads about a third lower. The
+script exits non-zero, naming the directory, if either side holds one.
+
 Not collected by pytest (its name does not start with ``test_``).
 """
 
@@ -153,6 +158,15 @@ def fresh(sides: dict, inputs: Path, argv: list[str], pairs: int) -> dict:
     return section
 
 
+def refuse_stale_bytecode(sides: dict) -> None:
+    """Exit non-zero, naming the directory, if a side holds a ``__pycache__``
+    under ``src/`` or ``perfbench/``."""
+    for root in sides.values():
+        for top in ("src", "perfbench"):
+            for cache in sorted((root / top).rglob("__pycache__")):
+                sys.exit(f"{cache} holds bytecode: measure copies without __pycache__")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -161,6 +175,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds")
     args = parser.parse_args()
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
+    refuse_stale_bytecode(sides)
     sys.path.insert(0, str(CHANGE / "perfbench"))
     from inputs import make_inputs
 

@@ -321,7 +321,7 @@ def rarely(other, strategy):
 
 # 1e308 and 1e-320 are valid numbers whose products and sums leave the float range
 NUMBERS = rarely(
-    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, -0.0, 1e308, 1e-320]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -0.5, -0.0, 1e308, 1e-320, 2**64 + 1]),
     st.one_of(st.floats(0, 1e2), st.integers(0, 5)),
 )
 JUNK = st.one_of(
@@ -462,6 +462,7 @@ def test_fuzz_config_documents(doc, target, tmp_path_factory):
     with contextlib.chdir(work):
         for command in ("pack", "plan", "simulate", "route", "mem"):
             run_ok_or_exit_2([command, "--config", "cfg.yaml"], work, target)
+        run_ok_or_exit_2(["reproduce", "--scenario", "cfg.yaml"], work, target)
 
 
 @settings(max_examples=50, deadline=None)

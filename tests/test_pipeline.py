@@ -322,10 +322,11 @@ class TestDependencyRing:
         assert working_set(40_000) - working_set(20_000) < 256 * 1024
 
 
-class TestGeneratedSteadyWalk:
-    """Tick pairs ``pp - 1 .. m - 1`` run in a walk generated per ``(pp,
-    record, uniform)``, the warm-up and drain ticks (and every tick when
-    ``m < pp``) in the generic tick loop: the reference's every op time."""
+class TestGeneratedWalk:
+    """Every tick runs in the walk generated per ``(pp, record, uniform)``:
+    the steady tick pairs ``pp - 1 .. m - 1`` bare, the warm-up and drain
+    pairs (every pair when ``m < pp``) with each op's range tested. The
+    reference's every op time."""
 
     @given(
         data=st.data(),
@@ -337,7 +338,7 @@ class TestGeneratedSteadyWalk:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, data, pp, uniform, beta, comm):
         # m from no steady tick pair (m < pp) through one (m = pp) to many
-        m = data.draw(st.one_of(st.sampled_from([pp - 1 or 1, pp, pp + 1, 3 * pp + 3]),
+        m = data.draw(st.one_of(st.sampled_from([1, max(pp - 2, 1), max(pp - 1, 1), pp, pp + 1, 3 * pp + 3]),
                                 st.integers(min_value=1, max_value=3 * pp + 3)), label="m")
         costs = data.draw(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=pp, max_size=pp),
                           label="costs")
@@ -353,15 +354,17 @@ class TestGeneratedSteadyWalk:
             sources.append(source)
             return compile(source, *args)
 
-        pipeline._steady_walk.cache_clear()
+        pipeline._walk.cache_clear()
         monkeypatch.setattr(pipeline, "compile", spy, raising=False)
         try:
-            for pp, tokens in [(1, [77] * 3), (3, [5123, 9, 2, 8, 8]), (6, [4099] * 9), (6, [4095, 3] * 6)]:
+            # the last case, m < pp, meets the key of the one before it
+            for pp, tokens in [(1, [77] * 3), (3, [5123, 9, 2, 8, 8]), (6, [4099] * 9), (6, [4095, 3] * 6),
+                               (6, [4095, 3])]:
                 plan = plan_with_costs([0.1 + 0.7 * s for s in range(pp)])
                 for record in (True, False, True):  # a key met again compiles nothing
                     simulate_1f1b(plan, microbatches_of(tokens), 1.37, 0.3, record)
         finally:
-            pipeline._steady_walk.cache_clear()
+            pipeline._walk.cache_clear()
         assert len(sources) == 8
         for source in sources:
             for token in tokenize.generate_tokens(io.StringIO(source).readline):
@@ -372,6 +375,21 @@ class TestGeneratedSteadyWalk:
                     assert re.fullmatch(r"[a-z_]+[0-9]*", token.string)
             for text in ("0.1", "0.8", "1.37", "0.3", "77", "5123", "4099", "4095"):
                 assert text not in source
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_source_grows_linearly_in_pp(self, monkeypatch, record, uniform):
+        # the warm-up and drain are O(pp^2) ops: unrolled, they would show here
+        lines = []
+
+        def spy(source, *args):
+            lines.append(source.count("\n"))
+            return compile(source, *args)
+
+        monkeypatch.setattr(pipeline, "compile", spy, raising=False)
+        for pp in (16, 32):
+            pipeline._walk.__wrapped__(pp, record, uniform)
+        assert lines[1] <= 2.2 * lines[0]
 
 
 class TestTickRule:
@@ -731,6 +749,18 @@ def test_microbatches_from_batches_padded_cost():
     packed, _ = pack_ffd(trace, 8)
     mbs = microbatches_from_batches(packed)
     assert list(mbs.tokens) == list(mbs.useful_tokens)
+
+
+@pytest.mark.parametrize("tokens, useful, error", [
+    (np.array([3, 4, 5]), [3, 4, 5], "microbatch 0: tokens"),
+    ([3, 4, 5], [3, np.float64(4.0), 5], "microbatch 1: useful_tokens"),
+    ([3, 4, np.int64(5)], [3, 4, 5], "microbatch 2: tokens"),
+    ([3, True], [3, 1], "microbatch 1: tokens"),
+])
+def test_microbatch_entries_must_be_python_numbers(tokens, useful, error):
+    # a numpy entry would pass the range checks and leak np.float64 into results and CSV text
+    with pytest.raises(InvalidSpecError, match=error):
+        MicroBatches(tokens, useful)
 
 
 @pytest.mark.parametrize("kwargs", [
