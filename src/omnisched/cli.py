@@ -404,8 +404,12 @@ def _mem(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Pat
 
 
 # reproduce computes on worker processes once its cells' summed pp * m (stages
-# times microbatches) reaches this; their fixed cost, forking two and taking the
-# first result, is 8-12 ms on a 2-CPU host (the value was set when it was 35-50)
+# times microbatches) reaches this. The value was set when the fixed cost of
+# forking two workers and taking the first result was 35-50 ms (it is 8-12 ms).
+# At 10,000 samples (about 184,000) on a 2-CPU host, forking took 141-154 ms
+# against 168-191 ms in one process while two busy loops ran side by side, and
+# 189 ms against 165 ms while two took twice as long as one
+# (BENCH_33_fork_threshold.json).
 _FORK_CELL_WORK = 64_000
 
 

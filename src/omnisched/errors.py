@@ -67,14 +67,6 @@ class AllocatorError(OmniSchedError):
     kind = "allocator"
 
 
-class UnknownTagError(AllocatorError):
-    kind = "free-of-unknown-tag"
-
-
-class DoubleFreeError(AllocatorError):
-    kind = "double-free"
-
-
 class ConfigError(OmniSchedError):
     kind = "invalid-config"
 

@@ -13,8 +13,8 @@ Fixed-capacity batch streams allocate one capacity-sized buffer per batch
 (constant shape, the packed regime); per-sample streams allocate each
 sample at its own size (the dynamic-shape regime packing replaces).
 
-An event is a plain ``(kind, tag, size)`` tuple: ``("alloc", tag, size)``
-with a positive integer ``size``, or ``("free", tag, 0)``.
+A stream is a list of positive ``int`` buffer sizes, in order. Each buffer
+is freed before the next is allocated, so its sizes describe it completely.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from typing import Literal, Sequence
 
-from .errors import AllocatorError, DoubleFreeError, UnknownTagError
+from .errors import AllocatorError
 from .packing import Packing
 from .workload import WorkloadTrace
 
@@ -39,20 +39,16 @@ class FragReport:
     fragmentation_ratio: float
     reuse_hits: int
     new_blocks: int
-    final_live: int
 
     def to_dict(self) -> dict:
-        """The reported statistics; ``final_live`` is a stream check, not one of them."""
-        doc = asdict(self)
-        del doc["final_live"]
-        return doc
+        return asdict(self)
 
 
-MEMSIM_CSV_FIELDS = ["scenario"] + [f.name for f in fields(FragReport) if f.name != "final_live"]
+MEMSIM_CSV_FIELDS = ["scenario"] + [f.name for f in fields(FragReport)]
 
 
-def events_from_batches(packing: Packing, bytes_per_token: int) -> list[tuple[str, str, int]]:
-    """One capacity-sized buffer per batch, freed before the next batch.
+def events_from_batches(packing: Packing, bytes_per_token: int) -> list[int]:
+    """One capacity-sized buffer per batch.
 
     Fixed-capacity batches are physically capacity-shaped regardless of how
     full they are, which is exactly why packing to a fixed capacity gives
@@ -60,36 +56,23 @@ def events_from_batches(packing: Packing, bytes_per_token: int) -> list[tuple[st
     """
     if bytes_per_token < 1:
         raise AllocatorError(f"bytes_per_token must be >= 1, got {bytes_per_token}")
-    size = packing.capacity * bytes_per_token
-    events = []
-    for i in range(len(packing)):
-        tag = f"batch{i}"
-        events.append(("alloc", tag, size))
-        events.append(("free", tag, 0))
-    return events
+    return [packing.capacity * bytes_per_token] * len(packing)
 
 
-def events_from_samples(
-    trace: WorkloadTrace, bytes_per_token: int, round_to: int = 1
-) -> list[tuple[str, str, int]]:
+def events_from_samples(trace: WorkloadTrace, bytes_per_token: int, round_to: int = 1) -> list[int]:
     """The no-packing regime: one buffer per sample at its own (optionally
-    bucket-rounded) size, freed before the next sample."""
+    bucket-rounded) size."""
     if bytes_per_token < 1:
         raise AllocatorError(f"bytes_per_token must be >= 1, got {bytes_per_token}")
     if round_to < 1:
         raise AllocatorError(f"round_to must be >= 1, got {round_to}")
-    events = []
-    for sid, length in zip(trace.ids, trace.lengths):
-        tag = f"sample{sid}"
-        tokens = -(-length // round_to) * round_to
-        events.append(("alloc", tag, tokens * bytes_per_token))
-        events.append(("free", tag, 0))
-    return events
+    return [-(-length // round_to) * round_to * bytes_per_token for length in trace.lengths]
 
 
-def simulate_allocator(events: Sequence[tuple[str, str, int]], policy: AllocatorPolicy) -> FragReport:
-    """Replay an event stream and report fragmentation statistics. Each
-    event's kind and size are checked as it enters the replay.
+def simulate_allocator(sizes: Sequence[int], policy: AllocatorPolicy) -> FragReport:
+    """Replay a stream of buffer sizes and report fragmentation statistics.
+    Each buffer is taken from the cache or counted as a new block, then freed
+    before the next; each size is checked as it enters the replay.
 
     ``fragmentation_ratio`` is the share of reserved memory not backing live
     allocations at the first instant reserved memory peaks.
@@ -98,10 +81,9 @@ def simulate_allocator(events: Sequence[tuple[str, str, int]], policy: Allocator
         raise AllocatorError(f"unknown allocator policy {policy!r}", policy=policy)
     caching = policy == "exact_reuse_cache"
 
-    live: dict[str, int] = {}
-    ever_allocated: set[str] = set()
-    cache: dict[int, int] = {}  # size -> count of cached blocks
-    live_total = 0
+    # the size-keyed cache holds at most one block of a size, as each buffer is
+    # freed before the next: it is the set of its blocks' sizes
+    cache: set[int] = set()
     cached_total = 0
     peak_reserved = 0
     live_at_peak = 0
@@ -109,39 +91,23 @@ def simulate_allocator(events: Sequence[tuple[str, str, int]], policy: Allocator
     reuse_hits = 0
     new_blocks = 0
 
-    for kind, tag, size in events:
-        if kind == "alloc":
-            if type(size) is not int or size < 1:  # not a bool, a float or inf
-                raise AllocatorError(f"alloc {tag!r}: size must be a positive integer")
-            if tag in live:
-                raise AllocatorError(f"alloc tag {tag!r} is already live", tag=tag)
-            if caching and cache.get(size, 0) > 0:
-                cache[size] -= 1
-                cached_total -= size
-                reuse_hits += 1
-            else:
-                new_blocks += 1
-            live[tag] = size
-            ever_allocated.add(tag)
-            live_total += size
-            peak_live = max(peak_live, live_total)
-            reserved = live_total + cached_total
-            if reserved > peak_reserved:
-                peak_reserved = reserved
-                live_at_peak = live_total
-        elif kind == "free":
-            if tag not in live:
-                if tag in ever_allocated:
-                    raise DoubleFreeError(f"tag {tag!r} was already freed", tag=tag)
-                raise UnknownTagError(f"free of unknown tag {tag!r}", tag=tag)
-            size = live.pop(tag)
-            live_total -= size
-            if caching:
-                cache[size] = cache.get(size, 0) + 1
-                cached_total += size
-            # no_cache returns the block immediately; reserved tracks live
+    for i, size in enumerate(sizes):
+        if type(size) is not int or size < 1:  # not a bool, a float or inf
+            raise AllocatorError(f"buffer {i}: size must be a positive integer, got {size!r}", index=i)
+        if size in cache:
+            cache.remove(size)
+            cached_total -= size
+            reuse_hits += 1
         else:
-            raise AllocatorError(f"event kind must be alloc or free, got {kind!r}")
+            new_blocks += 1
+        peak_live = max(peak_live, size)
+        reserved = size + cached_total
+        if reserved > peak_reserved:
+            peak_reserved = reserved
+            live_at_peak = size
+        if caching:  # free into the cache; no_cache returns the block, so reserved tracks live
+            cache.add(size)
+            cached_total += size
 
     frag = 0.0 if peak_reserved == 0 else (peak_reserved - live_at_peak) / peak_reserved
     return FragReport(
@@ -151,5 +117,4 @@ def simulate_allocator(events: Sequence[tuple[str, str, int]], policy: Allocator
         fragmentation_ratio=frag,
         reuse_hits=reuse_hits,
         new_blocks=new_blocks,
-        final_live=live_total,
     )

@@ -280,6 +280,33 @@ def microbatches_from_batches_reference(
     return [(capacity if padded else u, u) for u in used]
 
 
+def simulate_allocator_reference(sizes: Sequence[int], policy: str) -> dict:
+    """An allocator report's ``to_dict()``, by replaying ``sizes`` over a plain
+    list of cached block sizes: each buffer takes a cached block of its size
+    or a new block, and is freed before the next, into the list under
+    ``exact_reuse_cache``. Reserved memory is summed anew at each buffer."""
+    cached: list[int] = []
+    reserved_live: list[tuple[int, int]] = []  # (reserved, live) as each buffer is taken
+    hits = 0
+    for size in sizes:
+        if size in cached:
+            cached.remove(size)
+            hits += 1
+        reserved_live.append((size + sum(cached), size))
+        if policy == "exact_reuse_cache":
+            cached.append(size)
+    peak = max((reserved for reserved, _ in reserved_live), default=0)
+    live_at_peak = next((live for reserved, live in reserved_live if reserved == peak), 0)
+    return {
+        "policy": policy,
+        "peak_reserved": peak,
+        "peak_live": max(sizes, default=0),
+        "fragmentation_ratio": (peak - live_at_peak) / peak if peak else 0.0,
+        "reuse_hits": hits,
+        "new_blocks": len(sizes) - hits,
+    }
+
+
 def simulate_1f1b_reference(
     stage_cost: Sequence[float],
     tokens: Sequence[int],

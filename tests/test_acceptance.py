@@ -206,7 +206,7 @@ def test_criterion_9_fragmentation_direction():
     trace = trace_of(lengths)
 
     varying = events_from_samples(trace, bytes_per_token=2, round_to=64)
-    distinct_sizes = len({size for kind, _, size in varying if kind == "alloc"})
+    distinct_sizes = len(set(varying))
     baseline = simulate_allocator(varying, "exact_reuse_cache")
     assert baseline.fragmentation_ratio > 0
     assert baseline.new_blocks == distinct_sizes

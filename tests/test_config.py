@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 from functools import partial
 from pathlib import Path
@@ -365,11 +366,9 @@ ENCODER = mapping(
      "unit_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=3))},
     tp_divisible=maybe(st.lists(maybe(st.booleans()), max_size=3)),
 )
-COST_MODELS = st.one_of(
-    rarely(st.just("missing.json"), st.just("cost.json")),
-    mapping({"encoders": maybe(st.lists(ENCODER, max_size=2)),
-             "llm_layer_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=4))}),
-)
+COST_DOCUMENT = mapping({"encoders": maybe(st.lists(ENCODER, max_size=2)),
+                         "llm_layer_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=4))})
+COST_MODELS = st.one_of(rarely(st.just("missing.json"), st.just("cost.json")), COST_DOCUMENT)
 LAYOUTS = st.sampled_from(["1x1x1", "1x2x1", "2x1x2", "1x0x1", "1x64x1", "1x2", "ax1x1"])
 CONFIG = mapping(
     {
@@ -451,21 +450,28 @@ TRACE = "".join(
 )
 
 
-@settings(max_examples=50, deadline=None)
-@given(doc=CONFIG, target=st.sampled_from(OUT_TARGETS))
-def test_fuzz_config_documents(doc, target, tmp_path_factory):
+# Examples per fuzz test; set OMNISCHED_FUZZ_EXAMPLES for a deeper run.
+FUZZ_EXAMPLES = int(os.environ.get("OMNISCHED_FUZZ_EXAMPLES", "50"))
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(doc=CONFIG, cost=COST_DOCUMENT, target=st.sampled_from(OUT_TARGETS))
+def test_fuzz_config_documents(doc, cost, target, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
     make_out_targets(work)
     (work / "trace.ndjson").write_text(TRACE)
-    (work / "cost.json").write_text(json.dumps(COST_MODEL))
+    (work / "cost.json").write_text(json.dumps(cost))
     (work / "cfg.yaml").write_text(yaml.safe_dump(doc))
     with contextlib.chdir(work):
         for command in ("pack", "plan", "simulate", "route", "mem"):
             run_ok_or_exit_2([command, "--config", "cfg.yaml"], work, target)
         run_ok_or_exit_2(["reproduce", "--scenario", "cfg.yaml"], work, target)
+        run_ok_or_exit_2(["plan", "--cost-model", "cost.json", "--layouts", "1x2x1,2x1x2"], work, target)
+        run_ok_or_exit_2(["simulate", "--trace", "trace.ndjson", "--capacity", "8", "--cost-model", "cost.json",
+                          "--layouts", "1x2x1"], work, target)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 @given(lines=st.lists(TRACE_LINE, max_size=8), target=st.sampled_from(OUT_TARGETS))
 def test_fuzz_trace_lines(lines, target, tmp_path_factory):
     work = tmp_path_factory.mktemp("fuzz")
