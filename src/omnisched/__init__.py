@@ -6,7 +6,6 @@ pipeline stage planning, 1F1B schedule simulation, sparse-MoE routing with
 hybrid load balancing, and allocator fragmentation modeling.
 """
 
-from .config import load_cost_model
 from .errors import OmniSchedError
 from .memsim import (
     FragReport,
@@ -84,7 +83,6 @@ __all__ = [
     "events_from_batches",
     "events_from_samples",
     "generate_trace",
-    "load_cost_model",
     "load_trace",
     "microbatches_from_batches",
     "moe_param_counts",

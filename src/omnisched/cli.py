@@ -292,8 +292,8 @@ def _timeline_cell(run: Path, out: Path, key, *simulation) -> ScheduleResult:
 
 
 def _need_cost_model(config: ExperimentConfig, command: str) -> None:
-    if not config.encoders or not config.llm_layer_costs:
-        raise ConfigError(f"{command} needs a cost model (encoders + llm_layer_costs)")
+    if not config.llm_layer_costs:
+        raise ConfigError(f"{command} needs a cost model with llm_layer_costs", key="cost_model.llm_layer_costs")
 
 
 def _comparison(config: ExperimentConfig, trace: WorkloadTrace, cell, map) -> list[dict]:
@@ -416,11 +416,13 @@ _FORK_CELL_WORK = 64_000
 def _reproduce(config: ExperimentConfig, args: argparse.Namespace, run: Path, out: Path) -> tuple[dict, list]:
     """The scenario end to end, and its baseline-vs-optimized contrast."""
     missing = [p for p in ("padded", "ffd") if p not in config.packing_policies]
+    key = "packing_policies" if missing else "plan_policies"
     missing += [p for p in ("naive", "balanced") if p not in config.plan_policies]
     if missing:
         raise ConfigError(
             "reproduce contrasts (padded, naive) with (ffd, balanced); "
             f"the scenario's policies lack {missing}",
+            key=key,
             missing=missing,
         )
     _need_cost_model(config, "reproduce")

@@ -4,12 +4,14 @@ Precedence is CLI flag > config file > ``OMNISCHED_SEED`` env var > built-in
 default. The CLI sets its flags in the config document, which
 ``build_config`` reads once, mapping by mapping: each key's type is checked
 (numbers are finite), the value read (defaults included) is recorded, and any
-key nothing read is rejected. The router and synthetic-trace sections are
-built into their library objects as read, whose constructors check ranges;
-other ranges are checked as read. Every failure is a ``ConfigError`` whose
-``context.key`` is the dotted key path, e.g. ``router.top_k``. The record,
-``ExperimentConfig.resolved``, is written to every run directory as
-``config.resolved`` so runs are reproducible from their outputs alone.
+key nothing read is rejected. The router, synthetic-trace and cost-model
+sections are built into their library objects as read, whose constructors
+check ranges; other ranges are checked as read. Every failure is a
+``ConfigError`` whose ``context.key`` is the dotted key path, e.g.
+``router.top_k``. The record, ``ExperimentConfig.resolved``, is written to
+every run directory as ``config.resolved`` so runs are reproducible from their
+outputs alone: read back, it resolves to itself. A cost-model file is inlined
+into it; relative file paths are read from the working directory.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class ExperimentConfig:
             return load_trace(self.trace_path)
         if self.synthetic is not None:
             return generate_trace(self.synthetic)
-        raise ConfigError("config defines neither a trace path nor a synthetic spec")
+        raise ConfigError("config defines neither a trace path nor a synthetic spec", key="trace")
 
 
 # A check turns a document value at a dotted key path into the value read, or
@@ -104,10 +106,11 @@ class _Mapping:
         self.record[name] = check(value, self._key(name))
         return self.record[name]
 
-    def section(self, name: str, default: Any = _REQUIRED) -> "_Mapping":
-        """The mapping at key ``name`` (``default`` when absent), to be read.
-        Its record, recorded here at once, fills as it is read."""
-        child = self.read(name, _Mapping, default)
+    def section(self, name: str, default: Any = _REQUIRED, parse: Optional[Check] = None) -> "_Mapping":
+        """The mapping at key ``name`` (``default`` when absent), to be read,
+        as ``parse`` (``_Mapping``) makes it of the value. Its record,
+        recorded here at once, fills as it is read."""
+        child = self.read(name, parse or _Mapping, default)
         self.record[name] = child.record
         return child
 
@@ -226,39 +229,29 @@ def _synthetic(m: _Mapping, seed: int) -> SyntheticTraceSpec:
     return m.build(SyntheticTraceSpec, weights, dists, count, seed, weights="mixture")
 
 
-def _encoder(m: _Mapping) -> dict:
-    m.read("modality", _str(_MODALITIES))
+def _encoder(m: _Mapping) -> EncoderSpec:
+    modality = Modality(m.read("modality", _str(_MODALITIES)))
     costs = m.read("unit_costs", _list(_number(finite=False)))
-    m.read("tp_divisible", _list(_bool), [True] * len(costs))
-    return m.close()
+    divisible = m.read("tp_divisible", _list(_bool), [True] * len(costs))
+    return m.build(EncoderSpec, modality, tuple(costs), tuple(divisible))
 
 
-def _cost_model(value: Any, key: str) -> dict:
-    """A cost model given inline or as the path of a JSON file; None is none."""
-    if value is None:
-        return {"encoders": [], "llm_layer_costs": []}
+def _cost_file(value: Any, key: str) -> _Mapping:
+    """The cost model, given inline or as the path of a JSON file; null is {}."""
     if isinstance(value, str):
         value = _load_file(value, partial(json.loads, object_pairs_hook=_unique_fields), "cost model", key=key)
-    m = _Mapping(value, key)
-    m.read("encoders", _list(_mapping(_encoder)))
-    m.read("llm_layer_costs", _list(_number(finite=False), nonempty=True))
-    return m.close()
+    return _Mapping({} if value is None else value, key)
 
 
-def _cost_objects(doc: dict) -> tuple[list[EncoderSpec], list[float]]:
-    """Encoders and layer costs from a read cost model, their costs checked."""
-    encoders = [
-        EncoderSpec(Modality(e["modality"]), tuple(e["unit_costs"]), tuple(e["tp_divisible"]))
-        for e in doc["encoders"]
-    ]
-    layers = doc["llm_layer_costs"]
-    build_units(encoders, layers, tp=1)  # rejects bad layer costs before a run writes anything
+def _cost_model(m: _Mapping) -> tuple[tuple[EncoderSpec, ...], tuple[float, ...]]:
+    """The encoders and LLM layer costs, none of either by default; build_units
+    checks the layer costs and the sum at tp=1."""
+    sections = m.read("encoders", _list(_Mapping), [])
+    m.record["encoders"] = [e.record for e in sections]
+    encoders = tuple(map(_encoder, sections))
+    layers = tuple(m.read("llm_layer_costs", _list(_number(finite=False)), []))
+    m.build(build_units, encoders, layers, 1)
     return encoders, layers
-
-
-def load_cost_model(path: Union[str, Path]) -> tuple[list[EncoderSpec], list[float]]:
-    """Read a JSON cost model: encoder unit costs plus LLM layer costs."""
-    return _cost_objects(_cost_model(str(path), "cost_model"))
 
 
 def _router(m: _Mapping, seed: int) -> tuple[RouterConfig, GaussianLogitSource]:
@@ -350,7 +343,7 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("capacity", _typed((int,), "an integer in [1, 2**63)", lambda v: 1 <= v < 2**63), 4096)
     r.read("backward_ratio", _number(0, strict=True), 2.0)
     r.read("comm_latency", _number(0), 0.0)
-    cost = r.read("cost_model", _cost_model, None)
+    encoders, layers = _cost_model(r.section("cost_model", {}, _cost_file))
     r.read("layouts", _list(_layout, nonempty=True, unique=True), ["1x1x1"])
     r.read("packing_policies", _list(_str(PACKING_POLICIES), nonempty=True, unique=True),
            ["padded", "stream", "ffd"])
@@ -360,15 +353,14 @@ def build_config(doc: dict) -> ExperimentConfig:
     r.read("output_dir", _typed((str,), "a non-empty string", bool), "runs/out")
     resolved = r.close()
     output_dir = Path(resolved.pop("output_dir"))  # --out may override it: not recorded
-    encoders, layers = _cost_objects(cost)
     return ExperimentConfig(
         trace_path=trace_path,
         synthetic=synthetic,
         capacity=resolved["capacity"],
         backward_ratio=resolved["backward_ratio"],
         comm_latency=resolved["comm_latency"],
-        encoders=tuple(encoders),
-        llm_layer_costs=tuple(layers),
+        encoders=encoders,
+        llm_layer_costs=layers,
         layouts=tuple(ParallelLayout.parse(label) for label in resolved["layouts"]),
         packing_policies=tuple(resolved["packing_policies"]),
         plan_policies=tuple(resolved["plan_policies"]),

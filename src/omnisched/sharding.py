@@ -40,15 +40,15 @@ class EncoderSpec:
 
     def __post_init__(self):
         if not self.unit_costs:
-            raise InvalidSpecError(f"encoder {self.modality.value}: needs at least one unit")
+            raise InvalidSpecError(f"encoder {self.modality.value}: needs at least one unit", field="unit_costs")
         if len(self.unit_costs) != len(self.tp_divisible):
             raise InvalidSpecError(
-                f"encoder {self.modality.value}: unit_costs and tp_divisible lengths differ"
+                f"encoder {self.modality.value}: unit_costs and tp_divisible lengths differ", field="tp_divisible"
             )
         for c in self.unit_costs:
             if not 0 < c < math.inf:
                 raise InvalidSpecError(
-                    f"encoder {self.modality.value}: unit costs must be finite and > 0"
+                    f"encoder {self.modality.value}: unit costs must be finite and > 0", field="unit_costs"
                 )
 
 
@@ -99,7 +99,7 @@ def build_units(encoders: Sequence[EncoderSpec], llm_layer_costs: Sequence[float
     ]
     for i, c in enumerate(llm_layer_costs):
         if not 0 < c < math.inf:
-            raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0")
+            raise InvalidSpecError(f"llm layer {i}: cost must be finite and > 0", field=f"llm_layer_costs[{i}]")
         costs.append(float(c) / tp)
     total = left_sum(costs)
     if costs and not 0 < total < math.inf:

@@ -269,7 +269,7 @@ def test_summaries_read_the_comparison_rows(trace_file, cost_model_file, tmp_pat
     (["simulate", "--capacity", str(2**1100)], {}, 1.0, [1.0, 1.0], ("invalid-config", "capacity")),
     (["simulate", "--capacity", "8"], {"backward_ratio": 1.0e308}, 1.0, [1.0, 1.0], ("invalid-spec", None)),
     (["simulate", "--capacity", "8"], {}, 1.0, [1e306, 1e306], ("invalid-spec", None)),
-    (["plan", "--layouts", "1x1x1"], {}, 1.0, [1e308, 1e308], ("invalid-spec", None)),
+    (["plan", "--layouts", "1x1x1"], {}, 1.0, [1e308, 1e308], ("invalid-config", "cost_model")),
     (["simulate", "--capacity", "8"], {}, 1e-320, [1e-320, 1e-320], ("invalid-spec", None)),
 ], ids=["capacity-2**1100", "backward-ratio-1e308", "layer-costs-1e306", "plan-layer-costs-1e308",
         "unit-costs-1e-320"])
@@ -350,6 +350,7 @@ def test_reproduce_needs_both_contrast_cells(tmp_path, capsys, key, policies):
     assert main(["reproduce", "--scenario", str(scenario), "--out", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["kind"] == "invalid-config"
+    assert err["context"]["key"] == key
     assert not out.exists()
 
 
@@ -382,7 +383,7 @@ def test_nan_cost_model_is_a_domain_error(cost_model_file, tmp_path, capsys):
     rc = main(["plan", "--cost-model", str(cost_model_file), "--layouts", "1x2x1",
                "--out", str(out)])
     assert rc == 2
-    assert json.loads(capsys.readouterr().err.strip())["kind"] == "invalid-spec"
+    assert json.loads(capsys.readouterr().err.strip())["kind"] == "invalid-config"
     assert not out.exists()
 
 
@@ -696,6 +697,51 @@ def test_run_directory_bytes(command, trace_file, cost_model_file, tmp_path, mon
     monkeypatch.delenv("OMNISCHED_SEED", raising=False)
     golden = json.loads((Path(__file__).parent / "data" / "run_digests.json").read_text())
     assert run_digests(command, tmp_path) == golden[command]
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ARGVS))
+def test_config_resolved_runs_again(command, trace_file, cost_model_file, tmp_path, monkeypatch):
+    # a run's config.resolved, given back as its config, writes the same run
+    # directory; a run with no cost model recorded the empty one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OMNISCHED_SEED", raising=False)
+    first = run_digests(command, tmp_path)
+    flag = "--scenario" if command == "reproduce" else "--config"
+    assert main([command, flag, "out/config.resolved", "--out", "again"]) == 0
+    again = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((tmp_path / "again").iterdir())}
+    assert again == first
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_llm_only_cost_model_plans(command, trace_file, tmp_path):
+    cost = tmp_path / "llm.json"
+    cost.write_text(json.dumps({"encoders": [], "llm_layer_costs": [1.0, 2.0, 1.0, 1.5]}))
+    out = tmp_path / "out"
+    argv = [command, "--cost-model", str(cost), "--layouts", "1x2x1,1x4x1", "--out", str(out)]
+    if command == "simulate":
+        argv += ["--trace", str(trace_file), "--capacity", "8"]
+    assert main(argv) == 0
+    if command == "plan":
+        plans = json.loads((out / "plan.json").read_text())
+        units = [u for stage in plans["1x2x1"]["balanced"]["stages"] for u in stage["units"]]
+        assert units == ["llm.0", "llm.1", "llm.2", "llm.3"]
+
+
+def test_cost_model_without_layers_plans_nothing(trace_file, tmp_path, capsys):
+    # encoders alone are a cost model that pack, route and mem accept; a
+    # command that plans needs the LLM layer costs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"cost_model": {"encoders": [{"modality": "text", "unit_costs": [1, 2]}]}}))
+    common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    data = ["--trace", str(trace_file), "--capacity", "8"]
+    assert main(["pack"] + data + common) == 0
+    assert main(["mem"] + data + common) == 0
+    assert main(["route", "--tokens", "16", "--steps", "2"] + common) == 0
+    out = tmp_path / "plan"
+    assert main(["plan", "--config", str(cfg), "--layouts", "1x2x1", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["kind"], err["context"]["key"]) == ("invalid-config", "cost_model.llm_layer_costs")
+    assert not out.exists()
 
 
 def sum_python312(iterable, /, start=0):

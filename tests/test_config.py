@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omnisched import cli
-from omnisched.errors import InvalidSpecError
+from omnisched.config import build_config
+from omnisched.errors import ConfigError, InvalidSpecError
 from omnisched.moe import GaussianLogitSource, RouterConfig
+from omnisched.sharding import EncoderSpec, build_units
 from omnisched.workload import LogNormalLength, Modality, SyntheticTraceSpec, UniformLength
 
 DATA = Path(__file__).parent / "data"
@@ -185,6 +187,11 @@ SYNTHETIC = "trace: {synthetic: {sample_count: 8, mixture: {text: %s}, lengths: 
      "trace.synthetic.lengths.text.sigma"),
     (SYNTHETIC % ("1", "{kind: lognormal, mu: 0, sigma: 1, max_len: 0}"),
      "trace.synthetic.lengths.text.max_len"),
+    ("cost_model: {encoders: [{modality: text, unit_costs: [0]}], llm_layer_costs: [1]}",
+     "cost_model.encoders[0].unit_costs"),
+    ("cost_model: {encoders: [{modality: text, unit_costs: [1], tp_divisible: [true, false]}]}",
+     "cost_model.encoders[0].tp_divisible"),
+    ("cost_model: {llm_layer_costs: [1, .nan]}", "cost_model.llm_layer_costs[1]"),
 ])
 def test_bad_value_names_its_key(text, key, tmp_path, capsys):
     (tmp_path / "cfg.yaml").write_text(text + "\n")
@@ -251,6 +258,12 @@ UNIFORM = UniformLength(1, 4)
     (partial(SyntheticTraceSpec, {Modality.TEXT: 1e308, Modality.IMAGE: 1e308},
              {Modality.TEXT: UNIFORM, Modality.IMAGE: UNIFORM}, 8, 0), "weights"),
     (partial(SyntheticTraceSpec, {Modality.TEXT: 1.0, Modality.AUDIO: 0.0}, {}, 8, 0), "lengths.text"),
+    (partial(EncoderSpec, Modality.TEXT, (), ()), "unit_costs"),
+    (partial(EncoderSpec, Modality.TEXT, (1.0,), (True, False)), "tp_divisible"),
+    (partial(EncoderSpec, Modality.TEXT, (1.0, 0.0), (True, True)), "unit_costs"),
+    (partial(EncoderSpec, Modality.TEXT, (math.nan,), (True,)), "unit_costs"),
+    (partial(build_units, [], [1.0, math.inf], 1), "llm_layer_costs[1]"),
+    (partial(build_units, [], [-1.0], 2), "llm_layer_costs[0]"),
 ])
 def test_constructor_range_error_names_its_field(make, field):
     with pytest.raises(InvalidSpecError) as exc:
@@ -366,8 +379,21 @@ ENCODER = mapping(
      "unit_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=3))},
     tp_divisible=maybe(st.lists(maybe(st.booleans()), max_size=3)),
 )
-COST_DOCUMENT = mapping({"encoders": maybe(st.lists(ENCODER, max_size=2)),
-                         "llm_layer_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=4))})
+# Cost models: well-formed ones (positive finite costs, as many tp_divisible
+# flags as unit costs, two or more layers, rarely the empty model), or ones
+# drawn like the rest of the config
+COST = st.one_of(st.floats(1e-3, 1e2), st.integers(1, 5))
+WELL_FORMED_ENCODER = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
+    {"modality": st.sampled_from(["text", "image", "audio", "video"]),
+     "unit_costs": st.lists(COST, min_size=n, max_size=n)},
+    optional={"tp_divisible": st.lists(st.booleans(), min_size=n, max_size=n)},
+))
+COST_DOCUMENT = st.one_of(
+    rarely(st.just({}), st.fixed_dictionaries({"llm_layer_costs": st.lists(COST, min_size=2, max_size=4)},
+                                              optional={"encoders": st.lists(WELL_FORMED_ENCODER, max_size=2)})),
+    mapping({"encoders": maybe(st.lists(ENCODER, max_size=2)),
+             "llm_layer_costs": maybe(st.lists(maybe(NUMBERS), min_size=1, max_size=4))}),
+)
 COST_MODELS = st.one_of(rarely(st.just("missing.json"), st.just("cost.json")), COST_DOCUMENT)
 LAYOUTS = st.sampled_from(["1x1x1", "1x2x1", "2x1x2", "1x0x1", "1x64x1", "1x2", "ax1x1"])
 CONFIG = mapping(
@@ -469,6 +495,20 @@ def test_fuzz_config_documents(doc, cost, target, tmp_path_factory):
         run_ok_or_exit_2(["plan", "--cost-model", "cost.json", "--layouts", "1x2x1,2x1x2"], work, target)
         run_ok_or_exit_2(["simulate", "--trace", "trace.ndjson", "--capacity", "8", "--cost-model", "cost.json",
                           "--layouts", "1x2x1"], work, target)
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+@given(doc=CONFIG, cost=COST_DOCUMENT)
+def test_resolved_config_resolves_to_itself(doc, cost, tmp_path_factory):
+    # config.resolved, written and read as YAML, is a config whose record is itself
+    work = tmp_path_factory.mktemp("resolved")
+    (work / "cost.json").write_text(json.dumps(cost))
+    with contextlib.chdir(work):
+        try:
+            resolved = build_config(doc).resolved
+        except ConfigError:
+            return
+        assert build_config(yaml.safe_load(yaml.safe_dump(resolved))).resolved == resolved
 
 
 @settings(max_examples=FUZZ_EXAMPLES, deadline=None)

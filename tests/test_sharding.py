@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from omnisched.config import load_cost_model
+from omnisched.config import build_config
 from omnisched.errors import ConfigError, InvalidSpecError, TooFewLayersError, TooFewUnitsError
 from omnisched.sharding import (
     EncoderSpec,
@@ -246,10 +246,11 @@ def test_cost_model_round_trip(tmp_path):
     }
     p = tmp_path / "cost.json"
     p.write_text(json.dumps(doc))
-    encoders, layers = load_cost_model(p)
+    config = build_config({"cost_model": str(p)})
+    encoders, layers = config.encoders, config.llm_layer_costs
     assert encoders[0].modality is Modality.IMAGE
     assert encoders[0].tp_divisible == (False, True)
     assert encoders[1].tp_divisible == (True,)  # defaults to divisible
-    assert layers == [1.0, 1.0]
+    assert layers == (1.0, 1.0)
     with pytest.raises(ConfigError):
-        load_cost_model(tmp_path / "missing.json")
+        build_config({"cost_model": str(tmp_path / "missing.json")})
